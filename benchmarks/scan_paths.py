@@ -27,7 +27,7 @@ from twinbeam.mi import _bin_indices
 
 
 def breakpoint_share(trace) -> float:
-    ib = _bin_indices(trace.valid(), 100)
+    ib, _ = _bin_indices(trace.valid(), 100)
     return float(np.mean(ib[1:] != ib[:-1]))
 
 

@@ -85,7 +85,7 @@ def _cmd_analyze(args) -> int:
         f_lo, f_hi = args.band_mhz
         pair = TracePair(a=bandpass(a, f_lo, f_hi), b=bandpass(b, f_lo, f_hi))
     curve = mi_delay_scan(pair, step=args.step_ns * 1e-9, range_=args.range_ns * 1e-9,
-                          n_bins=args.bins, workers=args.workers)
+                          n_bins=args.bins)
     save_curve(curve, args.out)
     print(f"wrote {args.out}: peak {curve.peak:.4f} bits at "
           f"{curve.peak_delay * 1e9:.2f} ns")
@@ -110,25 +110,13 @@ def _cmd_spectrum(args) -> int:
 def _cmd_fit(args) -> int:
     curve = load_curve(args.curve, normalized=args.normalized)
     if args.mode == "gaussian":
-        g = fit_gaussian(curve)
-        out = {"sigma0_ns": g.sigma0 * 1e9, "peak": g.peak,
-               "center_ns": g.center * 1e9, "residual_rms": g.residual_rms}
+        out = fit_gaussian(curve).to_report()
     else:
         if args.sigma0_ns is None:
             raise ConfigError("--sigma0-ns is required for channel fits")
         if args.reference_peak is not None:
             curve = normalize_curve(curve, args.reference_peak)
-        fit = fit_channel(curve, args.sigma0_ns * 1e-9)
-        out = {
-            "sigma0_ns": fit.sigma0 * 1e9,
-            "tau0_ns": fit.tau0 * 1e9,
-            "sigma_ns": fit.sigma * 1e9,
-            "eta": fit.eta,
-            "fwhm_unobstructed_ns": fit.fwhm_unobstructed * 1e9,
-            "fwhm_channel_ns": fit.fwhm_channel * 1e9,
-            "peak_ratio": fit.peak_ratio,
-            "residual_rms": fit.residual_rms,
-        }
+        out = fit_channel(curve, args.sigma0_ns * 1e-9).to_report()
     print(json.dumps(out, indent=2))
     return 0
 
@@ -179,7 +167,6 @@ def _cmd_pipeline(args) -> int:
             delay_range=args.range_ns * 1e-9,
             repeats=args.repeats,
             seed=args.seed,
-            workers=args.workers,
             outdir=args.outdir,
         )
     report = run_pipeline(config)
@@ -221,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-ns", type=float, default=300.0)
     p.add_argument("--sample-rate-gsps", type=float, default=None,
                    help="needed for single-column CSV traces")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
@@ -266,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmission", type=float, default=None,
                    help="override the eta-matched channel transmission")
     p.add_argument("--electronic-noise-rms", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--outdir", default=None)
     _add_source_args(p)
     p.set_defaults(func=_cmd_pipeline)

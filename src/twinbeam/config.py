@@ -19,6 +19,24 @@ __all__ = ["RunConfig", "SCENARIO_CHOICES"]
 SCENARIO_CHOICES = ("twin-channel", "twin", "split-thermal", "split-coherent",
                     "scatterer-only", "all")
 
+# keys of the JSON form, top level and per section
+_KEYS = ("scenario", "band_mhz", "bins", "step_ns", "range_ns", "repeats", "seed",
+         "segment_length", "source", "channel", "digitizer", "outdir")
+_SECTION_KEYS = {
+    "source": ("squeezing_db", "sigma0_ns", "excess_noise_db", "mean_power_a_mw",
+               "mean_power_b_mw"),
+    "channel": ("eta", "tau0_ns", "sigma_ns", "transmission", "electronic_noise_rms"),
+    "digitizer": ("sample_rate_gsps", "n_samples", "bit_depth"),
+}
+
+
+def _check_keys(d, known, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
 
 @dataclass
 class RunConfig:
@@ -36,7 +54,6 @@ class RunConfig:
     repeats: int = 10
     seed: int = 1
     segment_length: int = 2 ** 14
-    workers: Optional[int] = None
     outdir: Optional[str] = None
 
     def __post_init__(self):
@@ -77,21 +94,18 @@ class RunConfig:
             },
         }
         if self.channel is not None:
-            d["channel"] = {
-                "eta": self.channel.eta,
-                "tau0_ns": self.channel.tau0 * 1e9,
-                "sigma_ns": self.channel.sigma * 1e9,
-                "transmission": self.channel.power_transmission,
-                "electronic_noise_rms": self.channel.electronic_noise_rms,
-            }
-        if self.workers is not None:
-            d["workers"] = self.workers
+            d["channel"] = self.channel.to_report()
         if self.outdir is not None:
             d["outdir"] = self.outdir
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Parse the JSON form; an unknown key at any level is a ConfigError."""
+        _check_keys(d, _KEYS, "config")
+        for section in ("source", "channel", "digitizer"):
+            if section in d:
+                _check_keys(d[section], _SECTION_KEYS[section], section)
         try:
             src = d.get("source", {})
             source = SourceParams(
@@ -131,7 +145,6 @@ class RunConfig:
                 repeats=int(d.get("repeats", 10)),
                 seed=int(d.get("seed", 1)),
                 segment_length=int(d.get("segment_length", 2 ** 14)),
-                workers=d.get("workers"),
                 outdir=d.get("outdir"),
             )
         except (TypeError, ValueError, KeyError, IndexError) as exc:

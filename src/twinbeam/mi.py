@@ -7,11 +7,10 @@ range, forms the joint 2-D histogram, and evaluates
 
 with marginals taken from the joint histogram, which guarantees I >= 0 and
 finiteness (0 log 0 = 0).  ``mi_delay_scan`` is the hot path: bin indices are
-computed once per trace.  With numba, each integer-sample shift is reduced by a
-fused histogram+MI kernel in parallel threads.  Without numba, one joint
-histogram is updated exactly as b's window slides one sample at a time (only
-samples where b's bin index changes move a count), or rebuilt densely at a
-shift where that update would touch more samples than a rebuild costs.
+computed once per trace, and one joint histogram is updated exactly as b's
+window slides one sample at a time (only samples where b's bin index changes
+move a count), or rebuilt densely at a shift where that update would touch
+more samples than a rebuild costs.
 
 Scan conventions:
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,14 +43,6 @@ from .errors import (
     StepNotSampleAligned,
 )
 from .trace import MICurve, Trace, TracePair, validate_pair
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _HAVE_NUMBA = False
 
 __all__ = [
     "JointHistogram",
@@ -94,24 +85,31 @@ def _as_samples(x: Union[Trace, np.ndarray]) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _bin_indices(v: np.ndarray, n_bins: int) -> np.ndarray:
+# Samples binned per step of _bin_indices: the float temporary stays in
+# cache instead of streaming two record-sized temporaries through memory.
+_BIN_BLOCK = 1 << 16
+
+
+def _bin_indices(v: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width bin index of every sample over the array's own range.
 
-    The top edge closes the last bin, so every finite sample lands in
-    exactly one of the n_bins cells.
+    Returns the indices and the n_bins + 1 bin edges.  The top edge closes
+    the last bin, so every finite sample lands in exactly one of the n_bins
+    cells.
     """
     lo = float(v.min())
     hi = float(v.max())
     if not hi > lo:
         raise DegenerateRange("trace has zero dynamic range; cannot bin")
     scale = n_bins / (hi - lo)
-    idx = ((v - lo) * scale).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    return idx
-
-
-def _edges(v: np.ndarray, n_bins: int) -> np.ndarray:
-    return np.linspace(float(v.min()), float(v.max()), n_bins + 1)
+    idx = np.empty(len(v), dtype=np.int64)
+    buf = np.empty(min(len(v), _BIN_BLOCK))
+    for start in range(0, len(v), _BIN_BLOCK):
+        out = idx[start : start + _BIN_BLOCK]
+        t = np.subtract(v[start : start + _BIN_BLOCK], lo, out=buf[: len(out)])
+        np.multiply(t, scale, out=out, casting="unsafe")  # truncates like astype
+        np.clip(out, 0, n_bins - 1, out=out)
+    return idx, np.linspace(lo, hi, n_bins + 1)
 
 
 def histogram2d(a, b, n_bins_a: int = 100, n_bins_b: int = 100) -> JointHistogram:
@@ -127,14 +125,13 @@ def histogram2d(a, b, n_bins_a: int = 100, n_bins_b: int = 100) -> JointHistogra
         raise InvalidParams(f"records differ in length: {len(va)} vs {len(vb)}")
     if len(va) == 0:
         raise EmptyHistogram("no samples to histogram")
-    ia = _bin_indices(va, n_bins_a)
-    ib = _bin_indices(vb, n_bins_b)
-    flat = np.bincount(ia * n_bins_b + ib, minlength=n_bins_a * n_bins_b)
-    return JointHistogram(
-        counts=flat.reshape(n_bins_a, n_bins_b),
-        edges_a=_edges(va, n_bins_a),
-        edges_b=_edges(vb, n_bins_b),
-    )
+    ia, edges_a = _bin_indices(va, n_bins_a)
+    ib, edges_b = _bin_indices(vb, n_bins_b)
+    ia *= n_bins_b
+    ia += ib
+    flat = np.bincount(ia, minlength=n_bins_a * n_bins_b)
+    return JointHistogram(counts=flat.reshape(n_bins_a, n_bins_b),
+                          edges_a=edges_a, edges_b=edges_b)
 
 
 def mi_from_hist(h: JointHistogram) -> float:
@@ -176,100 +173,62 @@ def miller_madow_correction(h: JointHistogram) -> float:
 
 
 # ---------------------------------------------------------------------------
-# delay scan kernels
+# delay scan kernel
 # ---------------------------------------------------------------------------
 
-if _HAVE_NUMBA:
+def _scan_kernel(ia, ib, b_starts, n_win, m):
+    """MI per shift from one joint histogram, updated exactly or rebuilt.
 
-    @numba.njit(cache=True, parallel=True)
-    def _scan_kernel(ia, ib, b_starts, n_win, m):
-        """MI per shift; ia is the fixed window, ib the full index array.
+    Shift ``s`` pairs ``ia[i]`` (a's fixed window) with
+    ``ib[b_starts[s] + i]`` for ``i < n_win``; ``b_starts`` must be
+    non-increasing.  Returns MI in bits per shift.
 
-        For shift s, pairs are (ia[i], ib[b_starts[s] + i]) for i < n_win.
-        Returns MI in bits per shift.
-        """
-        n_shifts = b_starts.shape[0]
-        out = np.empty(n_shifts, dtype=np.float64)
-        for s in numba.prange(n_shifts):
-            hist = np.zeros(m * m, dtype=np.int64)
-            b0 = b_starts[s]
-            for i in range(n_win):
-                hist[ia[i] * m + ib[b0 + i]] += 1
-            row = np.zeros(m, dtype=np.int64)
-            col = np.zeros(m, dtype=np.int64)
-            for r in range(m):
-                base = r * m
-                for cidx in range(m):
-                    v = hist[base + cidx]
-                    row[r] += v
-                    col[cidx] += v
-            total = float(n_win)
-            acc = 0.0
-            for r in range(m):
-                base = r * m
-                rv = float(row[r])
-                if rv == 0.0:
-                    continue
-                for cidx in range(m):
-                    v = hist[base + cidx]
-                    if v > 0:
-                        p = v / total
-                        acc += p * np.log2(v * total / (rv * float(col[cidx])))
-            out[s] = acc if acc > 0.0 else 0.0
-        return out
-
-else:
-
-    def _scan_kernel(ia, ib, b_starts, n_win, m):
-        """MI per shift from one joint histogram, updated exactly or rebuilt.
-
-        Same contract as the numba kernel; ``b_starts`` must be non-increasing.
-        Moving b's window start from ``b`` to ``b - 1`` re-pairs a sample of a
-        with a different bin only where b's bin index changes, i.e. at the
-        breakpoints ``j in [b, b + n_win)`` with ``ib[j] != ib[j - 1]``: each
-        moves one count from cell ``(ia[j - b], ib[j])`` to
-        ``(ia[j - b], ib[j - 1])``.  Before each shift the kernel counts the
-        breakpoints the steps to it would walk and rebuilds the histogram
-        densely instead when they exceed 0.4 ``n_win``: on 4e6-sample records
-        a walked breakpoint costs about 2.5 times a rebuilt sample.  Long bin
-        runs (band-passed traces) at small steps walk; white noise or coarse
-        steps rebuild.  Counts stay exact integers either way, so every curve
-        equals the dense rebuild's bit for bit.
-        """
-        # narrowest type that holds a flat cell index: less memory traffic
-        # makes a walk step about a third faster and a rebuild a fifth
-        cell = np.min_scalar_type(m * m - 1)
-        ia_m = ia.astype(cell) * m
-        ib = ib.astype(cell)
-        bp = np.flatnonzero(ib[1:] != ib[:-1]) + 1
-        leave, enter = ib[bp], ib[bp - 1]
-        # breakpoints in the window at every start the scan steps from
-        b_last = int(b_starts[-1])
-        starts = np.arange(b_last + 1, int(b_starts[0]) + 1)
-        k0 = np.searchsorted(bp, starts)
-        k1 = np.searchsorted(bp, starts + n_win)
-        walked = np.concatenate(([0], np.cumsum(k1 - k0)))
-        out = np.empty(len(b_starts), dtype=np.float64)
-        b = None
-        for s, b_target in enumerate(b_starts):
-            b_target = int(b_target)
-            if b is None or walked[b - b_last] - walked[b_target - b_last] > 0.4 * n_win:
-                flat = np.bincount(ia_m + ib[b_target : b_target + n_win], minlength=m * m)
-            else:
-                for i in range(b - b_last - 1, b_target - b_last - 1, -1):
-                    j0, j1 = k0[i], k1[i]
-                    rows = ia_m[bp[j0:j1] - starts[i]]
-                    flat -= np.bincount(rows + leave[j0:j1], minlength=m * m)
-                    flat += np.bincount(rows + enter[j0:j1], minlength=m * m)
-            b = b_target
-            counts = flat.reshape(m, m)
-            row = counts.sum(axis=1)
-            col = counts.sum(axis=0)
-            ii, jj = np.nonzero(counts)
-            c = counts[ii, jj].astype(np.float64)
-            terms = (c / n_win) * np.log2(c * n_win / (row[ii] * col[jj]))
-            out[s] = max(0.0, float(terms.sum()))
-        return out
+    Moving b's window start from ``b`` to ``b - 1`` re-pairs a sample of a
+    with a different bin only where b's bin index changes, i.e. at the
+    breakpoints ``j in [b, b + n_win)`` with ``ib[j] != ib[j - 1]``: each
+    moves one count from cell ``(ia[j - b], ib[j])`` to
+    ``(ia[j - b], ib[j - 1])``.  Before each shift the kernel counts the
+    breakpoints the steps to it would walk and rebuilds the histogram
+    densely instead when they exceed 0.4 ``n_win``: on 4e6-sample records
+    a walked breakpoint costs about 2.5 times a rebuilt sample.  Long bin
+    runs (band-passed traces) at small steps walk; white noise or coarse
+    steps rebuild.  Counts stay exact integers either way, so every curve
+    equals the dense rebuild's bit for bit.
+    """
+    # narrowest type that holds a flat cell index: less memory traffic
+    # makes a walk step about a third faster and a rebuild a fifth
+    cell = np.min_scalar_type(m * m - 1)
+    ia_m = ia.astype(cell) * m
+    ib = ib.astype(cell)
+    bp = np.flatnonzero(ib[1:] != ib[:-1]) + 1
+    leave, enter = ib[bp], ib[bp - 1]
+    # breakpoints in the window at every start the scan steps from
+    b_last = int(b_starts[-1])
+    starts = np.arange(b_last + 1, int(b_starts[0]) + 1)
+    k0 = np.searchsorted(bp, starts)
+    k1 = np.searchsorted(bp, starts + n_win)
+    walked = np.concatenate(([0], np.cumsum(k1 - k0)))
+    out = np.empty(len(b_starts), dtype=np.float64)
+    b = None
+    for s, b_target in enumerate(b_starts):
+        b_target = int(b_target)
+        if b is None or walked[b - b_last] - walked[b_target - b_last] > 0.4 * n_win:
+            flat = np.bincount(ia_m + ib[b_target : b_target + n_win], minlength=m * m)
+        else:
+            for i in range(b - b_last - 1, b_target - b_last - 1, -1):
+                j0, j1 = k0[i], k1[i]
+                rows = ia_m[bp[j0:j1] - starts[i]]
+                flat -= np.bincount(rows + leave[j0:j1], minlength=m * m)
+                flat += np.bincount(rows + enter[j0:j1], minlength=m * m)
+        b = b_target
+        counts = flat.reshape(m, m)
+        row = counts.sum(axis=1)
+        col = counts.sum(axis=0)
+        ii, jj = np.nonzero(counts)
+        c = counts[ii, jj].astype(np.float64)
+        terms = (c / n_win) * np.log2(c * n_win / (row[ii] * col[jj]))
+        out[s] = max(0.0, float(terms.sum()))
+    return out
 
 
 def _resolve_step_samples(step: float, sample_rate: float) -> int:
@@ -288,15 +247,12 @@ def mi_delay_scan(
     step: float = 0.5e-9,
     range_: float = 300e-9,
     n_bins: int = 100,
-    workers: Optional[int] = None,
 ) -> MICurve:
     """MI versus relative delay over [-range_, +range_].
 
     Each shift is a histogram over the overlap of the two guard-stripped
-    records.  With numba, shifts are computed in parallel threads and
-    ``workers`` limits the thread count (None uses the numba default).  The
-    numpy path updates one histogram incrementally from shift to shift where
-    that is cheaper than a rebuild, and ``workers`` has no effect on it.
+    records.  One histogram is updated exactly from shift to shift where
+    that is cheaper than a rebuild, and rebuilt densely elsewhere.
     """
     validate_pair(pair.a, pair.b)
     fs = pair.a.spec.sample_rate
@@ -318,8 +274,8 @@ def mi_delay_scan(
 
     va = pair.a.samples[pair.a.guard : n - pair.a.guard]
     vb = pair.b.samples[pair.b.guard : n - pair.b.guard]
-    ia_full = _bin_indices(va, n_bins)
-    ib_full = _bin_indices(vb, n_bins)
+    ia_full, _ = _bin_indices(va, n_bins)
+    ib_full, _ = _bin_indices(vb, n_bins)
     ia = np.ascontiguousarray(ia_full[lo - pair.a.guard : hi - pair.a.guard], dtype=np.int16)
     ib = np.ascontiguousarray(ib_full, dtype=np.int16)
 
@@ -328,15 +284,7 @@ def mi_delay_scan(
     b_starts = (lo - pair.b.guard) - shifts
     n_win = hi - lo
 
-    if _HAVE_NUMBA and workers is not None:
-        old = numba.get_num_threads()
-        numba.set_num_threads(max(1, min(int(workers), old)))
-        try:
-            mi = _scan_kernel(ia, ib, b_starts, n_win, n_bins)
-        finally:
-            numba.set_num_threads(old)
-    else:
-        mi = _scan_kernel(ia, ib, b_starts, n_win, n_bins)
+    mi = _scan_kernel(ia, ib, b_starts, n_win, n_bins)
 
     delays = shifts.astype(np.float64) / fs
     return MICurve(delays=delays, mi=mi, spread=None, n_repeats=1, normalized=False)
@@ -383,15 +331,23 @@ def fwhm(curve: MICurve) -> float:
     """Full width at half maximum of a delay curve, in seconds.
 
     The half level is half the grid maximum; crossings are located by linear
-    interpolation between adjacent grid points.  If the curve crosses the half
-    level more than twice (side structure), the outermost pair is used and a
-    warning is emitted.
+    interpolation between adjacent grid points.  If the curve crosses the
+    half level more than twice (side structure), the outermost pair is used
+    and a warning is emitted.
     """
     m = curve.mi
     i_pk = int(np.argmax(m))
     if i_pk == 0 or i_pk == len(m) - 1:
         raise NoPeak("curve maximum lies on the delay-range edge")
-    half = 0.5 * m[i_pk]
+    return _half_level_width(curve.delays, m, 0.5 * m[i_pk])
+
+
+def _half_level_width(d: np.ndarray, m: np.ndarray, half: float) -> float:
+    """Width between the outermost crossings of the level ``half``, as ``fwhm``.
+
+    ``fit_channel`` passes its own level; the warning names the line that
+    called ``fwhm`` or ``fit_channel``.
+    """
     above = m >= half
     if above[0] or above[-1]:
         raise NoPeak("half level is not crossed inside the delay range")
@@ -400,9 +356,8 @@ def fwhm(curve: MICurve) -> float:
         warnings.warn(
             f"curve crosses its half level {n_crossings} times; "
             "using the outermost pair",
-            stacklevel=2,
+            stacklevel=3,
         )
-    d = curve.delays
     idx = np.nonzero(above)[0]
     lo, hi = int(idx[0]), int(idx[-1])
     x1 = d[lo - 1] + (half - m[lo - 1]) / (m[lo] - m[lo - 1]) * (d[lo] - d[lo - 1])

@@ -21,6 +21,7 @@ from scipy.optimize import brentq, least_squares
 from scipy.special import erfcx
 
 from .errors import BracketFailure, FitDiverged, InvalidParams, NoPeak, QuadratureNonConvergence
+from .mi import _half_level_width
 from .trace import FitResult, MICurve
 
 __all__ = [
@@ -206,6 +207,15 @@ class GaussianFit:
     center: float
     residual_rms: float
 
+    def to_report(self) -> dict:
+        """JSON form in ns, as reports and ``twinbeam fit`` write it."""
+        return {
+            "sigma0_ns": self.sigma0 * 1e9,
+            "peak": self.peak,
+            "center_ns": self.center * 1e9,
+            "residual_rms": self.residual_rms,
+        }
+
 
 def fit_gaussian(curve: MICurve) -> GaussianFit:
     """Least-squares fit of amplitude * g(t - center) to a delay curve."""
@@ -255,28 +265,14 @@ def _refined_peak(curve: MICurve) -> tuple[float, float]:
     return float(d[i] + off * curve.step), float(value)
 
 
-def _interp_fwhm(delays: np.ndarray, values: np.ndarray, half: float) -> float:
-    """Width between outer half-level crossings, linear interpolation."""
-    above = values >= half
-    idx = np.nonzero(above)[0]
-    lo, hi = idx[0], idx[-1]
-    if lo == 0 or hi == len(values) - 1:
-        raise NoPeak("half level is not crossed inside the delay range")
-    x1 = delays[lo - 1] + (half - values[lo - 1]) / (values[lo] - values[lo - 1]) * (
-        delays[lo] - delays[lo - 1]
-    )
-    x2 = delays[hi] + (half - values[hi]) / (values[hi + 1] - values[hi]) * (
-        delays[hi + 1] - delays[hi]
-    )
-    return float(x2 - x1)
-
-
 def fit_channel(curve: MICurve, sigma0: float) -> FitResult:
     """Staged recovery of (tau0, sigma, eta) from a normalized channel curve.
 
     Stage 1: tau0 from the sub-grid-refined peak position.
     Stage 2: sigma from matching the model FWHM to the measured FWHM
              (bracketed root find; the width grows monotonically with sigma).
+             The measured FWHM is taken at half the refined peak, between
+             the outermost crossings, with a warning on side structure.
     Stage 3: eta from the peak height through the closed-form peak value.
 
     The curve must be normalized so the unobstructed reference peaks at 1.
@@ -285,7 +281,7 @@ def fit_channel(curve: MICurve, sigma0: float) -> FitResult:
         raise InvalidParams("sigma0 must be > 0")
     tau0_hat, peak_hat = _refined_peak(curve)
 
-    width = _interp_fwhm(curve.delays, curve.mi, 0.5 * peak_hat)
+    width = _half_level_width(curve.delays, curve.mi, 0.5 * peak_hat)
     floor = GAUSSIAN_FWHM_FACTOR * sigma0
     if width < floor * (1.0 - 1e-3):
         raise BracketFailure(

@@ -21,12 +21,12 @@ from . import io as tbio
 from .channel import apply_channel
 from .config import RunConfig
 from .design import matched_transmission
-from .dsp import bandpass, difference_spectrum
+from .dsp import SpectrumEstimate, bandpass, difference_spectrum
 from .errors import TwinbeamError
 from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve
 from .model import fit_channel, fit_gaussian
 from .source import gen_split_coherent, gen_split_thermal, gen_twin
-from .trace import ChannelParams, MICurve, TracePair
+from .trace import ChannelParams, MICurve, Trace, TracePair
 
 __all__ = ["REPORT_SCHEMA_VERSION", "default_channel", "scatterer_only_channel",
            "run_pipeline"]
@@ -68,23 +68,64 @@ def scatterer_only_channel() -> ChannelParams:
                          power_transmission=0.01, electronic_noise_rms=10.0)
 
 
-def _scan_scenario(config: RunConfig, gen, n_repeats: int, seed_offset: int,
-                   transform=None) -> MICurve:
-    """Average MI curves over repeated seeded pairs of one scenario."""
-    curves = []
-    for r in range(n_repeats):
-        seed = config.seed + seed_offset + r
-        pair = gen(seed)
-        if transform is not None:
-            pair = transform(pair, seed)
-        fa = bandpass(pair.a, config.f_lo, config.f_hi)
-        fb = bandpass(pair.b, config.f_lo, config.f_hi)
-        filtered = TracePair(a=fa, b=fb, scenario=pair.scenario)
-        curves.append(
-            mi_delay_scan(filtered, step=config.delay_step, range_=config.delay_range,
-                          n_bins=config.n_bins, workers=config.workers)
-        )
-    return average_curves(curves)
+# Curves each scenario scans besides the unobstructed twin curve: a channel
+# curve on arm a of every twin pair, split-source curves on pairs of their
+# own; and whether the unobstructed curve gets a Gaussian fit.  Report order.
+_SCENARIOS = {
+    "twin": (None, (), True),
+    "twin-channel": ("twin-channel", (), True),
+    "scatterer-only": ("scatterer-only", (), False),
+    "split-thermal": (None, ("split-thermal",), False),
+    "split-coherent": (None, ("split-coherent",), False),
+    "all": ("twin-channel", ("split-thermal", "split-coherent"), True),
+}
+
+_CHANNELS = {
+    "twin-channel": default_channel,
+    "scatterer-only": lambda config: scatterer_only_channel(),
+}
+
+# split pairs are drawn at their own seed offsets
+_SPLIT_PAIRS = {
+    "split-thermal": lambda config, seed: gen_split_thermal(config.source, config.spec,
+                                                            seed + 20_000),
+    "split-coherent": lambda config, seed: gen_split_coherent(config.source, config.spec,
+                                                              seed + 30_000),
+}
+
+
+def _filter(config: RunConfig, trace: Trace) -> Trace:
+    return bandpass(trace, config.f_lo, config.f_hi)
+
+
+def _scan(config: RunConfig, a: Trace, b: Trace) -> MICurve:
+    return mi_delay_scan(TracePair(a=a, b=b), step=config.delay_step,
+                         range_=config.delay_range, n_bins=config.n_bins)
+
+
+def _scan_pair(config: RunConfig, pair: TracePair) -> MICurve:
+    return _scan(config, _filter(config, pair.a), _filter(config, pair.b))
+
+
+def _scan_twin_pair(config: RunConfig, pair: TracePair, seed: int,
+                    channel: Optional[ChannelParams]) -> list[MICurve]:
+    """Unobstructed curve of one twin pair, then its channel curve if any.
+
+    The channel acts on arm a only, so both curves share band-passed arm b.
+    The channel arm is made before any filtering, which keeps fewer
+    full-length records alive at once.
+    """
+    arms = [pair.a]
+    if channel is not None:
+        arms.append(apply_channel(pair, channel, seed + 10_000).a)
+    fb = _filter(config, pair.b)
+    return [_scan(config, _filter(config, a), fb) for a in arms]
+
+
+def _spectrum(config: RunConfig, pair: TracePair) -> SpectrumEstimate:
+    """Squeezing spectrum of a twin pair against a coherent reference."""
+    ref = gen_split_coherent(config.source, config.spec, config.seed + 90_000)
+    return difference_spectrum(pair, ref, config.segment_length)
 
 
 def _curve_stats(curve: MICurve) -> dict:
@@ -105,8 +146,13 @@ def _curve_stats(curve: MICurve) -> dict:
 def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     """Execute the configured scenario end to end and return the report.
 
-    With an output directory, writes per-scenario curve CSVs, the squeezing
-    spectrum CSV, and report.json.
+    For each seed, one twin pair gives the unobstructed curve and, when the
+    scenario has one, the channel curve (the channel acts on arm a, so both
+    share band-passed arm b); the first seed's pair also gives the squeezing
+    spectrum.  Split-source curves draw their own pairs at seed offsets
+    20 000 (thermal) and 30 000 (coherent).  With an output directory,
+    writes per-scenario curve CSVs, the squeezing spectrum CSV, and
+    report.json.
     """
     t0 = time.time()
     outdir = outdir or config.outdir
@@ -121,52 +167,27 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         "seeds": seeds,
         "scenarios": {},
     }
-    curves: dict[str, MICurve] = {}
+    channel_name, split_names, gaussian_fit = _SCENARIOS[config.scenario]
+    channel = _CHANNELS[channel_name](config) if channel_name else None
+    if channel_name == "twin-channel":
+        report["channel_params"] = channel.to_report()
 
-    gen_twin_cfg = lambda seed: gen_twin(config.source, config.spec, seed)
-    want = config.scenario
-    need_twin = want in ("twin", "twin-channel", "all", "scatterer-only",
-                         "split-thermal", "split-coherent")
+    # Each twin seed runs once; the first pair also gives the squeezing
+    # spectrum against a coherent reference.
+    twin_runs = []
+    for seed in seeds:
+        pair = gen_twin(config.source, config.spec, seed)
+        twin_runs.append(_scan_twin_pair(config, pair, seed, channel))
+        if seed == seeds[0]:
+            est = _spectrum(config, pair)
 
-    if need_twin:
-        twin_avg = _scan_scenario(config, gen_twin_cfg, config.repeats, 0)
-        curves["twin-unobstructed"] = twin_avg
-        ref_peak = twin_avg.peak
-
-    if want in ("twin-channel", "all"):
-        chan_params = default_channel(config)
-        report["channel_params"] = {
-            "eta": chan_params.eta,
-            "tau0_ns": chan_params.tau0 * 1e9,
-            "sigma_ns": chan_params.sigma * 1e9,
-            "transmission": chan_params.power_transmission,
-            "electronic_noise_rms": chan_params.electronic_noise_rms,
-        }
-        chan_avg = _scan_scenario(
-            config, gen_twin_cfg, config.repeats, 0,
-            transform=lambda pair, seed: apply_channel(pair, chan_params, seed + 10_000),
-        )
-        curves["twin-channel"] = chan_avg
-
-    if want == "scatterer-only":
-        chan_params = scatterer_only_channel()
-        curves["scatterer-only"] = _scan_scenario(
-            config, gen_twin_cfg, config.repeats, 0,
-            transform=lambda pair, seed: apply_channel(pair, chan_params, seed + 10_000),
-        )
-
-    if want in ("split-thermal", "all"):
-        curves["split-thermal"] = _scan_scenario(
-            config,
-            lambda seed: gen_split_thermal(config.source, config.spec, seed),
-            config.repeats, 20_000,
-        )
-    if want in ("split-coherent", "all"):
-        curves["split-coherent"] = _scan_scenario(
-            config,
-            lambda seed: gen_split_coherent(config.source, config.spec, seed),
-            config.repeats, 30_000,
-        )
+    curves = {"twin-unobstructed": average_curves([run[0] for run in twin_runs])}
+    ref_peak = curves["twin-unobstructed"].peak
+    if channel_name:
+        curves[channel_name] = average_curves([run[1] for run in twin_runs])
+    for name in split_names:
+        curves[name] = average_curves(
+            [_scan_pair(config, _SPLIT_PAIRS[name](config, seed)) for seed in seeds])
 
     # Normalize everything to the unobstructed twin peak, as the measurement does.
     normalized = {name: normalize_curve(c, ref_peak) for name, c in curves.items()}
@@ -176,40 +197,20 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         stats["at_noise_floor"] = bool(curve.peak < 0.02)
         report["scenarios"][name] = stats
 
-    if "twin-unobstructed" in normalized and want in ("twin", "twin-channel", "all"):
+    if gaussian_fit:
         gfit = fit_gaussian(normalized["twin-unobstructed"])
-        report["gaussian_fit"] = {
-            "sigma0_ns": gfit.sigma0 * 1e9,
-            "peak": gfit.peak,
-            "center_ns": gfit.center * 1e9,
-            "residual_rms": gfit.residual_rms,
-        }
+        report["gaussian_fit"] = gfit.to_report()
 
     if "twin-channel" in normalized:
-        fit = fit_channel(normalized["twin-channel"], gfit.sigma0)
-        report["fit"] = {
-            "sigma0_ns": fit.sigma0 * 1e9,
-            "tau0_ns": fit.tau0 * 1e9,
-            "sigma_ns": fit.sigma * 1e9,
-            "eta": fit.eta,
-            "fwhm_unobstructed_ns": fit.fwhm_unobstructed * 1e9,
-            "fwhm_channel_ns": fit.fwhm_channel * 1e9,
-            "peak_ratio": fit.peak_ratio,
-            "residual_rms": fit.residual_rms,
-        }
+        report["fit"] = fit_channel(normalized["twin-channel"], gfit.sigma0).to_report()
 
-    if need_twin:
-        # Squeezing spectrum of the first twin pair against a coherent reference.
-        twin_pair = gen_twin_cfg(seeds[0])
-        ref_pair = gen_split_coherent(config.source, config.spec, config.seed + 90_000)
-        est = difference_spectrum(twin_pair, ref_pair, config.segment_length)
-        report["spectrum"] = {
-            "in_band_mean_db": est.in_band_mean_db(config.f_lo, config.f_hi),
-            "band_mhz": [config.f_lo / 1e6, config.f_hi / 1e6],
-            "segment_length": config.segment_length,
-        }
-        if out is not None:
-            tbio.save_spectrum(est, out / "spectrum.csv")
+    report["spectrum"] = {
+        "in_band_mean_db": est.in_band_mean_db(config.f_lo, config.f_hi),
+        "band_mhz": [config.f_lo / 1e6, config.f_hi / 1e6],
+        "segment_length": config.segment_length,
+    }
+    if out is not None:
+        tbio.save_spectrum(est, out / "spectrum.csv")
 
     report["elapsed_s"] = round(time.time() - t0, 3)
     if out is not None:

@@ -54,10 +54,6 @@ class DigitizerSpec:
     def n_levels(self) -> int:
         return 2 ** self.bit_depth
 
-    @property
-    def sample_period(self) -> float:
-        return 1.0 / self.sample_rate
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -156,9 +152,6 @@ class TracePair:
         validate_pair(self.a, self.b)
         if self.scenario not in SCENARIOS:
             raise InvalidParams(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-
-    def with_arm_a(self, a: Trace, scenario: Optional[str] = None) -> "TracePair":
-        return TracePair(a=a, b=self.b, scenario=scenario or self.scenario)
 
     def swapped(self) -> "TracePair":
         return TracePair(a=self.b, b=self.a, scenario=self.scenario)
@@ -274,6 +267,16 @@ class ChannelParams:
         if self.electronic_noise_rms < 0:
             raise InvalidParams("electronic_noise_rms must be >= 0")
 
+    def to_report(self) -> dict:
+        """JSON form in ns, as configs and reports write it."""
+        return {
+            "eta": self.eta,
+            "tau0_ns": self.tau0 * 1e9,
+            "sigma_ns": self.sigma * 1e9,
+            "transmission": self.power_transmission,
+            "electronic_noise_rms": self.electronic_noise_rms,
+        }
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -297,3 +300,16 @@ class FitResult:
             raise InvalidParams("eta must be > 0")
         if not (0.0 < self.peak_ratio <= 1.0):
             raise InvalidParams(f"peak_ratio must be in (0, 1], got {self.peak_ratio}")
+
+    def to_report(self) -> dict:
+        """JSON form in ns, as reports and ``twinbeam fit`` write it."""
+        return {
+            "sigma0_ns": self.sigma0 * 1e9,
+            "tau0_ns": self.tau0 * 1e9,
+            "sigma_ns": self.sigma * 1e9,
+            "eta": self.eta,
+            "fwhm_unobstructed_ns": self.fwhm_unobstructed * 1e9,
+            "fwhm_channel_ns": self.fwhm_channel * 1e9,
+            "peak_ratio": self.peak_ratio,
+            "residual_rms": self.residual_rms,
+        }

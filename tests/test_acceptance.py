@@ -198,7 +198,7 @@ def test_criterion_9_performance_contract():
     fa = bandpass(pair.a, F_LO, F_HI)
     fb = bandpass(pair.b, F_LO, F_HI)
     fpair = TracePair(a=fa, b=fb)
-    mi_delay_scan(fpair, range_=1e-9)  # warm the jit cache
+    mi_delay_scan(fpair, range_=1e-9)  # warm up before timing
 
     t0 = time.time()
     curve = mi_delay_scan(fpair, step=0.5e-9, range_=300e-9, n_bins=100)

@@ -10,6 +10,7 @@ from twinbeam.errors import (
     StepNotSampleAligned,
 )
 from twinbeam.mi import (
+    _BIN_BLOCK,
     JointHistogram,
     average_curves,
     fwhm,
@@ -49,6 +50,20 @@ class TestHistogram2d:
         x = np.linspace(-1.0, 1.0, 1001)
         h = histogram2d(x, x[::-1], 10, 10)
         assert h.total == 1001
+
+    def test_counts_and_edges_match_whole_record_binning(self):
+        # spans several binning blocks and a partial one
+        x, y = gaussian_pair(0.5, 3 * _BIN_BLOCK + 123, seed=2)
+
+        def whole(v, m):
+            lo, hi = v.min(), v.max()
+            idx = ((v - lo) * (m / (hi - lo))).astype(np.int64)
+            return np.clip(idx, 0, m - 1), np.linspace(lo, hi, m + 1)
+
+        h = histogram2d(x, y, 37, 50)
+        (ia, ea), (ib, eb) = whole(x, 37), whole(y, 50)
+        assert np.array_equal(h.counts.ravel(), np.bincount(ia * 50 + ib, minlength=37 * 50))
+        assert np.array_equal(h.edges_a, ea) and np.array_equal(h.edges_b, eb)
 
     def test_uniform_independent_cell_occupancy(self):
         rng = np.random.default_rng(42)
@@ -208,14 +223,6 @@ class TestDelayScan:
             # positive delay d pairs a[i] with b[i - d]
             ref = mi_from_hist(histogram2d(a[lo:hi], b[lo - d : hi - d], 100, 100))
             assert got == pytest.approx(ref, abs=1e-12)
-
-    def test_workers_parameter_deterministic(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(2 ** 15)
-        y = 0.7 * x + rng.standard_normal(2 ** 15)
-        c1 = mi_delay_scan(_scan_pair(x, y), range_=10e-9, workers=1)
-        c2 = mi_delay_scan(_scan_pair(x, y), range_=10e-9, workers=2)
-        assert np.array_equal(c1.mi, c2.mi)
 
 
 class TestCurveOps:

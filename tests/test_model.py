@@ -227,6 +227,14 @@ class TestFitChannel:
         with pytest.raises(BracketFailure):
             fit_channel(_curve_from(d, m, normalized=True), 32.1e-9)
 
+    def test_side_lobe_at_half_height_warns(self):
+        d = np.arange(-600, 601) * 0.5e-9
+        m = G_closed(d, **PAPER)
+        m = m + 0.8 * m.max() * gaussian_g(d - 200e-9, 5e-9)
+        with pytest.warns(UserWarning, match="outermost"):
+            fit = fit_channel(_curve_from(d, m, normalized=True), PAPER["sigma0"])
+        assert fit.fwhm_channel > 200e-9  # spans out to the side lobe
+
     def test_normalization_invariance(self):
         d = np.arange(-600, 601) * 0.5e-9
         m = G_closed(d, **PAPER)

@@ -1,13 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import twinbeam.pipeline as pipeline
+from twinbeam.channel import apply_channel
 from twinbeam.cli import main
 from twinbeam.config import RunConfig
 from twinbeam.errors import ConfigError
 from twinbeam.pipeline import default_channel, run_pipeline
-from twinbeam.trace import ChannelParams, DigitizerSpec
+from twinbeam.dsp import bandpass
+from twinbeam.mi import mi_delay_scan
+from twinbeam.source import gen_twin
+from twinbeam.trace import ChannelParams, DigitizerSpec, TracePair
 
 
 def small_config(**kw):
@@ -36,6 +42,18 @@ class TestRunConfig:
     def test_bad_scenario(self):
         with pytest.raises(ConfigError):
             RunConfig(scenario="bogus")
+
+    @pytest.mark.parametrize("d", [
+        {"workers": 2},
+        {"repeat": 3},
+        {"source": {"sigma0": 30.0}},
+        {"channel": {"tau0": 30.0}},
+        {"digitizer": {"samples": 1000}},
+        {"source": [7.0]},
+    ])
+    def test_unknown_keys_rejected(self, d):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(d)
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -156,6 +174,18 @@ class TestCli:
         cfg.write_text(json.dumps({"scenario": "bogus"}))
         assert main(["pipeline", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("d", [{"workers": 2}, {"repeat": 3}])
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys, d):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert next(iter(d)) in capsys.readouterr().err
+
+    def test_workers_option_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_fit_channel_requires_sigma0(self, tmp_path):
         d = np.arange(-100, 101) * 0.5e-9
         from twinbeam.io import save_curve
@@ -187,3 +217,61 @@ class TestCli:
         assert main(["matched-transmission"]) == 0
         out = capsys.readouterr().out.strip()
         assert 0.3 < float(out) < 0.8
+
+
+def _digest(trace):
+    return hashlib.blake2b(trace.samples.tobytes(), digest_size=16).hexdigest()
+
+
+class TestPerSeedDataflow:
+    """Each twin seed is generated once and each record filtered once."""
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(scenario="scatterer-only", repeats=2),
+        # long enough records and range for the channel fit to succeed
+        small_config(scenario="all", repeats=2, delay_range=150e-9,
+                     spec=DigitizerSpec(n_samples=2 ** 21)),
+    ], ids=["scatterer-only", "all"])
+    def test_one_generation_per_seed_and_one_filter_per_record(self, monkeypatch, cfg):
+        twin_seeds, filtered_in, filtered_out = [], [], set()
+
+        def counting_gen_twin(source, spec, seed):
+            twin_seeds.append(seed)
+            return gen_twin(source, spec, seed)
+
+        def counting_bandpass(trace, f_lo, f_hi):
+            filtered_in.append(_digest(trace))
+            out = bandpass(trace, f_lo, f_hi)
+            filtered_out.add(_digest(out))
+            return out
+
+        monkeypatch.setattr(pipeline, "gen_twin", counting_gen_twin)
+        monkeypatch.setattr(pipeline, "bandpass", counting_bandpass)
+        run_pipeline(cfg)
+        assert twin_seeds == [cfg.seed + r for r in range(cfg.repeats)]
+        assert len(set(filtered_in)) == len(filtered_in)
+        assert not filtered_out & set(filtered_in)
+
+    def test_channel_curve_equals_explicit_chain(self, monkeypatch):
+        cfg = small_config(scenario="twin-channel", delay_range=150e-9,
+                           spec=DigitizerSpec(n_samples=2 ** 21))
+        averaged, real_average = [], pipeline.average_curves
+
+        def recording_average(curves):
+            averaged.append(list(curves))
+            return real_average(curves)
+
+        monkeypatch.setattr(pipeline, "average_curves", recording_average)
+        report = run_pipeline(cfg)
+
+        pair = gen_twin(cfg.source, cfg.spec, cfg.seed)
+        chan = apply_channel(pair, default_channel(cfg), cfg.seed + 10_000)
+        filtered = TracePair(a=bandpass(chan.a, cfg.f_lo, cfg.f_hi),
+                             b=bandpass(chan.b, cfg.f_lo, cfg.f_hi))
+        want = mi_delay_scan(filtered, step=cfg.delay_step, range_=cfg.delay_range,
+                             n_bins=cfg.n_bins)
+        # curves are averaged in report order: unobstructed, then channel
+        (got,) = averaged[1]
+        assert np.array_equal(got.delays, want.delays)
+        assert np.array_equal(got.mi, want.mi)
+        assert report["scenarios"]["twin-channel"]["peak_bits"] == want.peak
