@@ -6,10 +6,11 @@ Library layout:
     source     synthetic twin / split-thermal / split-coherent generation
     channel    loss + integrating-sphere delay kernel + electronic noise
     dsp        zero-phase band-pass, Welch difference spectra
-    mi         histogram MI, parallel delay scan, curve utilities
+    mi         histogram MI, incremental-histogram delay scan, curve utilities
     model      analytic channel model (closed form + quadrature oracle), fits
     design     in-band predictor, eta-matched transmission
     io         TWBM container and CSV formats
+    config     run configuration and its JSON schema
     pipeline   end-to-end reproducible runs
     cli        command-line interface
 """

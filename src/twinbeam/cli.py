@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, SCENARIO_CHOICES
+from .config import RunConfig, SCENARIO_CHOICES, read_json
 from .design import matched_transmission
 from .dsp import bandpass, difference_spectrum
 from .errors import ConfigError, DataError, FitError, TwinbeamError
@@ -31,61 +32,77 @@ from .mi import mi_delay_scan, normalize_curve
 from .model import G_closed, G_numeric, fit_channel, fit_gaussian
 from .pipeline import run_pipeline
 from .source import gen_split_coherent, gen_split_thermal, gen_twin
-from .trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
+from .trace import ChannelParams, SourceParams, TracePair
 
 
-def _band(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo) * 1e6, float(hi) * 1e6
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"band must look like 1.5:3.5, got {text!r}") from exc
+# Run-parameter flags, each setting one JSON key ("section.key" in a section) in its
+# unit over the --config file; only flags given reach the config (argparse.SUPPRESS).
+_RUN_FLAGS = {
+    "--scenario": ("scenario", dict(choices=SCENARIO_CHOICES)),
+    "--seed": ("seed", dict(type=int)),
+    "--repeats": ("repeats", dict(type=int)),
+    "--band-mhz": ("band_mhz", dict(type=lambda text: text.split(":"), help="e.g. 1.5:3.5")),
+    "--bins": ("bins", dict(type=int)),
+    "--step-ns": ("step_ns", dict(type=float)),
+    "--range-ns": ("range_ns", dict(type=float)),
+    "--segment": ("segment_length", dict(type=int)),
+    "--outdir": ("outdir", {}),
+    "--squeezing-db": ("source.squeezing_db", dict(type=float)),
+    "--sigma0-ns": ("source.sigma0_ns", dict(type=float)),
+    "--excess-noise-db": ("source.excess_noise_db", dict(type=float)),
+    "--power-a-mw": ("source.mean_power_a_mw", dict(type=float)),
+    "--power-b-mw": ("source.mean_power_b_mw", dict(type=float)),
+    "--transmission": ("channel.transmission", dict(type=float, help="sets an explicit channel")),
+    "--electronic-noise-rms": ("channel.electronic_noise_rms", dict(type=float)),
+    "--sample-rate-gsps": ("digitizer.sample_rate_gsps", dict(type=float)),
+    "--n-samples": ("digitizer.n_samples", dict(type=int)),
+}
+_SOURCE_FLAGS = [flag for flag, (key, _) in _RUN_FLAGS.items() if key.startswith("source.")]
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--squeezing-db", type=float, default=7.0)
-    p.add_argument("--sigma0-ns", type=float, default=32.1)
-    p.add_argument("--excess-noise-db", type=float, default=3.2)
-    p.add_argument("--power-a-mw", type=float, default=5.9)
-    p.add_argument("--power-b-mw", type=float, default=5.3)
+def _add_run_args(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        key, kw = _RUN_FLAGS[flag]
+        p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kw)
 
 
-def _source_from(args) -> SourceParams:
-    return SourceParams(
-        squeezing_db=args.squeezing_db,
-        sigma0=args.sigma0_ns * 1e-9,
-        excess_noise_db=args.excess_noise_db,
-        mean_power_a=args.power_a_mw * 1e-3,
-        mean_power_b=args.power_b_mw * 1e-3,
-    )
+def _run_config(args) -> RunConfig:
+    """--config's JSON form, if any, under the run flags given; stages are unchecked."""
+    path = getattr(args, "config", None)
+    d = read_json(path) if path else {}
+    for key, _ in _RUN_FLAGS.values():
+        if hasattr(args, key) and isinstance(d, dict):
+            section, _, name = key.rpartition(".")
+            target = d.setdefault(section, {}) if section else d
+            if isinstance(target, dict):   # else from_dict reports the malformed file
+                target[name] = getattr(args, key)
+    return RunConfig.from_dict(d)
+
+
+_GENERATORS = {"twin": gen_twin, "split-thermal": gen_split_thermal,
+               "split-coherent": gen_split_coherent}
 
 
 def _cmd_simulate(args) -> int:
-    spec = DigitizerSpec(sample_rate=args.sample_rate_gsps * 1e9, n_samples=args.n_samples)
-    source = _source_from(args)
-    gens = {
-        "twin": gen_twin,
-        "split-thermal": gen_split_thermal,
-        "split-coherent": gen_split_coherent,
-    }
-    pair = gens[args.scenario](source, spec, args.seed)
+    config = _run_config(args)
+    pair = _GENERATORS[args.generator](config.source, config.spec, config.seed)
     save_trace(pair.a, args.out_a, encoding=args.encoding)
     save_trace(pair.b, args.out_b, encoding=args.encoding)
-    print(f"wrote {args.out_a} and {args.out_b} ({args.scenario}, seed {args.seed})")
+    print(f"wrote {args.out_a} and {args.out_b} ({args.generator}, seed {config.seed})")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    a = load_trace(args.trace_a, sample_rate=args.sample_rate_gsps * 1e9
-                   if args.sample_rate_gsps else None)
-    b = load_trace(args.trace_b, sample_rate=args.sample_rate_gsps * 1e9
-                   if args.sample_rate_gsps else None)
-    pair = TracePair(a=a, b=b)
-    if args.band_mhz is not None:
-        f_lo, f_hi = args.band_mhz
-        pair = TracePair(a=bandpass(a, f_lo, f_hi), b=bandpass(b, f_lo, f_hi))
-    curve = mi_delay_scan(pair, step=args.step_ns * 1e-9, range_=args.range_ns * 1e-9,
-                          n_bins=args.bins)
+    # a rate given reads CSV traces; bandpass checks a band given, so only the scan here
+    rate = getattr(args, "digitizer.sample_rate_gsps", 0) * 1e9 or None
+    pair = TracePair(a=load_trace(args.trace_a, sample_rate=rate),
+                     b=load_trace(args.trace_b, sample_rate=rate))
+    config = replace(_run_config(args), spec=pair.a.spec).check("scan")
+    if hasattr(args, "band_mhz"):
+        pair = TracePair(a=bandpass(pair.a, config.f_lo, config.f_hi),
+                         b=bandpass(pair.b, config.f_lo, config.f_hi))
+    curve = mi_delay_scan(pair, step=config.delay_step, range_=config.delay_range,
+                          n_bins=config.n_bins)
     save_curve(curve, args.out)
     print(f"wrote {args.out}: peak {curve.peak:.4f} bits at "
           f"{curve.peak_delay * 1e9:.2f} ns")
@@ -94,16 +111,17 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
+    config = replace(_run_config(args), spec=pair.a.spec).check("spectrum")
     if args.ref_a and args.ref_b:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b),
                         scenario="split-coherent")
     else:
-        ref = gen_split_coherent(SourceParams(), pair.a.spec, args.synth_ref_seed)
-    est = difference_spectrum(pair, ref, segment_length=args.segment)
+        ref = gen_split_coherent(config.source, pair.a.spec, args.synth_ref_seed)
+    est = difference_spectrum(pair, ref, segment_length=config.segment_length)
     save_spectrum(est, args.out)
-    f_lo, f_hi = args.band_mhz
-    print(f"wrote {args.out}: in-band mean {est.in_band_mean_db(f_lo, f_hi):+.2f} dB "
-          f"over {f_lo / 1e6:g}-{f_hi / 1e6:g} MHz")
+    print(f"wrote {args.out}: in-band mean "
+          f"{est.in_band_mean_db(config.f_lo, config.f_hi):+.2f} dB "
+          f"over {config.f_lo / 1e6:g}-{config.f_hi / 1e6:g} MHz")
     return 0
 
 
@@ -125,7 +143,8 @@ def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     t = np.linspace(-200e-9, 300e-9, args.points)
     worst = 0.0
-    tuples = [(0.598, 32.7e-9, 19.7e-9, 32.1e-9)]
+    chan, source = ChannelParams(), SourceParams()
+    tuples = [(chan.eta, chan.tau0, chan.sigma, source.sigma0)]
     for _ in range(args.tuples):
         sigma0 = rng.uniform(10e-9, 60e-9)
         ratio = np.exp(rng.uniform(np.log(0.05), np.log(20.0)))
@@ -146,38 +165,13 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.config:
-        config = RunConfig.from_json(args.config)
-        if args.outdir:
-            config.outdir = args.outdir
-    else:
-        f_lo, f_hi = args.band_mhz
-        channel = None
-        if args.transmission is not None:
-            channel = ChannelParams(power_transmission=args.transmission,
-                                    electronic_noise_rms=args.electronic_noise_rms)
-        config = RunConfig(
-            scenario=args.scenario,
-            source=_source_from(args),
-            channel=channel,
-            f_lo=f_lo,
-            f_hi=f_hi,
-            n_bins=args.bins,
-            delay_step=args.step_ns * 1e-9,
-            delay_range=args.range_ns * 1e-9,
-            repeats=args.repeats,
-            seed=args.seed,
-            outdir=args.outdir,
-        )
-    report = run_pipeline(config)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(run_pipeline(_run_config(args)), indent=2))
     return 0
 
 
 def _cmd_matched_transmission(args) -> int:
-    t = matched_transmission(_source_from(args), ChannelParams(),
-                             *(args.band_mhz))
-    print(f"{t:.4f}")
+    config = _run_config(args)
+    print(f"{matched_transmission(config.source, ChannelParams(), config.f_lo, config.f_hi):.4f}")
     return 0
 
 
@@ -187,27 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic trace pairs")
-    p.add_argument("--scenario", choices=("twin", "split-thermal", "split-coherent"),
+    p.add_argument("--scenario", dest="generator", choices=tuple(_GENERATORS),
                    default="twin")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--sample-rate-gsps", type=float, default=2.0)
-    p.add_argument("--n-samples", type=int, default=4_000_000)
+    _add_run_args(p, "--seed", "--sample-rate-gsps", "--n-samples", *_SOURCE_FLAGS)
     p.add_argument("--encoding", choices=("f64le", "u8"), default="f64le")
     p.add_argument("--out-a", required=True)
     p.add_argument("--out-b", required=True)
-    _add_source_args(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("analyze", help="MI delay scan of two traces")
+    p = sub.add_parser("analyze", help="MI delay scan of two traces", description=(
+        "Band-passes only if --band-mhz is given; single-column CSV traces "
+        "need --sample-rate-gsps."))
     p.add_argument("--trace-a", required=True)
     p.add_argument("--trace-b", required=True)
-    p.add_argument("--band-mhz", type=_band, default=None,
-                   help="band-pass before scanning, e.g. 1.5:3.5")
-    p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--step-ns", type=float, default=0.5)
-    p.add_argument("--range-ns", type=float, default=300.0)
-    p.add_argument("--sample-rate-gsps", type=float, default=None,
-                   help="needed for single-column CSV traces")
+    _add_run_args(p, "--band-mhz", "--bins", "--step-ns", "--range-ns",
+                  "--sample-rate-gsps")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
@@ -218,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-b", default=None)
     p.add_argument("--synth-ref-seed", type=int, default=987,
                    help="seed of the synthetic coherent reference when no ref files")
-    p.add_argument("--segment", type=int, default=2 ** 14)
-    p.add_argument("--band-mhz", type=_band, default=(1.5e6, 3.5e6))
+    _add_run_args(p, "--segment", "--band-mhz")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -241,25 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("pipeline", help="full end-to-end run")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--scenario", choices=SCENARIO_CHOICES, default="twin-channel")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--band-mhz", type=_band, default=(1.5e6, 3.5e6))
-    p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--step-ns", type=float, default=0.5)
-    p.add_argument("--range-ns", type=float, default=300.0)
-    p.add_argument("--transmission", type=float, default=None,
-                   help="override the eta-matched channel transmission")
-    p.add_argument("--electronic-noise-rms", type=float, default=0.0)
-    p.add_argument("--outdir", default=None)
-    _add_source_args(p)
+    p.add_argument("--config", default=None, help="JSON config; a run flag overrides its key")
+    _add_run_args(p, "--scenario", "--seed", "--repeats", "--band-mhz", "--bins",
+                  "--step-ns", "--range-ns", "--transmission", "--electronic-noise-rms",
+                  "--outdir", *_SOURCE_FLAGS)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("matched-transmission",
                        help="print the eta-matched channel transmission")
-    p.add_argument("--band-mhz", type=_band, default=(1.5e6, 3.5e6))
-    _add_source_args(p)
+    _add_run_args(p, "--band-mhz", *_SOURCE_FLAGS)
     p.set_defaults(func=_cmd_matched_transmission)
 
     return ap

@@ -1,46 +1,121 @@
-"""Declarative run configuration with human-unit (de)serialization.
+"""Declarative run configuration and its JSON form.
 
-Internally everything is SI (seconds, Hz); the JSON form and the CLI speak
-ns, MHz, and dB and are converted exactly once at the boundary.
+Internally everything is SI (seconds, Hz, W); the JSON form and the CLI
+speak ns, MHz, mW, GS/s and dB.  The schema tables below are the one place
+that names each JSON key, the field it sets and its unit; they drive
+``to_dict``, ``from_dict`` and the unknown-key check.  A missing key keeps
+its field's dataclass default.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .dsp import check_band, check_segment
+from .errors import ConfigError, DataError
+from .mi import scan_grid
 from .trace import ChannelParams, DigitizerSpec, SourceParams
 
-__all__ = ["RunConfig", "SCENARIO_CHOICES"]
+__all__ = ["RunConfig", "SCENARIO_CHOICES", "read_json"]
 
 SCENARIO_CHOICES = ("twin-channel", "twin", "split-thermal", "split-coherent",
                     "scatterer-only", "all")
 
-# keys of the JSON form, top level and per section
-_KEYS = ("scenario", "band_mhz", "bins", "step_ns", "range_ns", "repeats", "seed",
-         "segment_length", "source", "channel", "digitizer", "outdir")
-_SECTION_KEYS = {
-    "source": ("squeezing_db", "sigma0_ns", "excess_noise_db", "mean_power_a_mw",
-               "mean_power_b_mw"),
-    "channel": ("eta", "tau0_ns", "sigma_ns", "transmission", "electronic_noise_rms"),
-    "digitizer": ("sample_rate_gsps", "n_samples", "bit_depth"),
-}
+
+# A unit is (to JSON, from JSON).  ``_scaled`` reads a JSON value as the
+# decimal literal it spells (1.1 ns is 1.1e-9, unlike 1.1 / 1e9; 50 ns is 50e-9,
+# unlike 50 * 1e-9); ``out`` is the reports' arithmetic (not 50e-9 / 1e-9).
+def _scaled(out, exponent: int):
+    return (out, lambda v: float(Decimal(repr(float(v))).scaleb(exponent)))
 
 
-def _check_keys(d, known, where: str) -> None:
+_AS_IS = (lambda x: x, lambda v: v)
+_INT = (lambda x: x, int)
+_FLOAT = (lambda x: x, float)
+_NS = _scaled(lambda x: x * 1e9, -9)
+_MW = _scaled(lambda x: x * 1e3, -3)
+_MHZ = _scaled(lambda x: x / 1e6, 6)
+_GSPS = _scaled(lambda x: x / 1e9, 9)
+
+# Schema tables: (JSON key, field, unit) in the JSON form's key order.  A
+# tuple of fields is one key holding a list.
+_SOURCE = (
+    ("squeezing_db", "squeezing_db", _FLOAT),
+    ("sigma0_ns", "sigma0", _NS),
+    ("excess_noise_db", "excess_noise_db", _FLOAT),
+    ("mean_power_a_mw", "mean_power_a", _MW),
+    ("mean_power_b_mw", "mean_power_b", _MW),
+)
+_CHANNEL = (
+    ("eta", "eta", _FLOAT),
+    ("tau0_ns", "tau0", _NS),
+    ("sigma_ns", "sigma", _NS),
+    ("transmission", "power_transmission", _FLOAT),
+    ("electronic_noise_rms", "electronic_noise_rms", _FLOAT),
+)
+_DIGITIZER = (
+    ("sample_rate_gsps", "sample_rate", _GSPS),
+    ("n_samples", "n_samples", _INT),
+    ("bit_depth", "bit_depth", _INT),
+)
+
+
+def _dump(obj, table) -> dict:
+    """JSON form of ``obj``; a field holding None is left out."""
+    d = {}
+    for key, name, (out, _) in table:
+        if isinstance(name, tuple):
+            d[key] = [out(getattr(obj, n)) for n in name]
+        elif getattr(obj, name) is not None:
+            d[key] = out(getattr(obj, name))
+    return d
+
+
+def _load(cls, d, table, where: str):
+    """``cls`` built from its JSON form ``d``; an unknown key is a ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(known))
+    unknown = sorted(set(d) - {key for key, _, _ in table})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    kw = {}
+    for key, name, (_, into) in table:
+        if key in d and not isinstance(name, tuple):
+            kw[name] = into(d[key])
+        elif key in d:   # one value per field
+            if not (isinstance(d[key], list) and len(d[key]) == len(name)):
+                raise ConfigError(f"{key} must be a list of {len(name)} numbers")
+            kw.update(zip(name, map(into, d[key])))
+    return cls(**kw)
+
+
+def _section(cls, table, where: str):   # the unit of a nested section
+    return (lambda obj: _dump(obj, table), lambda d: _load(cls, d, table, where))
+
+
+_RUN = (
+    ("scenario", "scenario", _AS_IS),
+    ("band_mhz", ("f_lo", "f_hi"), _MHZ),
+    ("bins", "n_bins", _INT),
+    ("step_ns", "delay_step", _NS),
+    ("range_ns", "delay_range", _NS),
+    ("repeats", "repeats", _INT),
+    ("seed", "seed", _INT),
+    ("segment_length", "segment_length", _INT),
+    ("source", "source", _section(SourceParams, _SOURCE, "source")),
+    ("digitizer", "spec", _section(DigitizerSpec, _DIGITIZER, "digitizer")),
+    ("channel", "channel", _section(ChannelParams, _CHANNEL, "channel")),
+    ("outdir", "outdir", _AS_IS),
+)
 
 
 @dataclass
 class RunConfig:
-    """Settings of one reproducible pipeline run."""
+    """Settings of one reproducible pipeline run; ``check`` fits them to the digitizer."""
 
     scenario: str = "twin-channel"
     source: SourceParams = field(default_factory=SourceParams)
@@ -58,9 +133,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_CHOICES:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; choose from {SCENARIO_CHOICES}"
-            )
+            raise ConfigError(f"unknown scenario {self.scenario!r}; "
+                              f"choose from {SCENARIO_CHOICES}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if not (0 < self.f_lo < self.f_hi):
@@ -68,95 +142,43 @@ class RunConfig:
         if self.n_bins < 2:
             raise ConfigError("n_bins must be >= 2")
 
-    # -- JSON with ns / MHz / dB units ------------------------------------
+    def check(self, *stages: str) -> "RunConfig":
+        """This config, once the settings of ``stages`` ("band", "scan", "spectrum";
+        all by default) pass the stages' own checks on ``spec``; else a ConfigError."""
+        checks = {"band": lambda: check_band(self.f_lo, self.f_hi, self.spec.sample_rate),
+                  "scan": lambda: scan_grid(self.delay_step, self.delay_range, self.spec),
+                  "spectrum": lambda: check_segment(self.segment_length, self.spec.n_samples)}
+        try:
+            for stage in stages or checks:
+                checks[stage]()
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        return self
 
     def to_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "band_mhz": [self.f_lo / 1e6, self.f_hi / 1e6],
-            "bins": self.n_bins,
-            "step_ns": self.delay_step * 1e9,
-            "range_ns": self.delay_range * 1e9,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "segment_length": self.segment_length,
-            "source": {
-                "squeezing_db": self.source.squeezing_db,
-                "sigma0_ns": self.source.sigma0 * 1e9,
-                "excess_noise_db": self.source.excess_noise_db,
-                "mean_power_a_mw": self.source.mean_power_a * 1e3,
-                "mean_power_b_mw": self.source.mean_power_b * 1e3,
-            },
-            "digitizer": {
-                "sample_rate_gsps": self.spec.sample_rate / 1e9,
-                "n_samples": self.spec.n_samples,
-                "bit_depth": self.spec.bit_depth,
-            },
-        }
-        if self.channel is not None:
-            d["channel"] = self.channel.to_report()
-        if self.outdir is not None:
-            d["outdir"] = self.outdir
-        return d
+        """JSON form; a None channel or outdir is left out."""
+        return _dump(self, _RUN)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Parse the JSON form; an unknown key at any level is a ConfigError."""
-        _check_keys(d, _KEYS, "config")
-        for section in ("source", "channel", "digitizer"):
-            if section in d:
-                _check_keys(d[section], _SECTION_KEYS[section], section)
         try:
-            src = d.get("source", {})
-            source = SourceParams(
-                squeezing_db=float(src.get("squeezing_db", 7.0)),
-                sigma0=float(src.get("sigma0_ns", 32.1)) * 1e-9,
-                excess_noise_db=float(src.get("excess_noise_db", 3.2)),
-                mean_power_a=float(src.get("mean_power_a_mw", 5.9)) * 1e-3,
-                mean_power_b=float(src.get("mean_power_b_mw", 5.3)) * 1e-3,
-            )
-            channel = None
-            if "channel" in d:
-                ch = d["channel"]
-                channel = ChannelParams(
-                    eta=float(ch.get("eta", 0.598)),
-                    tau0=float(ch.get("tau0_ns", 32.7)) * 1e-9,
-                    sigma=float(ch.get("sigma_ns", 19.7)) * 1e-9,
-                    power_transmission=float(ch.get("transmission", 0.14)),
-                    electronic_noise_rms=float(ch.get("electronic_noise_rms", 0.0)),
-                )
-            dig = d.get("digitizer", {})
-            spec = DigitizerSpec(
-                sample_rate=float(dig.get("sample_rate_gsps", 2.0)) * 1e9,
-                n_samples=int(dig.get("n_samples", 4_000_000)),
-                bit_depth=int(dig.get("bit_depth", 8)),
-            )
-            band = d.get("band_mhz", [1.5, 3.5])
-            return cls(
-                scenario=d.get("scenario", "twin-channel"),
-                source=source,
-                channel=channel,
-                spec=spec,
-                f_lo=float(band[0]) * 1e6,
-                f_hi=float(band[1]) * 1e6,
-                n_bins=int(d.get("bins", 100)),
-                delay_step=float(d.get("step_ns", 0.5)) * 1e-9,
-                delay_range=float(d.get("range_ns", 300.0)) * 1e-9,
-                repeats=int(d.get("repeats", 10)),
-                seed=int(d.get("seed", 1)),
-                segment_length=int(d.get("segment_length", 2 ** 14)),
-                outdir=d.get("outdir"),
-            )
-        except (TypeError, ValueError, KeyError, IndexError) as exc:
+            return _load(cls, d, _RUN, "config")
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(read_json(path))
 
     def dump_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+def read_json(path):
+    """The JSON form stored in a file, as read; ``from_dict`` checks it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -49,6 +49,16 @@ def band_mask(freqs: np.ndarray, f_lo: float, f_hi: float,
     return h
 
 
+def check_band(f_lo: float, f_hi: float, fs: float) -> None:
+    """Raise InvalidBand unless [f_lo, f_hi] Hz is a band ``bandpass`` can pass."""
+    if not (0.0 < f_lo < f_hi < 0.5 * fs):
+        raise InvalidBand(
+            f"band [{f_lo:g}, {f_hi:g}] Hz must satisfy 0 < f_lo < f_hi < {0.5 * fs:g}"
+        )
+    if f_hi - f_lo <= 2.0 * TRANSITION_WIDTH_HZ:
+        raise InvalidBand("band narrower than twice the transition width")
+
+
 def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     """Zero-phase band-pass of a trace to [f_lo, f_hi].
 
@@ -57,12 +67,7 @@ def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     an enlarged guard covering the filter transient at both ends.
     """
     fs = trace.spec.sample_rate
-    if not (0.0 < f_lo < f_hi < 0.5 * fs):
-        raise InvalidBand(
-            f"band [{f_lo:g}, {f_hi:g}] Hz must satisfy 0 < f_lo < f_hi < {0.5 * fs:g}"
-        )
-    if f_hi - f_lo <= 2.0 * TRANSITION_WIDTH_HZ:
-        raise InvalidBand("band narrower than twice the transition width")
+    check_band(f_lo, f_hi, fs)
     x = trace.samples
     pad = min(FILTER_PAD, len(x) - 1)
     xp = np.pad(x, pad, mode="reflect")
@@ -115,6 +120,14 @@ def welch_psd(x: np.ndarray, fs: float, segment_length: int = 2 ** 14):
     return freqs, psd
 
 
+def check_segment(segment_length: int, n_samples: int) -> None:
+    """Raise InvalidParams unless the Welch segment is a power of two <= n_samples."""
+    if not (segment_length > 0 and segment_length & (segment_length - 1) == 0):
+        raise InvalidParams("segment_length must be a power of two")
+    if segment_length > n_samples:
+        raise InvalidParams("segment_length exceeds the trace length")
+
+
 def difference_spectrum(
     pair: TracePair,
     reference: TracePair,
@@ -130,11 +143,7 @@ def difference_spectrum(
     validate_pair(reference.a, reference.b)
     if pair.a.spec.sample_rate != reference.a.spec.sample_rate:
         raise InvalidParams("pair and reference must share a sample rate")
-    n = min(pair.a.spec.n_samples, reference.a.spec.n_samples)
-    if not (segment_length > 0 and segment_length & (segment_length - 1) == 0):
-        raise InvalidParams("segment_length must be a power of two")
-    if segment_length > n:
-        raise InvalidParams("segment_length exceeds the trace length")
+    check_segment(segment_length, min(pair.a.spec.n_samples, reference.a.spec.n_samples))
     fs = pair.a.spec.sample_rate
     freqs, psd = welch_psd(pair.a.samples - pair.b.samples, fs, segment_length)
     _, ref = welch_psd(reference.a.samples - reference.b.samples, fs, segment_length)

@@ -42,7 +42,7 @@ from .errors import (
     NoPeak,
     StepNotSampleAligned,
 )
-from .trace import MICurve, Trace, TracePair, validate_pair
+from .trace import DigitizerSpec, MICurve, Trace, TracePair, validate_pair
 
 __all__ = [
     "JointHistogram",
@@ -134,6 +134,11 @@ def histogram2d(a, b, n_bins_a: int = 100, n_bins_b: int = 100) -> JointHistogra
                           edges_a=edges_a, edges_b=edges_b)
 
 
+# Largest total whose square fits in int64: every product mi_from_hist
+# forms is at most total**2 (about 3.04e9 samples).
+_INT64_EXACT_TOTAL = math.isqrt(np.iinfo(np.int64).max)
+
+
 def mi_from_hist(h: JointHistogram) -> float:
     """Mutual information in bits from a joint histogram.
 
@@ -151,8 +156,11 @@ def mi_from_hist(h: JointHistogram) -> float:
     col = counts.sum(axis=0)
     ii, jj = np.nonzero(counts)
     c = counts[ii, jj]
-    num = c * total          # int64, exact for total <= ~3e9 at 100x100 bins
-    den = row[ii] * col[jj]
+    if total > _INT64_EXACT_TOTAL:
+        # past int64, form the products as Python integers: exact at any size
+        c, row, col = c.astype(object), row.astype(object), col.astype(object)
+    num = (c * total).astype(np.float64)
+    den = (row[ii] * col[jj]).astype(np.float64)
     terms = (c / total) * (np.log2(num) - np.log2(den))
     return max(0.0, math.fsum(terms))
 
@@ -242,6 +250,22 @@ def _resolve_step_samples(step: float, sample_rate: float) -> int:
     return k
 
 
+def scan_grid(step: float, range_: float, spec: DigitizerSpec) -> tuple[int, int]:
+    """Samples per delay step and steps per side of a scan over ``spec``.
+
+    Raises StepNotSampleAligned unless the step is a whole number of sample
+    periods, and InvalidParams unless the range covers at least one step and
+    at most a quarter of the record duration.
+    """
+    step_samples = _resolve_step_samples(step, spec.sample_rate)
+    n_steps = int(np.floor(range_ / step + 1e-9))
+    if n_steps < 1:
+        raise InvalidParams("delay range must cover at least one step")
+    if range_ > 0.25 * spec.duration:
+        raise InvalidParams("delay range must be small compared with the trace duration")
+    return step_samples, n_steps
+
+
 def mi_delay_scan(
     pair: TracePair,
     step: float = 0.5e-9,
@@ -257,13 +281,8 @@ def mi_delay_scan(
     validate_pair(pair.a, pair.b)
     fs = pair.a.spec.sample_rate
     n = pair.a.spec.n_samples
-    step_samples = _resolve_step_samples(step, fs)
-    n_steps = int(np.floor(range_ / step + 1e-9))
-    if n_steps < 1:
-        raise InvalidParams("delay range must cover at least one step")
+    step_samples, n_steps = scan_grid(step, range_, pair.a.spec)
     max_shift = n_steps * step_samples
-    if range_ > 0.25 * pair.a.spec.duration:
-        raise InvalidParams("delay range must be small compared with the trace duration")
 
     # Fixed window on a; b slides by the shift.  Window bounds keep every
     # b index inside b's guard-stripped region for all shifts.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -48,13 +49,7 @@ def default_channel(config: RunConfig) -> ChannelParams:
         return config.channel
     base = ChannelParams()
     t = matched_transmission(config.source, base, config.f_lo, config.f_hi)
-    return ChannelParams(
-        eta=base.eta,
-        tau0=base.tau0,
-        sigma=base.sigma,
-        power_transmission=t,
-        electronic_noise_rms=base.electronic_noise_rms,
-    )
+    return replace(base, power_transmission=t)
 
 
 def scatterer_only_channel() -> ChannelParams:
@@ -64,8 +59,8 @@ def scatterer_only_channel() -> ChannelParams:
     delay of zero); transmission far below 14 % and electronic noise well
     above the residual signal bury the correlations.
     """
-    return ChannelParams(eta=0.598, tau0=0.0, sigma=1e-12,
-                         power_transmission=0.01, electronic_noise_rms=10.0)
+    return replace(ChannelParams(), tau0=0.0, sigma=1e-12,
+                   power_transmission=0.01, electronic_noise_rms=10.0)
 
 
 # Curves each scenario scans besides the unobstructed twin curve: a channel
@@ -152,9 +147,11 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     spectrum.  Split-source curves draw their own pairs at seed offsets
     20 000 (thermal) and 30 000 (coherent).  With an output directory,
     writes per-scenario curve CSVs, the squeezing spectrum CSV, and
-    report.json.
+    report.json.  Every stage runs, so every setting is checked against the
+    digitizer (``RunConfig.check``) before any trace is made.
     """
     t0 = time.time()
+    config.check()
     outdir = outdir or config.outdir
     out = Path(outdir) if outdir else None
     if out is not None:
@@ -170,7 +167,7 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     channel_name, split_names, gaussian_fit = _SCENARIOS[config.scenario]
     channel = _CHANNELS[channel_name](config) if channel_name else None
     if channel_name == "twin-channel":
-        report["channel_params"] = channel.to_report()
+        report["channel_params"] = replace(config, channel=channel).to_dict()["channel"]
 
     # Each twin seed runs once; the first pair also gives the squeezing
     # spectrum against a coherent reference.

@@ -267,16 +267,6 @@ class ChannelParams:
         if self.electronic_noise_rms < 0:
             raise InvalidParams("electronic_noise_rms must be >= 0")
 
-    def to_report(self) -> dict:
-        """JSON form in ns, as configs and reports write it."""
-        return {
-            "eta": self.eta,
-            "tau0_ns": self.tau0 * 1e9,
-            "sigma_ns": self.sigma * 1e9,
-            "transmission": self.power_transmission,
-            "electronic_noise_rms": self.electronic_noise_rms,
-        }
-
 
 @dataclass(frozen=True)
 class FitResult:

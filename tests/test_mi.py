@@ -87,6 +87,14 @@ class TestMiFromHist:
         h = hist_from_counts(np.diag(np.full(100, 7)))
         assert mi_from_hist(h) == pytest.approx(np.log2(100), abs=1e-12)
 
+    def test_past_int64_products_matches_closed_form(self):
+        # total 6e9: c * total and row * col pass int64 beyond ~3.04e9 samples;
+        # p = [[1/3, 1/6], [1/6, 1/3]] with uniform marginals
+        h = hist_from_counts([[2 * 10**9, 10**9], [10**9, 2 * 10**9]])
+        closed = (2 / 3) * np.log2(4 / 3) + (1 / 3) * np.log2(2 / 3)
+        assert mi_from_hist(h) == pytest.approx(closed, rel=1e-12)
+        assert mi_from_hist(hist_from_counts(np.outer([3, 1], [2 * 10**9, 10**9]))) == 0.0
+
     def test_empty_histogram(self):
         with pytest.raises(EmptyHistogram):
             mi_from_hist(hist_from_counts(np.zeros((4, 4))))

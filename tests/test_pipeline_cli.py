@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import twinbeam.cli as cli
 import twinbeam.pipeline as pipeline
 from twinbeam.channel import apply_channel
 from twinbeam.cli import main
@@ -13,7 +14,7 @@ from twinbeam.pipeline import default_channel, run_pipeline
 from twinbeam.dsp import bandpass
 from twinbeam.mi import mi_delay_scan
 from twinbeam.source import gen_twin
-from twinbeam.trace import ChannelParams, DigitizerSpec, TracePair
+from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
 
 
 def small_config(**kw):
@@ -29,15 +30,59 @@ def small_config(**kw):
     return RunConfig(**base)
 
 
+# RunConfig().to_dict(), key order included
+GOLDEN_DEFAULT_DICT = {
+    "scenario": "twin-channel",
+    "band_mhz": [1.5, 3.5],
+    "bins": 100,
+    "step_ns": 0.5,
+    "range_ns": 300.0,
+    "repeats": 10,
+    "seed": 1,
+    "segment_length": 16384,
+    "source": {
+        "squeezing_db": 7.0,
+        "sigma0_ns": 32.1,
+        "excess_noise_db": 3.2,
+        "mean_power_a_mw": 5.8999999999999995,
+        "mean_power_b_mw": 5.3,
+    },
+    "digitizer": {"sample_rate_gsps": 2.0, "n_samples": 4000000, "bit_depth": 8},
+}
+
+
 class TestRunConfig:
     def test_round_trip_through_dict(self):
-        cfg = small_config(channel=ChannelParams())
-        back = RunConfig.from_dict(cfg.to_dict())
-        assert back.scenario == cfg.scenario
-        assert back.f_lo == cfg.f_lo
-        assert back.source == cfg.source
-        assert back.channel == cfg.channel
-        assert back.spec == cfg.spec
+        for cfg in (RunConfig(), small_config(), small_config(channel=ChannelParams())):
+            assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_golden_default_dict(self):
+        d = RunConfig().to_dict()
+        assert json.dumps(d) == json.dumps(GOLDEN_DEFAULT_DICT)
+        assert RunConfig.from_dict({}) == RunConfig()
+        d = small_config(channel=ChannelParams(), outdir="out").to_dict()
+        assert list(d)[-3:] == ["digitizer", "channel", "outdir"]
+        assert list(d["channel"].items()) == [
+            ("eta", 0.598), ("tau0_ns", 32.7), ("sigma_ns", 19.7),
+            ("transmission", 0.14), ("electronic_noise_rms", 0.0)]
+
+    def test_json_values_read_as_literals(self):
+        # 50 * 1e-9 and 1.1 / 1e9 both miss the literal by one ulp
+        got = RunConfig.from_dict({"range_ns": 50, "source": {"sigma0_ns": 1.1}})
+        assert got == RunConfig(delay_range=50e-9, source=SourceParams(sigma0=1.1e-9))
+
+    @pytest.mark.parametrize("d", [
+        {"step_ns": 0.7},                       # off the 0.5 ns sample grid
+        {"range_ns": 0.2},                      # less than one step
+        {"range_ns": 600_000},                  # over a quarter of the record
+        {"segment_length": 3000},               # not a power of two
+        {"digitizer": {"n_samples": 2 ** 13}},  # shorter than one segment
+        {"band_mhz": [1.5, 1500]},              # f_hi above Nyquist
+        {"band_mhz": [1.5]},
+    ])
+    def test_invalid_values_rejected_by_check(self, d):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(d).check()
 
     def test_bad_scenario(self):
         with pytest.raises(ConfigError):
@@ -136,6 +181,36 @@ class TestRunPipeline:
             assert (tmp_path / f"curve_{name}.csv").exists()
 
 
+# one run-parameter flag of each command, with the JSON form it stands for
+FLAG_CASES = [
+    (["pipeline", "--scenario", "twin"], {"scenario": "twin"}),
+    (["pipeline", "--seed", "5"], {"seed": 5}),
+    (["pipeline", "--repeats", "3"], {"repeats": 3}),
+    (["pipeline", "--band-mhz", "1.6:3.4"], {"band_mhz": [1.6, 3.4]}),
+    (["pipeline", "--bins", "50"], {"bins": 50}),
+    (["pipeline", "--step-ns", "1"], {"step_ns": 1.0}),
+    (["pipeline", "--range-ns", "40"], {"range_ns": 40.0}),
+    (["pipeline", "--outdir", "out"], {"outdir": "out"}),
+    (["pipeline", "--squeezing-db", "6"], {"source": {"squeezing_db": 6.0}}),
+    (["pipeline", "--sigma0-ns", "30.3"], {"source": {"sigma0_ns": 30.3}}),
+    (["pipeline", "--excess-noise-db", "2"], {"source": {"excess_noise_db": 2.0}}),
+    (["pipeline", "--power-a-mw", "4.1"], {"source": {"mean_power_a_mw": 4.1}}),
+    (["pipeline", "--power-b-mw", "3.9"], {"source": {"mean_power_b_mw": 3.9}}),
+    (["pipeline", "--transmission", "0.5"], {"channel": {"transmission": 0.5}}),
+    (["pipeline", "--electronic-noise-rms", "3"],
+     {"channel": {"electronic_noise_rms": 3.0}}),
+    (["simulate", "--out-a", "a", "--out-b", "b", "--n-samples", "1000000"],
+     {"digitizer": {"n_samples": 1000000}}),
+    (["simulate", "--out-a", "a", "--out-b", "b", "--sample-rate-gsps", "4"],
+     {"digitizer": {"sample_rate_gsps": 4.0}}),
+    (["spectrum", "--trace-a", "a", "--trace-b", "b", "--out", "s.csv",
+      "--segment", "4096"], {"segment_length": 4096}),
+    (["analyze", "--trace-a", "a", "--trace-b", "b", "--out", "c.csv",
+      "--sample-rate-gsps", "4"], {"digitizer": {"sample_rate_gsps": 4.0}}),
+    (["matched-transmission", "--band-mhz", "1.2:3.8"], {"band_mhz": [1.2, 3.8]}),
+]
+
+
 class TestCli:
     def test_simulate_analyze_fit(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
@@ -205,6 +280,60 @@ class TestCli:
         save_curve(MICurve(delays=d, mi=np.exp(-0.5 * (d / 10e-9) ** 2)), curve)
         assert main(["fit", "--curve", str(curve), "--mode", "channel",
                      "--sigma0-ns", "32.1"]) == 4
+
+    @pytest.mark.parametrize("argv, d", FLAG_CASES, ids=[f"{a[0]} {a[-2]}" for a, _ in FLAG_CASES])
+    def test_flag_equals_json_key(self, argv, d):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._run_config(args) == RunConfig.from_dict(d)
+
+    def test_flags_override_config_file(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: seen.append(config) or {})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenario": "twin", "repeats": 1,
+                                    "channel": {"eta": 0.5}}))
+        assert main(["pipeline", "--config", str(path), "--repeats", "2",
+                     "--transmission", "0.5"]) == 0
+        assert seen == [RunConfig(scenario="twin", repeats=2,
+                                  channel=ChannelParams(eta=0.5, power_transmission=0.5))]
+
+    def test_electronic_noise_alone_makes_explicit_channel(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: seen.append(config) or {})
+        assert main(["pipeline", "--electronic-noise-rms", "3"]) == 0
+        assert seen[0].channel == ChannelParams(electronic_noise_rms=3.0)
+
+    def test_invalid_step_exits_2_before_any_trace(self, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "gen_twin", pytest.fail)
+        assert main(["pipeline", "--step-ns", "0.7"]) == 2
+        assert "sample period" in capsys.readouterr().err
+
+    def test_each_command_checks_only_its_stages(self, tmp_path):
+        # At 1 GS/s the default 0.5 ns step is half a sample, and 2^13 samples
+        # are under one default spectrum segment: only a command that runs the
+        # stage using a setting refuses it.
+        def simulate(name, *flags):
+            a, b = tmp_path / f"{name}_a.twbm", tmp_path / f"{name}_b.twbm"
+            assert main(["simulate", *flags, "--out-a", str(a), "--out-b", str(b)]) == 0
+            return ["--trace-a", str(a), "--trace-b", str(b)]
+
+        slow = simulate("slow", "--sample-rate-gsps", "1", "--n-samples", str(2 ** 15))
+        short = simulate("short", "--n-samples", str(2 ** 13))
+        spectrum = ["--out", str(tmp_path / "s.csv")]
+        scan = ["--range-ns", "20", "--out", str(tmp_path / "c.csv")]
+        assert main(["spectrum", *slow, *spectrum]) == 0
+        assert main(["analyze", *short, *scan]) == 0
+        assert main(["spectrum", *short, *spectrum]) == 2
+        assert main(["analyze", *slow, *scan]) == 2
+
+    def test_analyze_checks_the_records_own_clock(self, tmp_path):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--sample-rate-gsps", "4", "--n-samples", str(2 ** 18),
+                     "--out-a", str(a), "--out-b", str(b)]) == 0
+        scan = ["analyze", "--trace-a", str(a), "--trace-b", str(b), "--range-ns", "20",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(scan + ["--step-ns", "0.25"]) == 0   # one sample at 4 GS/s
+        assert main(scan + ["--step-ns", "0.3"]) == 2
 
     def test_pipeline_cli_smoke(self, tmp_path):
         rc = main(["pipeline", "--scenario", "twin", "--repeats", "1",
