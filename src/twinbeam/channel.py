@@ -39,29 +39,25 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def apply_loss(trace: Trace, transmission: float, seed,
-               shot_psd: float | None = None) -> Trace:
+def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
     """Beam-splitter loss: scale by t, add vacuum noise of PSD t(1-t) x shot.
 
-    The shot PSD defaults to the trace's own bookkeeping value; the output
-    carries the scaled mean level and shot PSD of the attenuated beam.
+    The shot PSD is the trace's own bookkeeping value; the output carries the
+    scaled mean level and shot PSD of the attenuated beam.
     """
     if not (0.0 < transmission <= 1.0):
         raise InvalidTransmission(f"transmission must be in (0, 1], got {transmission}")
     if transmission == 1.0:
         return trace
-    psd_in = trace.shot_psd if shot_psd is None else shot_psd
-    if psd_in is None:
-        raise InvalidParams(
-            "trace carries no shot_psd; pass shot_psd explicitly to apply_loss"
-        )
+    if trace.shot_psd is None:
+        raise InvalidParams("trace carries no shot_psd, so its loss noise is unknown")
     nbw = trace.noise_bandwidth or NOISE_BANDWIDTH_HZ
     noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate,
-                        _white(transmission * (1.0 - transmission) * psd_in, nbw))
+                        _white(transmission * (1.0 - transmission) * trace.shot_psd, nbw))
     return trace.with_samples(
         transmission * trace.samples + noise,
         mean_level=transmission * trace.mean_level,
-        shot_psd=transmission * psd_in,
+        shot_psd=transmission * trace.shot_psd,
     )
 
 
@@ -141,4 +137,4 @@ def apply_channel(pair: TracePair, params: ChannelParams, seed) -> TracePair:
     a = apply_loss(pair.a, params.power_transmission, seed=ss[0])
     a = apply_is_delay(a, params)
     a = apply_electronic_noise(a, params.electronic_noise_rms, seed=ss[1])
-    return TracePair(a=a, b=pair.b, scenario="twin-channel")
+    return TracePair(a=a, b=pair.b)

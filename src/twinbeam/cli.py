@@ -113,8 +113,7 @@ def _cmd_spectrum(args) -> int:
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
     config = replace(_run_config(args), spec=pair.a.spec).check("spectrum")
     if args.ref_a and args.ref_b:
-        ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b),
-                        scenario="split-coherent")
+        ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
     else:
         ref = gen_split_coherent(config.source, pair.a.spec, args.synth_ref_seed)
     est = difference_spectrum(pair, ref, segment_length=config.segment_length)

@@ -15,15 +15,26 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .dsp import check_band, check_segment
+from .dsp import SEGMENT_LENGTH, check_band, check_segment
 from .errors import ConfigError, DataError
-from .mi import scan_grid
+from .mi import DELAY_RANGE, DELAY_STEP, N_BINS, scan_grid
+from .source import DESIGN_BAND
 from .trace import ChannelParams, DigitizerSpec, SourceParams
 
-__all__ = ["RunConfig", "SCENARIO_CHOICES", "read_json"]
+__all__ = ["RunConfig", "SCENARIOS", "SCENARIO_CHOICES", "read_json"]
 
-SCENARIO_CHOICES = ("twin-channel", "twin", "split-thermal", "split-coherent",
-                    "scatterer-only", "all")
+# Curves each scenario scans besides the unobstructed twin curve: a channel
+# curve on arm a of every twin pair, split-source curves on pairs of their
+# own; and whether the unobstructed curve gets a Gaussian fit.  Report order.
+SCENARIOS = {
+    "twin-channel": ("twin-channel", (), True),
+    "twin": (None, (), True),
+    "split-thermal": (None, ("split-thermal",), False),
+    "split-coherent": (None, ("split-coherent",), False),
+    "scatterer-only": ("scatterer-only", (), False),
+    "all": ("twin-channel", ("split-thermal", "split-coherent"), True),
+}
+SCENARIO_CHOICES = tuple(SCENARIOS)
 
 
 # A unit is (to JSON, from JSON).  ``_scaled`` reads a JSON value as the
@@ -121,14 +132,14 @@ class RunConfig:
     source: SourceParams = field(default_factory=SourceParams)
     channel: Optional[ChannelParams] = None   # None: eta-matched defaults
     spec: DigitizerSpec = field(default_factory=DigitizerSpec)
-    f_lo: float = 1.5e6
-    f_hi: float = 3.5e6
-    n_bins: int = 100
-    delay_step: float = 0.5e-9
-    delay_range: float = 300e-9
+    f_lo: float = DESIGN_BAND[0]
+    f_hi: float = DESIGN_BAND[1]
+    n_bins: int = N_BINS
+    delay_step: float = DELAY_STEP
+    delay_range: float = DELAY_RANGE
     repeats: int = 10
     seed: int = 1
-    segment_length: int = 2 ** 14
+    segment_length: int = SEGMENT_LENGTH
     outdir: Optional[str] = None
 
     def __post_init__(self):

@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 from .dsp import band_mask
 from .errors import InvalidParams
 from .model import peak_value
-from .source import SHOT_RMS_LEVELS, NOISE_BANDWIDTH_HZ, _shared_scale, shared_psd_shape
+from .source import DESIGN_BAND, NOISE_BANDWIDTH_HZ, NoiseBudget, shared_psd_shape
 from .trace import ChannelParams, SourceParams
 
 __all__ = ["InBandModel", "predicted_peak_ratio", "matched_transmission"]
@@ -45,19 +45,16 @@ class InBandModel:
         self.f = np.linspace(0.0, _GRID_F_MAX, _GRID_N)
         self.df = self.f[1] - self.f[0]
         self.h2 = band_mask(self.f, self.f_lo, self.f_hi) ** 2
-        shot_a = SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ
-        shot_b = shot_a * self.source.mean_power_b / self.source.mean_power_a
-        self.shot = 0.5 * (shot_a + shot_b)
+        budget = NoiseBudget.from_source(self.source)
+        self.shot = 0.5 * (budget.shot_variance_a + budget.shot_variance_b)
         self.nu = 10.0 ** (-self.source.squeezing_db / 10.0) * self.shot
-        scale = _shared_scale(self.source, self.shot)
-        self.s_shared = scale * shared_psd_shape(self.f, self.source.sigma0)
+        self.s_shared = budget.shared_scale * shared_psd_shape(self.f, self.source.sigma0)
+        # filtered variance of the reference arm (and of an unobstructed arm)
+        self.var_b = float(np.sum((self.s_shared + self.nu) * self.h2) * self.df)
 
-    def unobstructed_rho(self) -> tuple[float, np.ndarray, float]:
-        """(rho at zero delay, cross PSD, arm variance) after the band-pass."""
-        cross = self.s_shared * self.h2
-        var = float(np.sum((self.s_shared + self.nu) * self.h2) * self.df)
-        rho0 = float(np.sum(cross) * self.df / var)
-        return rho0, cross, var
+    def unobstructed_rho(self) -> float:
+        """Correlation of the unobstructed pair at zero delay after the band-pass."""
+        return float(np.sum(self.s_shared * self.h2) * self.df / self.var_b)
 
     def channel_rho_peak(self, chan: ChannelParams, transmission: float) -> float:
         """Peak correlation of (channel arm, reference arm) after filtering."""
@@ -65,7 +62,6 @@ class InBandModel:
             raise InvalidParams("transmission must be in (0, 1]")
         t = transmission
         gain = _kernel_gain(self.f, chan.sigma)
-        _, _, var_b = self.unobstructed_rho()
         e_psd = chan.electronic_noise_rms ** 2 / NOISE_BANDWIDTH_HZ
         var_a = float(
             np.sum(
@@ -74,7 +70,7 @@ class InBandModel:
             ) * self.df
         )
         cov = float(np.sum(t * self.s_shared * gain * self.h2) * self.df)
-        return cov / np.sqrt(var_a * var_b)
+        return cov / np.sqrt(var_a * self.var_b)
 
 
 def _mi_gauss(rho: float) -> float:
@@ -85,13 +81,11 @@ def predicted_peak_ratio(source: SourceParams, chan: ChannelParams,
                          transmission: float, f_lo: float, f_hi: float) -> float:
     """Predicted (channel MI peak) / (unobstructed MI peak)."""
     m = InBandModel(source, f_lo, f_hi)
-    rho0, _, _ = m.unobstructed_rho()
-    rho1 = m.channel_rho_peak(chan, transmission)
-    return _mi_gauss(rho1) / _mi_gauss(rho0)
+    return _mi_gauss(m.channel_rho_peak(chan, transmission)) / _mi_gauss(m.unobstructed_rho())
 
 
 def matched_transmission(source: SourceParams, chan: ChannelParams,
-                         f_lo: float = 1.5e6, f_hi: float = 3.5e6) -> float:
+                         f_lo: float = DESIGN_BAND[0], f_hi: float = DESIGN_BAND[1]) -> float:
     """Transmission whose predicted MI peak ratio equals the analytic model's.
 
     The analytic channel model predicts a normalized peak of
@@ -103,8 +97,7 @@ def matched_transmission(source: SourceParams, chan: ChannelParams,
     """
     target = peak_value(chan.eta, source.sigma0, chan.sigma)
     m = InBandModel(source, f_lo, f_hi)
-    rho0, _, _ = m.unobstructed_rho()
-    mi0 = _mi_gauss(rho0)
+    mi0 = _mi_gauss(m.unobstructed_rho())
 
     def err(t):
         return _mi_gauss(m.channel_rho_peak(chan, t)) / mi0 - target

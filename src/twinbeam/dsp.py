@@ -24,6 +24,7 @@ __all__ = [
     "band_mask",
     "bandpass",
     "SpectrumEstimate",
+    "SEGMENT_LENGTH",
     "welch_psd",
     "difference_spectrum",
 ]
@@ -31,6 +32,8 @@ __all__ = [
 TRANSITION_WIDTH_HZ = 200e3
 # Reflection padding per side; also the guard added to filtered traces.
 FILTER_PAD = 32768
+# Default Welch segment of the difference spectrum (samples).
+SEGMENT_LENGTH: int = 2 ** 14
 
 
 def band_mask(freqs: np.ndarray, f_lo: float, f_hi: float,
@@ -106,7 +109,7 @@ class SpectrumEstimate:
         return float(10.0 * np.log10(self.psd[sel].mean() / self.reference_psd[sel].mean()))
 
 
-def welch_psd(x: np.ndarray, fs: float, segment_length: int = 2 ** 14):
+def welch_psd(x: np.ndarray, fs: float, segment_length: int):
     """Welch PSD, Hann window, 50 % overlap, density scaling."""
     freqs, psd = signal.welch(
         x,
@@ -131,7 +134,7 @@ def check_segment(segment_length: int, n_samples: int) -> None:
 def difference_spectrum(
     pair: TracePair,
     reference: TracePair,
-    segment_length: int = 2 ** 14,
+    segment_length: int = SEGMENT_LENGTH,
 ) -> SpectrumEstimate:
     """Intensity-difference PSD of a pair against a reference pair.
 

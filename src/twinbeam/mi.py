@@ -56,6 +56,12 @@ __all__ = [
 ]
 
 
+# Scan defaults: one sample per step at 2 GS/s, +/-300 ns, 100 bins per axis.
+DELAY_STEP: float = 0.5e-9
+DELAY_RANGE: float = 300e-9
+N_BINS: int = 100
+
+
 @dataclass(frozen=True)
 class JointHistogram:
     """2-D histogram of paired samples with its bin edges."""
@@ -112,7 +118,7 @@ def _bin_indices(v: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.linspace(lo, hi, n_bins + 1)
 
 
-def histogram2d(a, b, n_bins_a: int = 100, n_bins_b: int = 100) -> JointHistogram:
+def histogram2d(a, b, n_bins_a: int = N_BINS, n_bins_b: int = N_BINS) -> JointHistogram:
     """Joint histogram of two aligned records.
 
     Bin ranges span [min, max] of each record independently; every sample
@@ -268,9 +274,9 @@ def scan_grid(step: float, range_: float, spec: DigitizerSpec) -> tuple[int, int
 
 def mi_delay_scan(
     pair: TracePair,
-    step: float = 0.5e-9,
-    range_: float = 300e-9,
-    n_bins: int = 100,
+    step: float = DELAY_STEP,
+    range_: float = DELAY_RANGE,
+    n_bins: int = N_BINS,
 ) -> MICurve:
     """MI versus relative delay over [-range_, +range_].
 

@@ -114,8 +114,10 @@ def peak_value(eta: float, sigma0: float, sigma: float) -> float:
     return float(eta * np.sqrt(2.0 * np.pi) * r / 2.0 * erfcx(r / np.sqrt(2.0)))
 
 
-# Gauss-Legendre node cache for the quadrature oracle.
+# Gauss-Legendre node cache for the quadrature oracle, and the agreement
+# between successive orders at which it stops refining.
 _GL_CACHE: dict = {}
+_QUAD_ABS_TOL = 1e-12
 
 _SIGMA_EDGES = np.array([-40.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0,
                          1.0, 2.0, 4.0, 8.0, 16.0, 40.0])
@@ -155,26 +157,25 @@ def _quad_panels(t: np.ndarray, tau0: float, sigma: float, sigma0: float,
     return np.einsum("ijk,ij,k->i", fx, half, wi) / (2.0 * sigma)
 
 
-def G_numeric(t, eta: float, tau0: float, sigma: float, sigma0: float,
-              abs_tol: float = 1e-12):
+def G_numeric(t, eta: float, tau0: float, sigma: float, sigma0: float):
     """Quadrature oracle for G_closed.
 
     Integrates the convolution over x in [tau0 - 40 sigma, tau0 + 40 sigma]
     on feature-aligned panels, doubling the Gauss-Legendre order per point
-    until successive estimates agree within ``abs_tol``.
+    until successive estimates agree within _QUAD_ABS_TOL.
     """
     if not (sigma > 0 and sigma0 > 0):
         raise InvalidParams("sigma and sigma0 must be > 0")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     prev = _quad_panels(t_arr, tau0, sigma, sigma0, 48)
     cur = _quad_panels(t_arr, tau0, sigma, sigma0, 96)
-    bad = np.abs(cur - prev) >= abs_tol
+    bad = np.abs(cur - prev) >= _QUAD_ABS_TOL
     if np.any(bad):
         finer = _quad_panels(t_arr[bad], tau0, sigma, sigma0, 192)
-        still_bad = np.abs(finer - cur[bad]) >= abs_tol
+        still_bad = np.abs(finer - cur[bad]) >= _QUAD_ABS_TOL
         if np.any(still_bad):
             raise QuadratureNonConvergence(
-                f"quadrature did not reach {abs_tol:g} at "
+                f"quadrature did not reach {_QUAD_ABS_TOL:g} at "
                 f"t={t_arr[bad][still_bad][0]:g}"
             )
         cur[bad] = finer

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as tbio
 from .channel import apply_channel
-from .config import RunConfig
+from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
 from .dsp import SpectrumEstimate, bandpass, difference_spectrum
 from .errors import TwinbeamError
@@ -63,18 +63,7 @@ def scatterer_only_channel() -> ChannelParams:
                    power_transmission=0.01, electronic_noise_rms=10.0)
 
 
-# Curves each scenario scans besides the unobstructed twin curve: a channel
-# curve on arm a of every twin pair, split-source curves on pairs of their
-# own; and whether the unobstructed curve gets a Gaussian fit.  Report order.
-_SCENARIOS = {
-    "twin": (None, (), True),
-    "twin-channel": ("twin-channel", (), True),
-    "scatterer-only": ("scatterer-only", (), False),
-    "split-thermal": (None, ("split-thermal",), False),
-    "split-coherent": (None, ("split-coherent",), False),
-    "all": ("twin-channel", ("split-thermal", "split-coherent"), True),
-}
-
+# Makers of the curves a scenario names (config.SCENARIOS).
 _CHANNELS = {
     "twin-channel": default_channel,
     "scatterer-only": lambda config: scatterer_only_channel(),
@@ -164,7 +153,7 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         "seeds": seeds,
         "scenarios": {},
     }
-    channel_name, split_names, gaussian_fit = _SCENARIOS[config.scenario]
+    channel_name, split_names, gaussian_fit = SCENARIOS[config.scenario]
     channel = _CHANNELS[channel_name](config) if channel_name else None
     if channel_name == "twin-channel":
         report["channel_params"] = replace(config, channel=channel).to_dict()["channel"]

@@ -13,7 +13,11 @@ Model structure for the twin pair:
   (S the squeezing in dB), which pins the difference PSD at S dB below the
   coherent-pair reference at matched powers;
 * the shared PSD amplitude is set by the per-beam excess noise (dB above
-  shot, band-averaged over the 1.5-3.5 MHz design band).
+  shot, band-averaged over DESIGN_BAND, 1.5-3.5 MHz).
+
+``NoiseBudget.from_source`` works out these levels (each arm's shot PSD and
+the shared PSD amplitude) once; ``gen_twin`` synthesizes that budget and
+``design.InBandModel`` predicts the filtered statistics from it.
 
 The shared PSD is a Gaussian of correlation scale sigma0 * sqrt(2) (so the
 raw delay-MI curve tracks a Gaussian of scale sigma0) with a smooth notch at
@@ -56,8 +60,10 @@ NOISE_BANDWIDTH_HZ = 300e6
 # Shot-noise rms of the probe arm over the full noise bandwidth, in levels.
 # Sized so fluctuation records span roughly 100 digitizer levels.
 SHOT_RMS_LEVELS = 10.0
-# Band anchoring the excess-noise normalization (the analysis band).
+# Band anchoring the excess-noise normalization (the analysis band), and the
+# grid its band averages are taken on.
 DESIGN_BAND = (1.5e6, 3.5e6)
+_BAND_GRID = np.linspace(DESIGN_BAND[0], DESIGN_BAND[1], 2001)
 # Mid-band notch of the shared spectrum: depth, width, center.
 NOTCH_DEPTH = 0.9
 NOTCH_SIGMA_HZ = 0.6e6
@@ -78,42 +84,47 @@ def shared_psd_shape(f: np.ndarray, sigma0: float) -> np.ndarray:
     return gauss * notch
 
 
-def _shared_scale(params: SourceParams, shot_psd_mean: float) -> float:
-    """PSD amplitude making the per-arm excess hit excess_noise_db in band."""
-    x_lin = 10.0 ** (params.excess_noise_db / 10.0)
-    s_lin = 10.0 ** (-params.squeezing_db / 10.0)
-    f_band = np.linspace(DESIGN_BAND[0], DESIGN_BAND[1], 2001)
-    shape_mean = float(shared_psd_shape(f_band, params.sigma0).mean())
-    if x_lin <= s_lin:
-        raise InvalidParams(
-            "excess_noise_db too small: per-arm noise would fall below the "
-            "independent (squeezing) noise floor"
-        )
-    return (x_lin - s_lin) * shot_psd_mean / shape_mean
+def _shot_psds(params: SourceParams, noise_bandwidth: float) -> tuple[float, float]:
+    """Shot PSDs (level^2/Hz) of arms a and b; arm b's scales with its power."""
+    shot_a = SHOT_RMS_LEVELS ** 2 / noise_bandwidth
+    return shot_a, shot_a * params.mean_power_b / params.mean_power_a
+
+
+def _mean_level_b(params: SourceParams) -> float:
+    return MEAN_LEVEL_A * params.mean_power_b / params.mean_power_a
 
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Shot PSDs per arm (level^2/Hz) and the shared-component variance."""
+    """Shot PSDs per arm (level^2/Hz) and the amplitude of the shared PSD.
+
+    ``shared_scale`` multiplies ``shared_psd_shape`` so that each arm's excess
+    over the mean shot PSD averages ``excess_noise_db`` over DESIGN_BAND.
+    ``gen_twin`` synthesizes this budget and ``design`` predicts from it.
+    """
 
     shot_variance_a: float
     shot_variance_b: float
-    common_mode_variance: float
+    shared_scale: float
 
     def __post_init__(self):
-        if self.shot_variance_a < 0 or self.shot_variance_b < 0 or self.common_mode_variance < 0:
-            raise InvalidParams("variances must be nonnegative")
+        if self.shot_variance_a < 0 or self.shot_variance_b < 0 or self.shared_scale < 0:
+            raise InvalidParams("noise levels must be nonnegative")
 
     @classmethod
     def from_source(cls, params: SourceParams,
                     noise_bandwidth: float = NOISE_BANDWIDTH_HZ) -> "NoiseBudget":
-        shot_a = SHOT_RMS_LEVELS ** 2 / noise_bandwidth
-        shot_b = shot_a * params.mean_power_b / params.mean_power_a
-        scale = _shared_scale(params, 0.5 * (shot_a + shot_b))
-        f = np.linspace(0.0, 20.0 / params.sigma0 / (2.0 * np.pi), 20001)
-        common = scale * np.trapezoid(shared_psd_shape(f, params.sigma0), f)
+        shot_a, shot_b = _shot_psds(params, noise_bandwidth)
+        x_lin = 10.0 ** (params.excess_noise_db / 10.0)
+        s_lin = 10.0 ** (-params.squeezing_db / 10.0)
+        shape_mean = float(shared_psd_shape(_BAND_GRID, params.sigma0).mean())
+        if x_lin <= s_lin:
+            raise InvalidParams(
+                "excess_noise_db too small: per-arm noise would fall below the "
+                "independent (squeezing) noise floor"
+            )
         return cls(shot_variance_a=shot_a, shot_variance_b=shot_b,
-                   common_mode_variance=float(common))
+                   shared_scale=(x_lin - s_lin) * (0.5 * (shot_a + shot_b)) / shape_mean)
 
 
 def synth_noise(rng: np.random.Generator, n: int, fs: float,
@@ -146,11 +157,10 @@ def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
         raise InvalidParams("noise bandwidth exceeds Nyquist")
     budget = NoiseBudget.from_source(params, nbw)
     s_lin = 10.0 ** (-params.squeezing_db / 10.0)
-    scale = _shared_scale(params, 0.5 * (budget.shot_variance_a + budget.shot_variance_b))
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     shared = synth_noise(streams[0], spec.n_samples, spec.sample_rate,
-                         lambda f: scale * shared_psd_shape(f, params.sigma0))
+                         lambda f: budget.shared_scale * shared_psd_shape(f, params.sigma0))
     noise_a = synth_noise(streams[1], spec.n_samples, spec.sample_rate,
                           _white(s_lin * budget.shot_variance_a, nbw))
     noise_b = synth_noise(streams[2], spec.n_samples, spec.sample_rate,
@@ -160,9 +170,9 @@ def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
               mean_level=MEAN_LEVEL_A, shot_psd=budget.shot_variance_a,
               noise_bandwidth=nbw)
     b = Trace(samples=shared + noise_b, spec=spec, label="conjugate",
-              mean_level=MEAN_LEVEL_A * params.mean_power_b / params.mean_power_a,
-              shot_psd=budget.shot_variance_b, noise_bandwidth=nbw)
-    return TracePair(a=a, b=b, scenario="twin-unobstructed")
+              mean_level=_mean_level_b(params), shot_psd=budget.shot_variance_b,
+              noise_bandwidth=nbw)
+    return TracePair(a=a, b=b)
 
 
 def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
@@ -178,12 +188,10 @@ def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
     nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
     if thermal_excess_db < 0:
         raise InvalidParams("thermal_excess_db must be >= 0")
-    shot_full = (SHOT_RMS_LEVELS ** 2 / nbw) * params.mean_power_b / params.mean_power_a
+    _, shot_full = _shot_psds(params, nbw)
     x_lin = 10.0 ** (thermal_excess_db / 10.0)
-
-    f_band = np.linspace(DESIGN_BAND[0], DESIGN_BAND[1], 2001)
     lorentz = lambda f: 1.0 / (1.0 + (f / THERMAL_CORNER_HZ) ** 2)
-    amp = (x_lin - 1.0) * shot_full / float(lorentz(f_band).mean())
+    amp = (x_lin - 1.0) * shot_full / float(lorentz(_BAND_GRID).mean())
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     thermal = synth_noise(streams[0], spec.n_samples, spec.sample_rate,
@@ -192,12 +200,12 @@ def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
     q1 = synth_noise(streams[1], spec.n_samples, spec.sample_rate, _white(shot_half, nbw))
     q2 = synth_noise(streams[2], spec.n_samples, spec.sample_rate, _white(shot_half, nbw))
 
-    mean_half = 0.5 * MEAN_LEVEL_A * params.mean_power_b / params.mean_power_a
+    mean_half = 0.5 * _mean_level_b(params)
     a = Trace(samples=0.5 * thermal + q1, spec=spec, label="conjugate-split-1",
               mean_level=mean_half, shot_psd=shot_half, noise_bandwidth=nbw)
     b = Trace(samples=0.5 * thermal + q2, spec=spec, label="conjugate-split-2",
               mean_level=mean_half, shot_psd=shot_half, noise_bandwidth=nbw)
-    return TracePair(a=a, b=b, scenario="split-thermal")
+    return TracePair(a=a, b=b)
 
 
 def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int,
@@ -222,10 +230,9 @@ def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int,
                          _white(budget.shot_variance_b, nbw))
     a = Trace(samples=xa, spec=spec, label="coherent-A", mean_level=MEAN_LEVEL_A,
               shot_psd=budget.shot_variance_a, noise_bandwidth=nbw)
-    b = Trace(samples=xb, spec=spec, label="coherent-B",
-              mean_level=MEAN_LEVEL_A * params.mean_power_b / params.mean_power_a,
+    b = Trace(samples=xb, spec=spec, label="coherent-B", mean_level=_mean_level_b(params),
               shot_psd=budget.shot_variance_b, noise_bandwidth=nbw)
-    return TracePair(a=a, b=b, scenario="split-coherent")
+    return TracePair(a=a, b=b)
 
 
 class QuantizeResult(NamedTuple):
@@ -233,20 +240,19 @@ class QuantizeResult(NamedTuple):
     clip_fraction: float
 
 
-def quantize(trace: Trace, spec: Optional[DigitizerSpec] = None) -> QuantizeResult:
+def quantize(trace: Trace) -> QuantizeResult:
     """Round the raw record onto the digitizer's level grid.
 
     The fluctuation plus mean level is rounded to the nearest of 2**bit_depth
     integer levels; values beyond the range clip to the extreme levels.
     Clipping is reported, never fatal.
     """
-    spec = spec or trace.spec
     if not np.all(np.isfinite(trace.samples)):
         raise InvalidParams("trace has non-finite samples")
     raw = trace.samples + trace.mean_level
-    top = float(spec.n_levels - 1)
+    top = float(trace.spec.n_levels - 1)
     clipped = np.count_nonzero((raw < -0.5) | (raw > top + 0.5))
     q = np.clip(np.rint(raw), 0.0, top)
     new_mean = float(q.mean())
-    out = trace.with_samples(q - new_mean, mean_level=new_mean, spec=spec)
+    out = trace.with_samples(q - new_mean, mean_level=new_mean)
     return QuantizeResult(trace=out, clip_fraction=clipped / len(raw))

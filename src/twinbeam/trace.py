@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * trace samples are real-valued fluctuations in digitizer-level units with
   the DC component removed (the removed mean is kept in ``mean_level``);
 * types are immutable after construction and validate their invariants in
-  the constructor, so an instance that exists is a valid one.
+  the constructor, so an instance that exists is a valid one;
+* a ``TracePair`` is two traces on one clock and carries no scenario label:
+  scenarios are named once, in ``config.SCENARIOS``.
 """
 
 from __future__ import annotations
@@ -17,14 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParams, MismatchedClock, MismatchedLength
-
-SCENARIOS = (
-    "twin-unobstructed",
-    "twin-channel",
-    "split-thermal",
-    "split-coherent",
-    "scatterer-only",
-)
 
 
 @dataclass(frozen=True)
@@ -146,15 +140,12 @@ class TracePair:
 
     a: Trace
     b: Trace
-    scenario: str = "twin-unobstructed"
 
     def __post_init__(self):
         validate_pair(self.a, self.b)
-        if self.scenario not in SCENARIOS:
-            raise InvalidParams(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
 
     def swapped(self) -> "TracePair":
-        return TracePair(a=self.b, b=self.a, scenario=self.scenario)
+        return TracePair(a=self.b, b=self.a)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from twinbeam.channel import (
     apply_loss,
     discretize_kernel,
 )
-from twinbeam.design import matched_transmission, predicted_peak_ratio
+from twinbeam.design import InBandModel, matched_transmission, predicted_peak_ratio
 from twinbeam.dsp import bandpass, welch_psd
 from twinbeam.errors import InvalidParams, InvalidTransmission, KernelTooWide
 from twinbeam.mi import mi_delay_scan
@@ -196,7 +198,6 @@ class TestApplyChannel:
         out = apply_channel(pair, params, seed=19)
         assert np.array_equal(out.a.samples, pair.a.samples)
         assert np.array_equal(out.b.samples, pair.b.samples)
-        assert out.scenario == "twin-channel"
 
     def test_arm_b_untouched(self, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=20)
@@ -250,3 +251,28 @@ class TestMatchedTransmission:
         source = SourceParams()
         chan = ChannelParams()
         assert predicted_peak_ratio(source, chan, 0.14, F_LO, F_HI) < 0.25
+
+
+def _peak_xcorr(a, b, max_lag):
+    """Largest correlation of a[i] with b[i - k] over lags k in [0, max_lag]."""
+    g = max(a.guard, b.guard) + max_lag
+    n = len(a.samples)
+    x = a.samples[g:n - g]
+    return max(np.corrcoef(x, b.samples[g - k:n - g - k])[0, 1] for k in range(max_lag + 1))
+
+
+class TestDesignAgreesWithTraces:
+    """The in-band predictor and the trace generator share one noise budget."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_predicted_rho_matches_measured(self, mid_spec, seed):
+        source, chan = SourceParams(), ChannelParams()
+        model = InBandModel(source, F_LO, F_HI)
+        t = matched_transmission(source, chan)
+        pair = gen_twin(source, mid_spec, seed)
+        fa, fb = bandpass(pair.a, F_LO, F_HI), bandpass(pair.b, F_LO, F_HI)
+        assert _peak_xcorr(fa, fb, 0) == pytest.approx(model.unobstructed_rho(), abs=0.02)
+
+        arm = apply_channel(pair, replace(chan, power_transmission=t), seed + 10_000).a
+        measured = _peak_xcorr(bandpass(arm, F_LO, F_HI), fb, 150)   # lags up to 75 ns
+        assert measured == pytest.approx(model.channel_rho_peak(chan, t), abs=0.04)

@@ -32,7 +32,7 @@ class TestTwbm:
 
     def test_u8_round_trip_bit_identical(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=2)
-        q, _ = quantize(pair.a, small_spec)
+        q, _ = quantize(pair.a)
         path = tmp_path / "q.twbm"
         save_trace(q, path, encoding="u8")
         back = load_trace(path)
@@ -42,7 +42,7 @@ class TestTwbm:
 
     def test_u8_values_span_levels(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=3)
-        q, _ = quantize(pair.a, small_spec)
+        q, _ = quantize(pair.a)
         path = tmp_path / "q.twbm"
         save_trace(q, path, encoding="u8")
         payload = path.read_bytes()

@@ -10,6 +10,7 @@ from twinbeam.channel import apply_channel
 from twinbeam.cli import main
 from twinbeam.config import RunConfig
 from twinbeam.errors import ConfigError
+from twinbeam.io import load_trace, save_curve
 from twinbeam.pipeline import default_channel, run_pipeline
 from twinbeam.dsp import bandpass
 from twinbeam.mi import mi_delay_scan
@@ -225,6 +226,16 @@ class TestCli:
 
         rc = main(["fit", "--curve", str(curve), "--mode", "gaussian"])
         assert rc == 0
+
+    def test_analyze_defaults_are_the_library_defaults(self, tmp_path):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        main(["simulate", "--scenario", "twin", "--seed", "5",
+              "--n-samples", str(2 ** 18), "--out-a", str(a), "--out-b", str(b)])
+        cli_curve, lib_curve = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["analyze", "--trace-a", str(a), "--trace-b", str(b),
+                     "--out", str(cli_curve)]) == 0
+        save_curve(mi_delay_scan(TracePair(a=load_trace(a), b=load_trace(b))), lib_curve)
+        assert cli_curve.read_bytes() == lib_curve.read_bytes()
 
     def test_spectrum_command(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"

@@ -180,7 +180,7 @@ class TestQuantize:
         rng = np.random.default_rng(50)
         levels = rng.integers(40, 200, size=small_spec.n_samples).astype(float)
         tr = Trace.from_raw(levels, small_spec)
-        out, clip = quantize(tr, small_spec)
+        out, clip = quantize(tr)
         assert clip == 0.0
         assert np.array_equal(out.samples + out.mean_level, levels)
 
@@ -191,13 +191,13 @@ class TestQuantize:
         sigma = 128.0 / 6.0
         tr = Trace.from_raw(128.0 + sigma * rng.standard_normal(small_spec.n_samples),
                             small_spec)
-        out, clip = quantize(tr, small_spec)
+        out, clip = quantize(tr)
         assert clip <= 1e-8 * 10  # seeded draw: no sample beyond 6 sigma expected
         assert clip == 0.0
 
     def test_at_most_256_levels(self, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=52)
-        out, _ = quantize(pair.a, small_spec)
+        out, _ = quantize(pair.a)
         raw = out.samples + out.mean_level
         assert len(np.unique(raw)) <= 256
         assert raw.min() >= 0.0 and raw.max() <= 255.0
@@ -206,8 +206,8 @@ class TestQuantize:
         spec = DigitizerSpec(n_samples=2 ** 21)
         params = SourceParams()
         pair = gen_twin(params, spec, seed=53)
-        qa, _ = quantize(pair.a, spec)
-        qb, _ = quantize(pair.b, spec)
+        qa, _ = quantize(pair.a)
+        qb, _ = quantize(pair.b)
         diff = qa.samples - qb.samples
         measured = in_band_psd_mean(diff, spec.sample_rate)
         ratio = measured / (pair.a.shot_psd + pair.b.shot_psd)
@@ -219,12 +219,13 @@ class TestNoiseBudget:
         b = NoiseBudget.from_source(SourceParams())
         assert b.shot_variance_a == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
         assert b.shot_variance_b == pytest.approx(b.shot_variance_a * 5.3 / 5.9)
-        assert b.common_mode_variance > 0
+        assert b.shared_scale > 0
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
-            NoiseBudget(shot_variance_a=-1.0, shot_variance_b=1.0,
-                        common_mode_variance=0.0)
+            NoiseBudget(shot_variance_a=-1.0, shot_variance_b=1.0, shared_scale=0.0)
+        with pytest.raises(InvalidParams):
+            NoiseBudget(shot_variance_a=1.0, shot_variance_b=1.0, shared_scale=-1.0)
 
 
 class TestDynamicRange:

@@ -84,12 +84,6 @@ class TestValidatePair:
         with pytest.raises(MismatchedClock):
             validate_pair(a, b)
 
-    def test_unknown_scenario(self):
-        a = make_trace(np.random.default_rng(0).standard_normal(64))
-        b = make_trace(np.random.default_rng(1).standard_normal(64))
-        with pytest.raises(InvalidParams):
-            TracePair(a=a, b=b, scenario="nonsense")
-
 
 class TestMICurve:
     def test_basic(self):
