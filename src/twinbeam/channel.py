@@ -8,6 +8,14 @@ predictor that calibrates the default transmission.
 The delay stage convolves the photocurrent with the discretized two-sided
 exponential density (deterministic convolution, not per-photon sampling): at
 these fluxes the photocurrent is the ensemble average over photon delays.
+
+Two forms of the same chain.  ``apply_channel`` works on time records of any
+origin: the convolution extends the record by reflection.  Generated records
+are periodic (``source``), so ``channel_spectrum`` works on arm a's rfft
+instead: H * (t * A + L) + E, where H is the DFT of ``discretize_kernel``'s
+taps placed circularly (``kernel_response``) and L and E are the loss and
+electronic noises drawn from the same seeds as ``apply_channel``'s.  The two
+differ only near the record ends, inside the guard the delay adds.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from scipy import signal
 
 from .errors import InvalidParams, InvalidTransmission, KernelTooWide
-from .source import NOISE_BANDWIDTH_HZ, synth_noise, _white
+from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, synth_noise, _white
 from .trace import ChannelParams, Trace, TracePair
 
 __all__ = [
@@ -26,6 +34,8 @@ __all__ = [
     "apply_is_delay",
     "apply_electronic_noise",
     "apply_channel",
+    "kernel_response",
+    "channel_spectrum",
 ]
 
 # Kernel support is tau0 +/- this many sigma, renormalized after truncation
@@ -39,21 +49,28 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def _loss_psd(transmission: float, shot_psd, noise_bandwidth):
+    """PSD of the vacuum noise a beam splitter of this transmission adds; None at t = 1."""
+    if not (0.0 < transmission <= 1.0):
+        raise InvalidTransmission(f"transmission must be in (0, 1], got {transmission}")
+    if transmission == 1.0:
+        return None
+    if shot_psd is None:
+        raise InvalidParams("trace carries no shot_psd, so its loss noise is unknown")
+    nbw = noise_bandwidth or NOISE_BANDWIDTH_HZ
+    return _white(transmission * (1.0 - transmission) * shot_psd, nbw)
+
+
 def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
     """Beam-splitter loss: scale by t, add vacuum noise of PSD t(1-t) x shot.
 
     The shot PSD is the trace's own bookkeeping value; the output carries the
     scaled mean level and shot PSD of the attenuated beam.
     """
-    if not (0.0 < transmission <= 1.0):
-        raise InvalidTransmission(f"transmission must be in (0, 1], got {transmission}")
-    if transmission == 1.0:
+    psd = _loss_psd(transmission, trace.shot_psd, trace.noise_bandwidth)
+    if psd is None:
         return trace
-    if trace.shot_psd is None:
-        raise InvalidParams("trace carries no shot_psd, so its loss noise is unknown")
-    nbw = trace.noise_bandwidth or NOISE_BANDWIDTH_HZ
-    noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate,
-                        _white(transmission * (1.0 - transmission) * trace.shot_psd, nbw))
+    noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate, psd)
     return trace.with_samples(
         transmission * trace.samples + noise,
         mean_level=transmission * trace.mean_level,
@@ -75,6 +92,26 @@ def discretize_kernel(sample_rate: float, tau0: float, sigma: float):
     return taps, k_min
 
 
+def _delay_taps(params: ChannelParams, sample_rate: float, n: int):
+    """The delay kernel on an n-sample record: taps, lag of the first tap, guard added.
+
+    A kernel narrower than one sample degenerates to one unit tap at the
+    nearest whole-sample delay; a zero delay is the identity and adds no guard.
+    """
+    span = abs(params.tau0) + KERNEL_TRUNCATION_SIGMAS * params.sigma
+    if span * sample_rate > 0.25 * n:
+        raise KernelTooWide(
+            f"kernel span {span:g} s is comparable to the trace duration "
+            f"{n / sample_rate:g} s"
+        )
+    guard_extra = int(np.ceil(2.0 * span * sample_rate))
+    if KERNEL_TRUNCATION_SIGMAS * params.sigma * sample_rate < 0.5:
+        shift = int(round(params.tau0 * sample_rate))
+        return np.ones(1), shift, guard_extra if shift else 0
+    taps, k_min = discretize_kernel(sample_rate, params.tau0, params.sigma)
+    return taps, k_min, guard_extra
+
+
 def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     """Convolve the fluctuation with the normalized exponential delay kernel.
 
@@ -83,27 +120,17 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     kernel half-width so transients never enter downstream statistics.
     A kernel narrower than one sample degenerates to a pure integer delay.
     """
-    fs = trace.spec.sample_rate
     n = len(trace.samples)
-    span = abs(params.tau0) + KERNEL_TRUNCATION_SIGMAS * params.sigma
-    if span * fs > 0.25 * n:
-        raise KernelTooWide(
-            f"kernel span {span:g} s is comparable to the trace duration "
-            f"{trace.spec.duration:g} s"
-        )
-    guard_extra = int(np.ceil(2.0 * span * fs))
-
-    if KERNEL_TRUNCATION_SIGMAS * params.sigma * fs < 0.5:
-        # Delta-kernel limit: pure delay by the nearest whole sample.  A
-        # circular roll preserves the zero mean exactly; the wrapped samples
-        # fall inside the enlarged guard.
-        shift = int(round(params.tau0 * fs))
-        if shift == 0:
-            return trace
-        y = np.roll(trace.samples, shift)  # y[i] = x[i - shift]
+    taps, k_min, guard_extra = _delay_taps(params, trace.spec.sample_rate, n)
+    if guard_extra == 0:
+        return trace
+    if len(taps) == 1:
+        # Delta-kernel limit: pure delay by k_min samples.  A circular roll
+        # preserves the zero mean exactly; the wrapped samples fall inside the
+        # enlarged guard.
+        y = np.roll(trace.samples, k_min)  # y[i] = x[i - k_min]
         return trace.with_samples(y, guard=trace.guard + guard_extra)
 
-    taps, k_min = discretize_kernel(fs, params.tau0, params.sigma)
     k_max = k_min + len(taps) - 1
     lpad, rpad = max(k_max, 0), max(-k_min, 0)
     xp = np.pad(trace.samples, (lpad, rpad), mode="reflect")
@@ -116,25 +143,77 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
                               guard=trace.guard + guard_extra)
 
 
-def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
-    """Add independent Gaussian detector noise of the given total rms (levels)."""
+def _electronic_psd(rms: float, noise_bandwidth):
+    """PSD of detector noise of total rms ``rms`` (levels); None at zero rms."""
     if rms < 0:
         raise InvalidParams(f"rms must be >= 0, got {rms}")
     if rms == 0:
+        return None
+    nbw = noise_bandwidth or NOISE_BANDWIDTH_HZ
+    return _white(rms ** 2 / nbw, nbw)
+
+
+def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
+    """Add independent Gaussian detector noise of the given total rms (levels)."""
+    psd = _electronic_psd(rms, trace.noise_bandwidth)
+    if psd is None:
         return trace
-    nbw = trace.noise_bandwidth or NOISE_BANDWIDTH_HZ
-    noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate,
-                        _white(rms ** 2 / nbw, nbw))
+    noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate, psd)
     return trace.with_samples(trace.samples + noise)
+
+
+def _stage_seeds(seed) -> list[np.random.SeedSequence]:
+    """Seeds of the loss and electronic noises."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.spawn(2)
+    return np.random.SeedSequence(seed).spawn(2)
 
 
 def apply_channel(pair: TracePair, params: ChannelParams, seed) -> TracePair:
     """Loss, delay smearing, and electronic noise on arm a; arm b untouched."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed.spawn(2)
-    else:
-        ss = np.random.SeedSequence(seed).spawn(2)
+    ss = _stage_seeds(seed)
     a = apply_loss(pair.a, params.power_transmission, seed=ss[0])
     a = apply_is_delay(a, params)
     a = apply_electronic_noise(a, params.electronic_noise_rms, seed=ss[1])
     return TracePair(a=a, b=pair.b)
+
+
+def kernel_response(params: ChannelParams, sample_rate: float, n: int,
+                    bins: slice = slice(None)) -> np.ndarray:
+    """DFT, at rfft bins ``bins`` of an n-sample record, of the kernel's taps placed circularly.
+
+    This is the frequency response of the circular form of ``apply_is_delay``:
+    a phase ramp in the delta-kernel limit.  It costs one pass over the bins
+    per tap, so ask only for the bins in use.
+    """
+    taps, k_min, _ = _delay_taps(params, sample_rate, n)
+    k = np.arange(*bins.indices(n // 2 + 1))
+    w = np.exp(-2j * np.pi * k / n)
+    h = np.zeros(len(k), dtype=np.complex128)
+    for tap in taps[::-1]:   # Horner: sum_j taps[j] w^j
+        h = h * w + tap
+    return h * np.exp(-2j * np.pi * ((k * k_min) % n) / n)
+
+
+def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
+                     params: ChannelParams, seed) -> tuple[np.ndarray, int]:
+    """``apply_channel``'s arm a of a generated pair, as its rfft over ``bins``.
+
+    ``arm`` is the rfft of the pair's arm a over ``bins``.  Returns
+    H * (t * arm + L) + E and the guard the delay adds: the loss noise L and
+    the electronic noise E come from the seeds ``apply_channel`` uses, and H
+    is ``kernel_response``.  Checks what ``apply_channel`` checks.
+    """
+    n, fs, nbw = pair.spec.n_samples, pair.spec.sample_rate, pair.noise_bandwidth
+    ss = _stage_seeds(seed)
+    t = params.power_transmission
+    loss = _loss_psd(t, pair.arms[0].shot_psd, nbw)
+    if loss is not None:
+        arm = t * arm + noise_spectrum(_rng(ss[0]), n, fs, loss, bins)
+    _, _, guard_extra = _delay_taps(params, fs, n)
+    if guard_extra:
+        arm = kernel_response(params, fs, n, bins) * arm
+    electronic = _electronic_psd(params.electronic_noise_rms, nbw)
+    if electronic is not None:
+        arm = arm + noise_spectrum(_rng(ss[1]), n, fs, electronic, bins)
+    return arm, guard_extra

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dsp import band_mask
-from .errors import InvalidParams
+from .errors import InvalidBand, InvalidParams
 from .model import peak_value
 from .source import DESIGN_BAND, NOISE_BANDWIDTH_HZ, NoiseBudget, shared_psd_shape
 from .trace import ChannelParams, SourceParams
@@ -42,6 +42,11 @@ class InBandModel:
     f_hi: float
 
     def __post_init__(self):
+        if not (0.0 < self.f_lo < self.f_hi <= _GRID_F_MAX):
+            raise InvalidBand(
+                f"band [{self.f_lo / 1e6:g}, {self.f_hi / 1e6:g}] MHz lies outside the "
+                f"design model's 0-{_GRID_F_MAX / 1e6:g} MHz grid"
+            )
         self.f = np.linspace(0.0, _GRID_F_MAX, _GRID_N)
         self.df = self.f[1] - self.f[0]
         self.h2 = band_mask(self.f, self.f_lo, self.f_hi) ** 2

@@ -1,10 +1,16 @@
 """Band-pass filtering and squeezing-spectrum estimation.
 
-The band-pass is realized as zero-phase frequency-domain masking: the rfft of
-the (reflection-padded) trace is multiplied by a real mask that is exactly 1
-inside the passband, exactly 0 outside it, with raised-cosine transitions of
-200 kHz placed just inside the band edges.  A real symmetric mask has zero
-group delay at every frequency, so filtering cannot shift the MI peak.
+The band-pass is realized as zero-phase frequency-domain masking: an rfft is
+multiplied by a real mask that is exactly 1 inside the passband, exactly 0
+outside it, with raised-cosine transitions of 200 kHz placed just inside the
+band edges.  A real symmetric mask has zero group delay at every frequency,
+so filtering cannot shift the MI peak.
+
+``bandpass`` filters a stored record, which is not periodic: it pads the
+record by reflection, masks the padded record's rfft and crops.  A generated
+record is periodic, so its filtered form is the inverse rfft of the mask
+times its spectrum on the record's own grid (``band_bins``,
+``band_record``); only the bins inside the band are nonzero.
 """
 
 from __future__ import annotations
@@ -22,10 +28,15 @@ __all__ = [
     "TRANSITION_WIDTH_HZ",
     "FILTER_PAD",
     "band_mask",
+    "check_band",
+    "filter_guard",
     "bandpass",
+    "band_bins",
+    "band_record",
     "SpectrumEstimate",
     "SEGMENT_LENGTH",
     "welch_psd",
+    "squeezing_spectrum",
     "difference_spectrum",
 ]
 
@@ -62,6 +73,11 @@ def check_band(f_lo: float, f_hi: float, fs: float) -> None:
         raise InvalidBand("band narrower than twice the transition width")
 
 
+def filter_guard(n: int) -> int:
+    """Guard ``bandpass`` gives an n-sample record: its reflection padding per side."""
+    return min(FILTER_PAD, n - 1)
+
+
 def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     """Zero-phase band-pass of a trace to [f_lo, f_hi].
 
@@ -72,7 +88,7 @@ def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     fs = trace.spec.sample_rate
     check_band(f_lo, f_hi, fs)
     x = trace.samples
-    pad = min(FILTER_PAD, len(x) - 1)
+    pad = filter_guard(len(x))
     xp = np.pad(x, pad, mode="reflect")
     n_fft = sfft.next_fast_len(len(xp), real=True)
     spec = sfft.rfft(xp, n_fft)
@@ -83,6 +99,20 @@ def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     # mean, which is re-zeroed to keep the trace contract exact.
     y = y - y.mean()
     return trace.with_samples(y, guard=max(trace.guard, pad))
+
+
+def band_bins(n: int, fs: float, f_lo: float, f_hi: float) -> tuple[slice, np.ndarray]:
+    """The rfft bins of an n-sample record that [f_lo, f_hi] covers, and ``band_mask`` on them."""
+    check_band(f_lo, f_hi, fs)
+    bins = slice(int(np.floor(f_lo * n / fs)), int(np.ceil(f_hi * n / fs)) + 1)
+    return bins, band_mask(sfft.rfftfreq(n, d=1.0 / fs)[bins], f_lo, f_hi)
+
+
+def band_record(spectrum: np.ndarray, bins: slice, n: int) -> np.ndarray:
+    """The n-sample record whose rfft is ``spectrum`` on ``bins`` and zero elsewhere."""
+    full = np.zeros(n // 2 + 1, dtype=np.complex128)
+    full[bins] = spectrum
+    return sfft.irfft(full, n, overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -131,25 +161,17 @@ def check_segment(segment_length: int, n_samples: int) -> None:
         raise InvalidParams("segment_length exceeds the trace length")
 
 
-def difference_spectrum(
-    pair: TracePair,
-    reference: TracePair,
-    segment_length: int = SEGMENT_LENGTH,
-) -> SpectrumEstimate:
-    """Intensity-difference PSD of a pair against a reference pair.
+def squeezing_spectrum(difference: np.ndarray, reference: np.ndarray, fs: float,
+                       segment_length: int = SEGMENT_LENGTH) -> SpectrumEstimate:
+    """PSD of an intensity-difference record against a reference difference record.
 
-    Both pairs are reduced to (a - b); the squeezing curve is the dB ratio of
-    the two Welch estimates.  The reference is normally an independent
-    coherent pair at matched powers (the shot-noise level).
+    The squeezing curve is the dB ratio of the two Welch estimates.  The
+    reference is normally the difference of an independent coherent pair at
+    matched powers (the shot-noise level).
     """
-    validate_pair(pair.a, pair.b)
-    validate_pair(reference.a, reference.b)
-    if pair.a.spec.sample_rate != reference.a.spec.sample_rate:
-        raise InvalidParams("pair and reference must share a sample rate")
-    check_segment(segment_length, min(pair.a.spec.n_samples, reference.a.spec.n_samples))
-    fs = pair.a.spec.sample_rate
-    freqs, psd = welch_psd(pair.a.samples - pair.b.samples, fs, segment_length)
-    _, ref = welch_psd(reference.a.samples - reference.b.samples, fs, segment_length)
+    check_segment(segment_length, min(len(difference), len(reference)))
+    freqs, psd = welch_psd(difference, fs, segment_length)
+    _, ref = welch_psd(reference, fs, segment_length)
     with np.errstate(divide="ignore", invalid="ignore"):
         curve = 10.0 * np.log10(np.where(ref > 0, psd / np.where(ref > 0, ref, 1.0), np.nan))
     return SpectrumEstimate(
@@ -158,3 +180,21 @@ def difference_spectrum(
         reference_psd=ref,
         squeezing_db_curve=curve,
     )
+
+
+def difference_spectrum(
+    pair: TracePair,
+    reference: TracePair,
+    segment_length: int = SEGMENT_LENGTH,
+) -> SpectrumEstimate:
+    """Intensity-difference PSD of a pair against a reference pair.
+
+    Both pairs are reduced to (a - b) and passed to ``squeezing_spectrum``.
+    """
+    validate_pair(pair.a, pair.b)
+    validate_pair(reference.a, reference.b)
+    if pair.a.spec.sample_rate != reference.a.spec.sample_rate:
+        raise InvalidParams("pair and reference must share a sample rate")
+    return squeezing_spectrum(pair.a.samples - pair.b.samples,
+                              reference.a.samples - reference.b.samples,
+                              pair.a.spec.sample_rate, segment_length)

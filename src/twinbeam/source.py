@@ -3,7 +3,16 @@
 All processes are stationary Gaussian and synthesized in the frequency
 domain: each rfft bin gets an independent complex normal deviate scaled to
 the target one-sided PSD, so a given (params, spec, seed) is bit-reproducible
-and the PSD is exact by construction.
+and the PSD is exact by construction.  Every generated record is therefore
+periodic: it is the inverse rfft of its spectrum on the record's own grid.
+
+``noise_spectrum`` is the one draw routine.  A ``PairRecipe`` names a pair's
+independent noises (each drawn from its own seed) and each arm's weights on
+them.  ``PairRecipe.traces`` synthesizes the records (``gen_*`` return it);
+``noise_spectra`` and ``arm_spectra`` give the same records' spectra over a
+slice of bins from the same draws, so a caller that filters, delays or
+differences generated records can do so on the spectrum and inverse-transform
+each result once (``pipeline.run_pipeline`` does).
 
 Model structure for the twin pair:
 
@@ -16,7 +25,7 @@ Model structure for the twin pair:
   shot, band-averaged over DESIGN_BAND, 1.5-3.5 MHz).
 
 ``NoiseBudget.from_source`` works out these levels (each arm's shot PSD and
-the shared PSD amplitude) once; ``gen_twin`` synthesizes that budget and
+the shared PSD amplitude) once; ``twin_recipe`` synthesizes that budget and
 ``design.InBandModel`` predicts the filtered statistics from it.
 
 The shared PSD is a Gaussian of correlation scale sigma0 * sqrt(2) (so the
@@ -34,6 +43,8 @@ curve of a 4-million-sample record below the estimator bias floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -47,7 +58,13 @@ __all__ = [
     "DESIGN_BAND",
     "NoiseBudget",
     "shared_psd_shape",
+    "noise_spectrum",
     "synth_noise",
+    "Arm",
+    "PairRecipe",
+    "twin_recipe",
+    "split_thermal_recipe",
+    "split_coherent_recipe",
     "gen_twin",
     "gen_split_thermal",
     "gen_split_coherent",
@@ -127,20 +144,158 @@ class NoiseBudget:
                    shared_scale=(x_lin - s_lin) * (0.5 * (shot_a + shot_b)) / shape_mean)
 
 
+def noise_spectrum(rng: np.random.Generator, n: int, fs: float,
+                   psd: Callable[[np.ndarray], np.ndarray],
+                   bins: slice = slice(None)) -> np.ndarray:
+    """rfft bins ``bins`` of zero-mean Gaussian noise with one-sided PSD psd(f), length n.
+
+    Every bin's deviate is drawn whichever bins are returned, so a slice
+    equals the same slice of the full spectrum and leaves ``rng`` in the same
+    state.  ``bins`` is a slice with unit step.
+    """
+    m = n // 2 + 1
+    start, stop, _ = bins.indices(m)
+    re, im = rng.standard_normal(m), rng.standard_normal(m)
+    z = np.empty(len(range(start, stop)), dtype=np.complex128)
+    z.real, z.imag = re[bins], im[bins]
+    if start == 0:
+        z[0] = 0.0  # zero-mean record
+    if n % 2 == 0 and stop == m:
+        z[-1] = np.sqrt(2.0) * z[-1].real
+    z *= np.sqrt(np.maximum(psd(np.fft.rfftfreq(n, d=1.0 / fs)[bins]), 0.0) * fs * n / 2.0)
+    z /= np.sqrt(2.0)
+    return z
+
+
 def synth_noise(rng: np.random.Generator, n: int, fs: float,
                 psd: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Zero-mean Gaussian noise with one-sided PSD psd(f), length n."""
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    amp = np.sqrt(np.maximum(psd(freqs), 0.0) * fs * n / 2.0)
-    z = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
-    z[0] = 0.0  # zero-mean record
-    if n % 2 == 0:
-        z[-1] = np.sqrt(2.0) * z[-1].real
-    return np.fft.irfft(amp * z / np.sqrt(2.0), n)
+    return np.fft.irfft(noise_spectrum(rng, n, fs, psd), n)
 
 
 def _white(level: float, bandwidth: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda f: np.where(f <= bandwidth, level, 0.0)
+
+
+def _mix(weights, xs):
+    """Sum of w * x over the nonzero weights (a unit weight adds x as it is)."""
+    return reduce(add, [x if w == 1.0 else w * x for w, x in zip(weights, xs) if w != 0.0])
+
+
+class Arm(NamedTuple):
+    """Bookkeeping of one generated arm: the ``Trace`` fields besides its samples."""
+
+    label: str
+    mean_level: float
+    shot_psd: float
+
+
+@dataclass(frozen=True)
+class PairRecipe:
+    """A generated pair before synthesis.
+
+    ``noises`` are independent Gaussian noises as (seed, one-sided PSD); each
+    is drawn from its own seed by ``noise_spectrum``.  Arm a is the sum of
+    the noises weighted by ``weights[0]``, arm b by ``weights[1]``.
+    """
+
+    spec: DigitizerSpec
+    noise_bandwidth: float
+    noises: tuple[tuple[np.random.SeedSequence, Callable[[np.ndarray], np.ndarray]], ...]
+    weights: tuple[tuple[float, ...], tuple[float, ...]]
+    arms: tuple[Arm, Arm]
+
+    def noise_spectra(self, bins: slice = slice(None)) -> list[np.ndarray]:
+        """Each noise's rfft over ``bins``: every normal of the pair drawn once."""
+        n, fs = self.spec.n_samples, self.spec.sample_rate
+        return [noise_spectrum(np.random.default_rng(ss), n, fs, psd, bins)
+                for ss, psd in self.noises]
+
+    def arm_spectra(self, spectra: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Arms a and b as spectra, from ``noise_spectra`` over any bins."""
+        return _mix(self.weights[0], spectra), _mix(self.weights[1], spectra)
+
+    def difference(self, spectra: list[np.ndarray]) -> np.ndarray:
+        """The record a - b from the full ``noise_spectra()``: one irfft.
+
+        A noise both arms carry with equal weight cancels exactly.
+        """
+        wa, wb = self.weights
+        return np.fft.irfft(_mix([x - y for x, y in zip(wa, wb)], spectra), self.spec.n_samples)
+
+    def traces(self) -> TracePair:
+        """The pair's records, one irfft per noise."""
+        n, fs = self.spec.n_samples, self.spec.sample_rate
+        records = [synth_noise(np.random.default_rng(ss), n, fs, psd) for ss, psd in self.noises]
+        a, b = (Trace(samples=_mix(w, records), spec=self.spec,
+                      noise_bandwidth=self.noise_bandwidth, **arm._asdict())
+                for w, arm in zip(self.weights, self.arms))
+        return TracePair(a=a, b=b)
+
+
+def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
+                noise_bandwidth: Optional[float] = None) -> PairRecipe:
+    """Quantum-correlated twin pair (probe / conjugate); see ``gen_twin``."""
+    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
+    if nbw > 0.5 * spec.sample_rate:
+        raise InvalidParams("noise bandwidth exceeds Nyquist")
+    budget = NoiseBudget.from_source(params, nbw)
+    s_lin = 10.0 ** (-params.squeezing_db / 10.0)
+    shared, own_a, own_b = np.random.SeedSequence(seed).spawn(3)
+    return PairRecipe(
+        spec=spec, noise_bandwidth=nbw,
+        noises=((shared, lambda f: budget.shared_scale * shared_psd_shape(f, params.sigma0)),
+                (own_a, _white(s_lin * budget.shot_variance_a, nbw)),
+                (own_b, _white(s_lin * budget.shot_variance_b, nbw))),
+        weights=((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
+        arms=(Arm("probe", MEAN_LEVEL_A, budget.shot_variance_a),
+              Arm("conjugate", _mean_level_b(params), budget.shot_variance_b)))
+
+
+def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
+                         thermal_excess_db: float = THERMAL_EXCESS_DB,
+                         noise_bandwidth: Optional[float] = None) -> PairRecipe:
+    """Conjugate beam split 50/50; see ``gen_split_thermal``."""
+    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
+    if thermal_excess_db < 0:
+        raise InvalidParams("thermal_excess_db must be >= 0")
+    _, shot_full = _shot_psds(params, nbw)
+    x_lin = 10.0 ** (thermal_excess_db / 10.0)
+    lorentz = lambda f: 1.0 / (1.0 + (f / THERMAL_CORNER_HZ) ** 2)
+    amp = (x_lin - 1.0) * shot_full / float(lorentz(_BAND_GRID).mean())
+    shot_half = 0.5 * shot_full  # shot PSD at half the optical power
+    mean_half = 0.5 * _mean_level_b(params)
+    thermal, q1, q2 = np.random.SeedSequence(seed).spawn(3)
+    return PairRecipe(
+        spec=spec, noise_bandwidth=nbw,
+        noises=((thermal, lambda f: amp * lorentz(f)),
+                (q1, _white(shot_half, nbw)),
+                (q2, _white(shot_half, nbw))),
+        weights=((0.5, 1.0, 0.0), (0.5, 0.0, 1.0)),
+        arms=(Arm("conjugate-split-1", mean_half, shot_half),
+              Arm("conjugate-split-2", mean_half, shot_half)))
+
+
+def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
+                          noise_bandwidth: Optional[float] = None,
+                          identical: bool = False) -> PairRecipe:
+    """Two independent shot-noise-limited arms; see ``gen_split_coherent``.
+
+    A coherent pair has no shared spectrum, so any source is accepted.
+    """
+    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
+    shot_a, shot_b = _shot_psds(params, nbw)
+    own_a, own_b = np.random.SeedSequence(seed).spawn(2)
+    if identical:
+        noises = ((own_a, _white(shot_a, nbw)),)
+        weights = ((1.0,), (float(np.sqrt(shot_b / shot_a)),))
+    else:
+        noises = ((own_a, _white(shot_a, nbw)), (own_b, _white(shot_b, nbw)))
+        weights = ((1.0, 0.0), (0.0, 1.0))
+    return PairRecipe(
+        spec=spec, noise_bandwidth=nbw, noises=noises, weights=weights,
+        arms=(Arm("coherent-A", MEAN_LEVEL_A, shot_a),
+              Arm("coherent-B", _mean_level_b(params), shot_b)))
 
 
 def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
@@ -152,27 +307,7 @@ def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
     excess_noise_db above its shot level in band, and the delay-MI envelope
     follows a Gaussian of scale sigma0.
     """
-    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
-    if nbw > 0.5 * spec.sample_rate:
-        raise InvalidParams("noise bandwidth exceeds Nyquist")
-    budget = NoiseBudget.from_source(params, nbw)
-    s_lin = 10.0 ** (-params.squeezing_db / 10.0)
-
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    shared = synth_noise(streams[0], spec.n_samples, spec.sample_rate,
-                         lambda f: budget.shared_scale * shared_psd_shape(f, params.sigma0))
-    noise_a = synth_noise(streams[1], spec.n_samples, spec.sample_rate,
-                          _white(s_lin * budget.shot_variance_a, nbw))
-    noise_b = synth_noise(streams[2], spec.n_samples, spec.sample_rate,
-                          _white(s_lin * budget.shot_variance_b, nbw))
-
-    a = Trace(samples=shared + noise_a, spec=spec, label="probe",
-              mean_level=MEAN_LEVEL_A, shot_psd=budget.shot_variance_a,
-              noise_bandwidth=nbw)
-    b = Trace(samples=shared + noise_b, spec=spec, label="conjugate",
-              mean_level=_mean_level_b(params), shot_psd=budget.shot_variance_b,
-              noise_bandwidth=nbw)
-    return TracePair(a=a, b=b)
+    return twin_recipe(params, spec, seed, noise_bandwidth).traces()
 
 
 def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
@@ -185,27 +320,7 @@ def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
     plus independent shot-scale noise at its own (halved) power.  With zero
     thermal excess this degenerates to the split-coherent case.
     """
-    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
-    if thermal_excess_db < 0:
-        raise InvalidParams("thermal_excess_db must be >= 0")
-    _, shot_full = _shot_psds(params, nbw)
-    x_lin = 10.0 ** (thermal_excess_db / 10.0)
-    lorentz = lambda f: 1.0 / (1.0 + (f / THERMAL_CORNER_HZ) ** 2)
-    amp = (x_lin - 1.0) * shot_full / float(lorentz(_BAND_GRID).mean())
-
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    thermal = synth_noise(streams[0], spec.n_samples, spec.sample_rate,
-                          lambda f: amp * lorentz(f))
-    shot_half = 0.5 * shot_full  # shot PSD at half the optical power
-    q1 = synth_noise(streams[1], spec.n_samples, spec.sample_rate, _white(shot_half, nbw))
-    q2 = synth_noise(streams[2], spec.n_samples, spec.sample_rate, _white(shot_half, nbw))
-
-    mean_half = 0.5 * _mean_level_b(params)
-    a = Trace(samples=0.5 * thermal + q1, spec=spec, label="conjugate-split-1",
-              mean_level=mean_half, shot_psd=shot_half, noise_bandwidth=nbw)
-    b = Trace(samples=0.5 * thermal + q2, spec=spec, label="conjugate-split-2",
-              mean_level=mean_half, shot_psd=shot_half, noise_bandwidth=nbw)
-    return TracePair(a=a, b=b)
+    return split_thermal_recipe(params, spec, seed, thermal_excess_db, noise_bandwidth).traces()
 
 
 def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int,
@@ -216,23 +331,7 @@ def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int,
     ``identical`` is a debug switch duplicating one realization into both
     arms (the perfect-correlation limit for estimator checks).
     """
-    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
-    budget = NoiseBudget.from_source(params, nbw)
-    ss = np.random.SeedSequence(seed).spawn(2)
-    rng_a = np.random.default_rng(ss[0])
-    rng_b = rng_a if identical else np.random.default_rng(ss[1])
-    xa = synth_noise(rng_a, spec.n_samples, spec.sample_rate,
-                     _white(budget.shot_variance_a, nbw))
-    if identical:
-        xb = xa * np.sqrt(budget.shot_variance_b / budget.shot_variance_a)
-    else:
-        xb = synth_noise(rng_b, spec.n_samples, spec.sample_rate,
-                         _white(budget.shot_variance_b, nbw))
-    a = Trace(samples=xa, spec=spec, label="coherent-A", mean_level=MEAN_LEVEL_A,
-              shot_psd=budget.shot_variance_a, noise_bandwidth=nbw)
-    b = Trace(samples=xb, spec=spec, label="coherent-B", mean_level=_mean_level_b(params),
-              shot_psd=budget.shot_variance_b, noise_bandwidth=nbw)
-    return TracePair(a=a, b=b)
+    return split_coherent_recipe(params, spec, seed, noise_bandwidth, identical).traces()
 
 
 class QuantizeResult(NamedTuple):

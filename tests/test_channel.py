@@ -8,14 +8,17 @@ from twinbeam.channel import (
     apply_electronic_noise,
     apply_is_delay,
     apply_loss,
+    channel_spectrum,
     discretize_kernel,
+    kernel_response,
 )
 from twinbeam.design import InBandModel, matched_transmission, predicted_peak_ratio
 from twinbeam.dsp import bandpass, welch_psd
 from twinbeam.errors import InvalidParams, InvalidTransmission, KernelTooWide
 from twinbeam.mi import mi_delay_scan
 from twinbeam.model import peak_value
-from twinbeam.source import gen_twin
+from twinbeam.pipeline import scatterer_only_channel
+from twinbeam.source import gen_twin, twin_recipe
 from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
 
 from conftest import make_trace
@@ -146,6 +149,40 @@ class TestKernel:
         pair = gen_twin(SourceParams(), small_spec, seed=11)
         out = apply_is_delay(pair.a, ChannelParams())
         assert out.guard >= pair.a.guard + 1000
+
+
+class TestKernelResponse:
+    """The DFT of the kernel's taps placed circularly, at a record's rfft bins."""
+
+    def test_matches_rfft_of_circular_taps(self):
+        n, fs = 2 ** 14, 2.0e9
+        params = ChannelParams()
+        taps, k_min = discretize_kernel(fs, params.tau0, params.sigma)
+        x = np.zeros(n)
+        x[(k_min + np.arange(len(taps))) % n] = taps
+        want = np.fft.rfft(x)
+        # Horner's rule over ~950 taps: 2e-14 measured against the FFT
+        assert np.abs(kernel_response(params, fs, n) - want).max() < 1e-12
+        bins = slice(10, 30)
+        assert np.abs(kernel_response(params, fs, n, bins) - want[bins]).max() < 1e-12
+
+    @pytest.mark.parametrize("params", [scatterer_only_channel(),
+                                        ChannelParams(tau0=5e-9, sigma=1e-12)],
+                             ids=["scatterer-only", "5 ns delta"])
+    def test_delta_limit_is_the_roll(self, small_spec, params):
+        x = gen_twin(SourceParams(), small_spec, seed=8).a
+        n, fs = small_spec.n_samples, small_spec.sample_rate
+        y = np.fft.irfft(np.fft.rfft(x.samples) * kernel_response(params, fs, n), n)
+        assert np.abs(y - apply_is_delay(x, params).samples).max() < 1e-12
+
+    def test_channel_spectrum_checks_like_apply_channel(self, small_spec):
+        recipe = twin_recipe(SourceParams(), small_spec, seed=9)
+        arm = np.zeros(3, dtype=complex)
+        wide = replace(ChannelParams(), sigma=small_spec.duration)
+        with pytest.raises(KernelTooWide):
+            channel_spectrum(recipe, arm, slice(10, 13), wide, seed=1)
+        with pytest.raises(KernelTooWide):
+            apply_channel(recipe.traces(), wide, seed=1)
 
 
 class TestElectronicNoise:

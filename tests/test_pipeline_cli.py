@@ -6,15 +6,16 @@ import pytest
 
 import twinbeam.cli as cli
 import twinbeam.pipeline as pipeline
+import twinbeam.source as source
 from twinbeam.channel import apply_channel
 from twinbeam.cli import main
 from twinbeam.config import RunConfig
 from twinbeam.errors import ConfigError
 from twinbeam.io import load_trace, save_curve
-from twinbeam.pipeline import default_channel, run_pipeline
+from twinbeam.pipeline import default_channel, run_pipeline, scatterer_only_channel
 from twinbeam.dsp import bandpass
 from twinbeam.mi import mi_delay_scan
-from twinbeam.source import gen_twin
+from twinbeam.source import gen_split_coherent, gen_split_thermal, gen_twin
 from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
 
 
@@ -127,7 +128,8 @@ class TestDefaultChannel:
 class TestRunPipeline:
     def test_twin_scenario_report(self, tmp_path):
         report = run_pipeline(small_config(), outdir=tmp_path)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert set(report["timing"]) == {"elapsed_s"}
         stats = report["scenarios"]["twin-unobstructed"]
         assert stats["peak_norm"] == pytest.approx(1.0)
         assert stats["peak_bits"] > 0.3
@@ -315,9 +317,24 @@ class TestCli:
         assert seen[0].channel == ChannelParams(electronic_noise_rms=3.0)
 
     def test_invalid_step_exits_2_before_any_trace(self, monkeypatch, capsys):
-        monkeypatch.setattr(pipeline, "gen_twin", pytest.fail)
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
         assert main(["pipeline", "--step-ns", "0.7"]) == 2
         assert "sample period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["matched-transmission", "pipeline"])
+    def test_band_past_design_grid_exits_2_before_any_trace(self, command, monkeypatch,
+                                                            capsys):
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main([command, "--band-mhz", "20:30"]) == 2
+        assert "band [20, 30] MHz" in capsys.readouterr().err
+
+    def test_simulate_split_coherent_from_shot_limited_source(self, tmp_path):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--scenario", "split-coherent", "--squeezing-db", "0",
+                     "--excess-noise-db", "0", "--n-samples", str(2 ** 16),
+                     "--out-a", str(a), "--out-b", str(b)]) == 0
+        assert main(["simulate", "--squeezing-db", "0", "--excess-noise-db", "0",
+                     "--n-samples", str(2 ** 16), "--out-a", str(a), "--out-b", str(b)]) == 2
 
     def test_each_command_checks_only_its_stages(self, tmp_path):
         # At 1 GS/s the default 0.5 ns step is half a sample, and 2^13 samples
@@ -359,12 +376,68 @@ class TestCli:
         assert 0.3 < float(out) < 0.8
 
 
-def _digest(trace):
-    return hashlib.blake2b(trace.samples.tobytes(), digest_size=16).hexdigest()
+def _digest(samples):
+    return hashlib.blake2b(samples.tobytes(), digest_size=16).hexdigest()
+
+
+def _scanned_pairs(monkeypatch):
+    """Record every pair run_pipeline scans, in order."""
+    scanned, real_scan = [], pipeline.mi_delay_scan
+
+    def recording_scan(pair, *args, **kwargs):
+        scanned.append(pair)
+        return real_scan(pair, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "mi_delay_scan", recording_scan)
+    return scanned
+
+
+class TestSpectralArms:
+    """run_pipeline forms each scanned arm as a spectrum; it matches the explicit
+    time-domain chain bandpass(apply_channel(gen_*(...))) outside the guard."""
+
+    # Largest |difference| in levels between a spectral arm and the explicit
+    # chain's, outside the guard: 5.5e-4 to 1.3e-3 levels on arms of rms 0.6
+    # to 1.0, measured at 2^19 to 4e6 samples.  It is the band-pass's tails:
+    # bandpass masks a reflection-padded record on a longer FFT grid.
+    ARM_TOL = 5e-3
+
+    @pytest.mark.parametrize("cfg", [
+        # long enough records and range for the channel fit to succeed
+        small_config(scenario="twin-channel", delay_range=150e-9,
+                     spec=DigitizerSpec(n_samples=2 ** 21)),
+        small_config(scenario="scatterer-only"),
+        small_config(scenario="split-thermal"),
+        small_config(scenario="split-coherent"),
+    ], ids=lambda cfg: cfg.scenario)
+    def test_arms_match_explicit_chain(self, monkeypatch, cfg):
+        scanned = _scanned_pairs(monkeypatch)
+        run_pipeline(cfg)
+
+        twin = gen_twin(cfg.source, cfg.spec, cfg.seed)
+        want = [twin.a, twin.b]
+        if cfg.scenario in ("twin-channel", "scatterer-only"):
+            chan = (default_channel(cfg) if cfg.scenario == "twin-channel"
+                    else scatterer_only_channel())
+            want += [apply_channel(twin, chan, cfg.seed + 10_000).a, twin.b]
+        else:
+            offset, gen = {"split-thermal": (20_000, gen_split_thermal),
+                           "split-coherent": (30_000, gen_split_coherent)}[cfg.scenario]
+            split = gen(cfg.source, cfg.spec, cfg.seed + offset)
+            want += [split.a, split.b]
+        got = [arm for pair in scanned for arm in (pair.a, pair.b)]
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            w = bandpass(w, cfg.f_lo, cfg.f_hi)
+            assert g.guard == w.guard
+            assert np.abs(g.valid() - w.valid()).max() < self.ARM_TOL
+            assert g.valid().std() > 0.5
 
 
 class TestPerSeedDataflow:
-    """Each twin seed is generated once and each record filtered once."""
+    """Each noise is drawn once and each scanned arm inverse-transformed once:
+    run_pipeline forms a band-passed arm from its spectrum, not by filtering
+    a generated record."""
 
     @pytest.mark.parametrize("cfg", [
         small_config(scenario="scatterer-only", repeats=2),
@@ -373,24 +446,30 @@ class TestPerSeedDataflow:
                      spec=DigitizerSpec(n_samples=2 ** 21)),
     ], ids=["scatterer-only", "all"])
     def test_one_generation_per_seed_and_one_filter_per_record(self, monkeypatch, cfg):
-        twin_seeds, filtered_in, filtered_out = [], [], set()
+        draws, records = [], []
+        real_draw, real_record = source.noise_spectrum, pipeline.band_record
 
-        def counting_gen_twin(source, spec, seed):
-            twin_seeds.append(seed)
-            return gen_twin(source, spec, seed)
+        def counting_draw(rng, *args, **kwargs):
+            ss = rng.bit_generator.seed_seq
+            draws.append((ss.entropy, ss.spawn_key))
+            return real_draw(rng, *args, **kwargs)
 
-        def counting_bandpass(trace, f_lo, f_hi):
-            filtered_in.append(_digest(trace))
-            out = bandpass(trace, f_lo, f_hi)
-            filtered_out.add(_digest(out))
+        def counting_record(*args):
+            out = real_record(*args)
+            records.append(_digest(out))
             return out
 
-        monkeypatch.setattr(pipeline, "gen_twin", counting_gen_twin)
-        monkeypatch.setattr(pipeline, "bandpass", counting_bandpass)
+        monkeypatch.setattr(source, "noise_spectrum", counting_draw)
+        monkeypatch.setattr(pipeline, "band_record", counting_record)
+        scanned = _scanned_pairs(monkeypatch)
         run_pipeline(cfg)
-        assert twin_seeds == [cfg.seed + r for r in range(cfg.repeats)]
-        assert len(set(filtered_in)) == len(filtered_in)
-        assert not filtered_out & set(filtered_in)
+
+        seeds = [cfg.seed + r for r in range(cfg.repeats)]
+        assert len(set(draws)) == len(draws)
+        assert {(s, (i,)) for s in seeds for i in range(3)} <= set(draws)
+        arms = {_digest(arm.samples) for pair in scanned for arm in (pair.a, pair.b)}
+        assert len(set(records)) == len(records)
+        assert arms == set(records)
 
     def test_channel_curve_equals_explicit_chain(self, monkeypatch):
         cfg = small_config(scenario="twin-channel", delay_range=150e-9,
@@ -413,5 +492,24 @@ class TestPerSeedDataflow:
         # curves are averaged in report order: unobstructed, then channel
         (got,) = averaged[1]
         assert np.array_equal(got.delays, want.delays)
-        assert np.array_equal(got.mi, want.mi)
-        assert report["scenarios"]["twin-channel"]["peak_bits"] == want.peak
+        # The arms differ by the band-pass's tails (TestSpectralArms.ARM_TOL),
+        # so a few samples change bin: max |dMI| 5.5e-6 bits (unobstructed,
+        # peak 1.13 bits) and 7.8e-6 bits (channel, peak 0.54 bits) at 4e6
+        # samples, 8.4e-6 and 8.7e-6 bits here.
+        assert np.abs(got.mi - want.mi).max() < 5e-5
+        assert report["scenarios"]["twin-channel"]["peak_bits"] == pytest.approx(
+            want.peak, abs=5e-5)
+
+
+class TestReportDeterminism:
+    def test_same_seed_reports_identical_but_timing(self, tmp_path):
+        cfg = small_config(scenario="all", delay_range=150e-9,
+                           spec=DigitizerSpec(n_samples=2 ** 21))
+        texts, csvs = [], []
+        for run in ("one", "two"):
+            report = run_pipeline(cfg, outdir=tmp_path / run)
+            assert set(report.pop("timing")) == {"elapsed_s"}
+            texts.append(json.dumps(report, indent=2))
+            csvs.append({p.name: p.read_bytes() for p in sorted((tmp_path / run).glob("*.csv"))})
+        assert texts[0] == texts[1]
+        assert len(csvs[0]) == 5 and csvs[0] == csvs[1]

@@ -12,7 +12,11 @@ from twinbeam.source import (
     gen_split_coherent,
     gen_split_thermal,
     gen_twin,
+    noise_spectrum,
     quantize,
+    split_coherent_recipe,
+    synth_noise,
+    twin_recipe,
 )
 from twinbeam.trace import DigitizerSpec, SourceParams, Trace, TracePair
 
@@ -44,6 +48,39 @@ class TestDeterminism:
         for gen in (gen_split_thermal, gen_split_coherent):
             assert np.array_equal(gen(p, small_spec, 5).a.samples,
                                   gen(p, small_spec, 5).a.samples)
+
+
+class TestSpectra:
+    def test_slice_equals_slice_of_full_spectrum(self):
+        psd = lambda f: 1.0 / (1.0 + f / 1e6)
+        for n in (1000, 1001):
+            full = noise_spectrum(np.random.default_rng(3), n, 2e9, psd)
+            for bins in (slice(0, 7), slice(40, 90), slice(490, None)):
+                part = noise_spectrum(np.random.default_rng(3), n, 2e9, psd, bins)
+                assert np.array_equal(part, full[bins])
+            assert np.array_equal(synth_noise(np.random.default_rng(3), n, 2e9, psd),
+                                  np.fft.irfft(full, n))
+
+    def test_arm_spectra_and_difference_match_the_records(self, small_spec):
+        recipe = twin_recipe(SourceParams(), small_spec, seed=10)
+        pair = recipe.traces()
+        spectra = recipe.noise_spectra()
+        a, b = recipe.arm_spectra(spectra)
+        scale = pair.a.samples.std()
+        for arm, trace in ((a, pair.a), (b, pair.b)):
+            assert np.abs(np.fft.irfft(arm, small_spec.n_samples)
+                          - trace.samples).max() < 1e-12 * scale
+        diff = pair.a.samples - pair.b.samples
+        assert np.abs(recipe.difference(spectra) - diff).max() < 1e-12 * scale
+
+    def test_coherent_pair_accepts_a_shot_limited_source(self, small_spec):
+        quiet = SourceParams(squeezing_db=0.0, excess_noise_db=0.0)
+        with pytest.raises(InvalidParams):
+            gen_twin(quiet, small_spec, seed=1)
+        pair = gen_split_coherent(quiet, small_spec, seed=1)
+        assert pair.a.shot_psd == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
+        assert np.array_equal(split_coherent_recipe(quiet, small_spec, 1).traces().b.samples,
+                              pair.b.samples)
 
 
 class TestTwinStatistics:
