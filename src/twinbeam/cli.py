@@ -31,7 +31,7 @@ from .io import load_curve, load_trace, save_curve, save_spectrum, save_trace
 from .mi import mi_delay_scan, normalize_curve
 from .model import G_closed, G_numeric, fit_channel, fit_gaussian
 from .pipeline import run_pipeline
-from .source import gen_split_coherent, gen_split_thermal, gen_twin
+from .source import RECIPES, gen_split_coherent
 from .trace import ChannelParams, SourceParams, TracePair
 
 
@@ -79,13 +79,9 @@ def _run_config(args) -> RunConfig:
     return RunConfig.from_dict(d)
 
 
-_GENERATORS = {"twin": gen_twin, "split-thermal": gen_split_thermal,
-               "split-coherent": gen_split_coherent}
-
-
 def _cmd_simulate(args) -> int:
     config = _run_config(args)
-    pair = _GENERATORS[args.generator](config.source, config.spec, config.seed)
+    pair = RECIPES[args.generator](config.source, config.spec, config.seed).traces()
     save_trace(pair.a, args.out_a, encoding=args.encoding)
     save_trace(pair.b, args.out_b, encoding=args.encoding)
     print(f"wrote {args.out_a} and {args.out_b} ({args.generator}, seed {config.seed})")
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic trace pairs")
-    p.add_argument("--scenario", dest="generator", choices=tuple(_GENERATORS),
+    p.add_argument("--scenario", dest="generator", choices=tuple(RECIPES),
                    default="twin")
     _add_run_args(p, "--seed", "--sample-rate-gsps", "--n-samples", *_SOURCE_FLAGS)
     p.add_argument("--encoding", choices=("f64le", "u8"), default="f64le")

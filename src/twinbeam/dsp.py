@@ -6,11 +6,14 @@ outside it, with raised-cosine transitions of 200 kHz placed just inside the
 band edges.  A real symmetric mask has zero group delay at every frequency,
 so filtering cannot shift the MI peak.
 
+One definition serves both kinds of record: ``band_bins`` gives the rfft
+bins a band covers on an n-point grid and the mask on them, and
+``band_record`` inverse-transforms a spectrum that is zero off those bins.
 ``bandpass`` filters a stored record, which is not periodic: it pads the
-record by reflection, masks the padded record's rfft and crops.  A generated
-record is periodic, so its filtered form is the inverse rfft of the mask
-times its spectrum on the record's own grid (``band_bins``,
-``band_record``); only the bins inside the band are nonzero.
+record by reflection, masks the padded record's rfft on its ``n_fft`` grid
+and crops, so a record needs more than 2 x FILTER_PAD samples.  A generated
+record is periodic, so its filtered form is the same mask on the record's
+own grid (``pipeline.run_pipeline``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "FILTER_PAD",
     "band_mask",
     "check_band",
-    "filter_guard",
     "bandpass",
     "band_bins",
     "band_record",
@@ -47,12 +49,13 @@ FILTER_PAD = 32768
 SEGMENT_LENGTH: int = 2 ** 14
 
 
-def band_mask(freqs: np.ndarray, f_lo: float, f_hi: float,
-              width: float = TRANSITION_WIDTH_HZ) -> np.ndarray:
+def band_mask(freqs: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
     """Real zero-phase band-pass mask with raised-cosine transitions.
 
-    Zero outside [f_lo, f_hi], unity on [f_lo + width, f_hi - width].
+    Zero outside [f_lo, f_hi], unity on [f_lo + width, f_hi - width], where
+    width is TRANSITION_WIDTH_HZ.
     """
+    width = TRANSITION_WIDTH_HZ
     f = np.asarray(freqs, dtype=np.float64)
     h = np.zeros_like(f)
     h[(f >= f_lo + width) & (f <= f_hi - width)] = 1.0
@@ -73,32 +76,27 @@ def check_band(f_lo: float, f_hi: float, fs: float) -> None:
         raise InvalidBand("band narrower than twice the transition width")
 
 
-def filter_guard(n: int) -> int:
-    """Guard ``bandpass`` gives an n-sample record: its reflection padding per side."""
-    return min(FILTER_PAD, n - 1)
-
-
 def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     """Zero-phase band-pass of a trace to [f_lo, f_hi].
 
     Content outside the band is fully suppressed (the mask is identically
     zero there); the flat passband has no ripple.  The returned trace carries
-    an enlarged guard covering the filter transient at both ends.
+    a guard of FILTER_PAD, covering the filter transient at both ends, so the
+    record must be longer than twice that.
     """
-    fs = trace.spec.sample_rate
-    check_band(f_lo, f_hi, fs)
     x = trace.samples
-    pad = filter_guard(len(x))
-    xp = np.pad(x, pad, mode="reflect")
-    n_fft = sfft.next_fast_len(len(xp), real=True)
-    spec = sfft.rfft(xp, n_fft)
-    freqs = sfft.rfftfreq(n_fft, d=1.0 / fs)
-    spec *= band_mask(freqs, f_lo, f_hi)
-    y = sfft.irfft(spec, n_fft)[pad : pad + len(x)]
+    n_fft = sfft.next_fast_len(len(x) + 2 * FILTER_PAD, real=True)
+    bins, mask = band_bins(n_fft, trace.spec.sample_rate, f_lo, f_hi)
+    if len(x) <= 2 * FILTER_PAD:
+        raise InvalidParams(f"a record of {len(x)} samples is too short to band-pass: "
+                            f"its guard needs more than {2 * FILTER_PAD}")
+    xp = np.pad(x, FILTER_PAD, mode="reflect")
+    y = band_record(mask * sfft.rfft(xp, n_fft)[bins], bins, n_fft)
+    y = y[FILTER_PAD : FILTER_PAD + len(x)]
     # The mask kills DC on the padded record; cropping leaves a tiny residual
     # mean, which is re-zeroed to keep the trace contract exact.
     y = y - y.mean()
-    return trace.with_samples(y, guard=max(trace.guard, pad))
+    return trace.with_samples(y, guard=max(trace.guard, FILTER_PAD))
 
 
 def band_bins(n: int, fs: float, f_lo: float, f_hi: float) -> tuple[slice, np.ndarray]:
@@ -162,7 +160,7 @@ def check_segment(segment_length: int, n_samples: int) -> None:
 
 
 def squeezing_spectrum(difference: np.ndarray, reference: np.ndarray, fs: float,
-                       segment_length: int = SEGMENT_LENGTH) -> SpectrumEstimate:
+                       segment_length: int) -> SpectrumEstimate:
     """PSD of an intensity-difference record against a reference difference record.
 
     The squeezing curve is the dB ratio of the two Welch estimates.  The

@@ -60,6 +60,8 @@ __all__ = [
 DELAY_STEP: float = 0.5e-9
 DELAY_RANGE: float = 300e-9
 N_BINS: int = 100
+# Least samples per bin in a scan's window.
+MIN_SAMPLES_PER_BIN = 16
 
 
 @dataclass(frozen=True)
@@ -294,7 +296,7 @@ def mi_delay_scan(
     # b index inside b's guard-stripped region for all shifts.
     margin = max(pair.a.guard, pair.b.guard + max_shift)
     lo, hi = margin, n - margin
-    if hi - lo < 16 * n_bins:
+    if hi - lo < MIN_SAMPLES_PER_BIN * n_bins:
         raise InvalidParams("guards and delay range leave too few samples to bin")
 
     va = pair.a.samples[pair.a.guard : n - pair.a.guard]

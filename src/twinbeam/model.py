@@ -183,16 +183,16 @@ def G_numeric(t, eta: float, tau0: float, sigma: float, sigma0: float):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def model_fwhm(sigma0: float, sigma: float, eta: float = 1.0) -> float:
-    """Full width at half maximum of G_closed (independent of eta).
+def model_fwhm(sigma0: float, sigma: float) -> float:
+    """Full width at half maximum of G_closed (independent of eta, taken as 1).
 
     Strictly increasing in sigma at fixed sigma0, with the sigma -> 0 floor
     GAUSSIAN_FWHM_FACTOR * sigma0.
     """
-    g0 = peak_value(eta, sigma0, sigma)
+    g0 = peak_value(1.0, sigma0, sigma)
 
     def f(T):
-        return G_closed(T, eta, 0.0, sigma, sigma0) - 0.5 * g0
+        return G_closed(T, 1.0, 0.0, sigma, sigma0) - 0.5 * g0
 
     hi = 2.0 * (GAUSSIAN_FWHM_FACTOR * sigma0 + 4.0 * sigma)
     while f(hi) > 0:

@@ -22,11 +22,11 @@ from . import io as tbio
 from .channel import channel_spectrum
 from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
-from .dsp import SpectrumEstimate, band_bins, band_record, filter_guard, squeezing_spectrum
+from .dsp import FILTER_PAD, SpectrumEstimate, band_bins, band_record, squeezing_spectrum
 from .errors import TwinbeamError
 from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve
 from .model import fit_channel, fit_gaussian
-from .source import PairRecipe, split_coherent_recipe, split_thermal_recipe, twin_recipe
+from .source import RECIPES, split_coherent_recipe, twin_recipe
 from .trace import ChannelParams, MICurve, Trace, TracePair
 
 # The time-domain stages, which run_pipeline replaces by spectra; the
@@ -75,13 +75,8 @@ _CHANNELS = {
     "scatterer-only": lambda config: scatterer_only_channel(),
 }
 
-# split pairs are drawn at their own seed offsets
-_SPLIT_PAIRS = {
-    "split-thermal": lambda config, seed: split_thermal_recipe(config.source, config.spec,
-                                                               seed + 20_000),
-    "split-coherent": lambda config, seed: split_coherent_recipe(config.source, config.spec,
-                                                                 seed + 30_000),
-}
+# Seed offset of each split pair (source.RECIPES) from its twin seed.
+_SPLIT_SEED_OFFSETS = {"split-thermal": 20_000, "split-coherent": 30_000}
 
 
 class _Band(NamedTuple):
@@ -89,41 +84,18 @@ class _Band(NamedTuple):
 
     bins: slice
     mask: np.ndarray
-    guard: int   # the guard ``bandpass`` gives a record
-
-
-def _band(config: RunConfig) -> _Band:
-    n = config.spec.n_samples
-    bins, mask = band_bins(n, config.spec.sample_rate, config.f_lo, config.f_hi)
-    return _Band(bins, mask, filter_guard(n))
 
 
 def _record(config: RunConfig, band: _Band, spectrum: np.ndarray, guard: int = 0) -> Trace:
-    """The band-passed record of an arm from its spectrum over the band: one irfft."""
+    """The band-passed record of an arm from its spectrum over the band: one irfft.
+    Its guard is ``bandpass``'s, or ``guard`` if larger."""
     samples = band_record(band.mask * spectrum, band.bins, config.spec.n_samples)
-    return Trace(samples=samples, spec=config.spec, guard=max(band.guard, guard))
+    return Trace(samples=samples, spec=config.spec, guard=max(FILTER_PAD, guard))
 
 
 def _scan(config: RunConfig, a: Trace, b: Trace) -> MICurve:
     return mi_delay_scan(TracePair(a=a, b=b), step=config.delay_step,
                          range_=config.delay_range, n_bins=config.n_bins)
-
-
-def _pair_curves(config: RunConfig, band: _Band, pair: PairRecipe, spectra: list,
-                 channel: Optional[ChannelParams] = None, seed: int = 0) -> list[MICurve]:
-    """Curve of a generated pair, then its channel curve if any.
-
-    ``spectra`` are the pair's noise spectra over the band.  The channel acts
-    on arm a only (its noises drawn at ``seed + 10_000``), so both curves
-    share band-passed arm b.
-    """
-    a, b = pair.arm_spectra(spectra)
-    fb = _record(config, band, b)
-    curves = [_scan(config, _record(config, band, a), fb)]
-    if channel is not None:
-        arm, guard = channel_spectrum(pair, a, band.bins, channel, seed + 10_000)
-        curves.append(_scan(config, _record(config, band, arm, guard), fb))
-    return curves
 
 
 def _spectrum(config: RunConfig, difference: np.ndarray) -> SpectrumEstimate:
@@ -151,11 +123,17 @@ def _curve_stats(curve: MICurve) -> dict:
 def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     """Execute the configured scenario end to end and return the report.
 
-    For each seed, one twin pair gives the unobstructed curve and, when the
-    scenario has one, the channel curve (the channel acts on arm a, so both
-    share band-passed arm b); the first seed's pair also gives the squeezing
-    spectrum.  Split-source curves draw their own pairs at seed offsets
-    20 000 (thermal) and 30 000 (coherent).
+    One pass over the seeds makes every curve a seed contributes, each
+    appended to its curve's list; the lists are averaged in report order.  A
+    seed's twin pair gives the unobstructed curve and, when the scenario has
+    one, the channel curve: the channel acts on arm a only (its noises drawn
+    at seed + 10 000), so both curves are scanned against the same
+    band-passed arm b.  Each split curve draws its own pair
+    (``source.RECIPES``) at seed + 20 000 (thermal) or seed + 30 000
+    (coherent).  The first seed's twin noises are drawn on every rfft bin,
+    not only the band's: its raw difference record gives the squeezing
+    spectrum, so the spectrum needs no pair of its own beyond the coherent
+    reference.
 
     Generated records are periodic, so no record is made only to be
     filtered: each scanned arm is formed as its spectrum over the band's rfft
@@ -189,10 +167,9 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     if channel_name == "twin-channel":
         report["channel_params"] = replace(config, channel=channel).to_dict()["channel"]
 
-    # Each twin seed's noises are drawn once.  The first seed's are drawn on
-    # every bin: its raw difference record gives the squeezing spectrum.
-    band = _band(config)
-    twin_runs = []
+    band = _Band(*band_bins(config.spec.n_samples, config.spec.sample_rate,
+                            config.f_lo, config.f_hi))
+    runs = {name: [] for name in ("twin-unobstructed", channel_name, *split_names) if name}
     for seed in seeds:
         pair = twin_recipe(config.source, config.spec, seed)
         if seed == seeds[0]:
@@ -201,16 +178,20 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
             spectra = [x[band.bins].copy() for x in spectra]   # frees the full spectra
         else:
             spectra = pair.noise_spectra(band.bins)
-        twin_runs.append(_pair_curves(config, band, pair, spectra, channel, seed))
+        a, b = pair.arm_spectra(spectra)
+        fb = _record(config, band, b)
+        runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
+        if channel is not None:
+            arm, guard = channel_spectrum(pair, a, band.bins, channel, seed + 10_000)
+            runs[channel_name].append(_scan(config, _record(config, band, arm, guard), fb))
+        del fb   # no scanned arm stays while the next pair's arms are made
+        for name in split_names:
+            split = RECIPES[name](config.source, config.spec, seed + _SPLIT_SEED_OFFSETS[name])
+            arms = split.arm_spectra(split.noise_spectra(band.bins))
+            runs[name].append(_scan(config, *(_record(config, band, x) for x in arms)))
 
-    curves = {"twin-unobstructed": average_curves([run[0] for run in twin_runs])}
+    curves = {name: average_curves(run) for name, run in runs.items()}
     ref_peak = curves["twin-unobstructed"].peak
-    if channel_name:
-        curves[channel_name] = average_curves([run[1] for run in twin_runs])
-    for name in split_names:
-        pairs = [_SPLIT_PAIRS[name](config, seed) for seed in seeds]
-        curves[name] = average_curves(
-            [_pair_curves(config, band, p, p.noise_spectra(band.bins))[0] for p in pairs])
 
     # Normalize everything to the unobstructed twin peak, as the measurement does.
     normalized = {name: normalize_curve(c, ref_peak) for name, c in curves.items()}

@@ -8,11 +8,13 @@ periodic: it is the inverse rfft of its spectrum on the record's own grid.
 
 ``noise_spectrum`` is the one draw routine.  A ``PairRecipe`` names a pair's
 independent noises (each drawn from its own seed) and each arm's weights on
-them.  ``PairRecipe.traces`` synthesizes the records (``gen_*`` return it);
-``noise_spectra`` and ``arm_spectra`` give the same records' spectra over a
-slice of bins from the same draws, so a caller that filters, delays or
-differences generated records can do so on the spectrum and inverse-transform
-each result once (``pipeline.run_pipeline`` does).
+them; ``RECIPES`` names the recipe of each generator (``twin``,
+``split-thermal``, ``split-coherent``).  ``PairRecipe.traces`` synthesizes
+the records (``gen_*`` return it); ``noise_spectra`` and ``arm_spectra`` give
+the same records' spectra over a slice of bins from the same draws, so a
+caller that filters, delays or differences generated records can do so on
+the spectrum and inverse-transform each result once
+(``pipeline.run_pipeline`` does).
 
 Model structure for the twin pair:
 
@@ -65,6 +67,7 @@ __all__ = [
     "twin_recipe",
     "split_thermal_recipe",
     "split_coherent_recipe",
+    "RECIPES",
     "gen_twin",
     "gen_split_thermal",
     "gen_split_coherent",
@@ -277,8 +280,7 @@ def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
 
 
 def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
-                          noise_bandwidth: Optional[float] = None,
-                          identical: bool = False) -> PairRecipe:
+                          noise_bandwidth: Optional[float] = None) -> PairRecipe:
     """Two independent shot-noise-limited arms; see ``gen_split_coherent``.
 
     A coherent pair has no shared spectrum, so any source is accepted.
@@ -286,16 +288,17 @@ def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
     nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
     shot_a, shot_b = _shot_psds(params, nbw)
     own_a, own_b = np.random.SeedSequence(seed).spawn(2)
-    if identical:
-        noises = ((own_a, _white(shot_a, nbw)),)
-        weights = ((1.0,), (float(np.sqrt(shot_b / shot_a)),))
-    else:
-        noises = ((own_a, _white(shot_a, nbw)), (own_b, _white(shot_b, nbw)))
-        weights = ((1.0, 0.0), (0.0, 1.0))
     return PairRecipe(
-        spec=spec, noise_bandwidth=nbw, noises=noises, weights=weights,
+        spec=spec, noise_bandwidth=nbw,
+        noises=((own_a, _white(shot_a, nbw)), (own_b, _white(shot_b, nbw))),
+        weights=((1.0, 0.0), (0.0, 1.0)),
         arms=(Arm("coherent-A", MEAN_LEVEL_A, shot_a),
               Arm("coherent-B", _mean_level_b(params), shot_b)))
+
+
+# Recipe of each generated pair by name, called as (params, spec, seed).
+RECIPES = {"twin": twin_recipe, "split-thermal": split_thermal_recipe,
+           "split-coherent": split_coherent_recipe}
 
 
 def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
@@ -324,14 +327,9 @@ def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
 
 
 def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int,
-                       noise_bandwidth: Optional[float] = None,
-                       identical: bool = False) -> TracePair:
-    """Two independent shot-noise-limited traces at the configured powers.
-
-    ``identical`` is a debug switch duplicating one realization into both
-    arms (the perfect-correlation limit for estimator checks).
-    """
-    return split_coherent_recipe(params, spec, seed, noise_bandwidth, identical).traces()
+                       noise_bandwidth: Optional[float] = None) -> TracePair:
+    """Two independent shot-noise-limited traces at the configured powers."""
+    return split_coherent_recipe(params, spec, seed, noise_bandwidth).traces()
 
 
 class QuantizeResult(NamedTuple):

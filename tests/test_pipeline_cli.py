@@ -86,6 +86,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(d).check()
 
+    def test_check_refuses_records_too_short_to_scan(self):
+        # 2 x (32 768 band-pass guard + 600 largest shift) + 16 x 100 bins
+        with pytest.raises(ConfigError, match="digitizer.n_samples 68335 .* at least 68336"):
+            RunConfig(spec=DigitizerSpec(n_samples=68_335)).check()
+        RunConfig(spec=DigitizerSpec(n_samples=68_336)).check()
+
+    @pytest.mark.parametrize("n", [32_768, 66_000])
+    def test_short_record_pipeline_fails_before_any_draw(self, n, monkeypatch):
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        with pytest.raises(ConfigError, match=f"digitizer.n_samples {n} is too short"):
+            run_pipeline(RunConfig(repeats=1, spec=DigitizerSpec(n_samples=n)))
+
     def test_bad_scenario(self):
         with pytest.raises(ConfigError):
             RunConfig(scenario="bogus")
@@ -354,6 +366,16 @@ class TestCli:
         assert main(["spectrum", *short, *spectrum]) == 2
         assert main(["analyze", *slow, *scan]) == 2
 
+    def test_analyze_refuses_a_record_too_short_to_band_pass(self, tmp_path, capsys):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--n-samples", "8192", "--out-a", str(a),
+                     "--out-b", str(b)]) == 0
+        assert main(["analyze", "--trace-a", str(a), "--trace-b", str(b), "--band-mhz",
+                     "1.5:3.5", "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "a record of 8192 samples is too short to band-pass" in err
+        assert "Traceback" not in err
+
     def test_analyze_checks_the_records_own_clock(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
         assert main(["simulate", "--sample-rate-gsps", "4", "--n-samples", str(2 ** 18),
@@ -467,6 +489,12 @@ class TestPerSeedDataflow:
         seeds = [cfg.seed + r for r in range(cfg.repeats)]
         assert len(set(draws)) == len(draws)
         assert {(s, (i,)) for s in seeds for i in range(3)} <= set(draws)
+        if cfg.scenario == "all":
+            # split-thermal pairs at seed + 20 000 (3 noises), split-coherent at
+            # seed + 30 000 (2 noises)
+            split = [(s + offset, (i,)) for s in seeds
+                     for offset, k in ((20_000, 3), (30_000, 2)) for i in range(k)]
+            assert [draws.count(d) for d in split] == [1] * len(split)
         arms = {_digest(arm.samples) for pair in scanned for arm in (pair.a, pair.b)}
         assert len(set(records)) == len(records)
         assert arms == set(records)

@@ -157,9 +157,9 @@ class TestSplitCoherent:
         lags = np.concatenate([xc[:601], xc[-600:]])  # +/- 300 ns
         assert np.max(np.abs(lags)) < 5.0 / np.sqrt(n)
 
-    def test_identical_debug_switch_hits_self_mi(self, small_spec):
-        pair = gen_split_coherent(SourceParams(), small_spec, seed=36, identical=True)
-        curve = mi_delay_scan(pair, range_=5e-9, n_bins=100)
+    def test_one_record_in_both_arms_hits_self_mi(self, small_spec):
+        a = gen_split_coherent(SourceParams(), small_spec, seed=36).a
+        curve = mi_delay_scan(TracePair(a=a, b=a), range_=5e-9, n_bins=100)
         i0 = len(curve.mi) // 2
         # perfect dependence: MI equals the marginal entropy, bounded by log2(bins)
         assert curve.mi[i0] <= np.log2(100) + 1e-9
