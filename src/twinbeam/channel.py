@@ -43,12 +43,6 @@ __all__ = [
 KERNEL_TRUNCATION_SIGMAS = 12.0
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def _loss_psd(transmission: float, shot_psd, noise_bandwidth):
     """PSD of the vacuum noise a beam splitter of this transmission adds; None at t = 1."""
     if not (0.0 < transmission <= 1.0):
@@ -70,7 +64,8 @@ def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
     psd = _loss_psd(transmission, trace.shot_psd, trace.noise_bandwidth)
     if psd is None:
         return trace
-    noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate, psd)
+    noise = synth_noise(np.random.default_rng(seed), len(trace.samples),
+                        trace.spec.sample_rate, psd)
     return trace.with_samples(
         transmission * trace.samples + noise,
         mean_level=transmission * trace.mean_level,
@@ -158,14 +153,13 @@ def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
     psd = _electronic_psd(rms, trace.noise_bandwidth)
     if psd is None:
         return trace
-    noise = synth_noise(_rng(seed), len(trace.samples), trace.spec.sample_rate, psd)
+    noise = synth_noise(np.random.default_rng(seed), len(trace.samples),
+                        trace.spec.sample_rate, psd)
     return trace.with_samples(trace.samples + noise)
 
 
-def _stage_seeds(seed) -> list[np.random.SeedSequence]:
+def _stage_seeds(seed: int) -> list[np.random.SeedSequence]:
     """Seeds of the loss and electronic noises."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(2)
     return np.random.SeedSequence(seed).spawn(2)
 
 
@@ -209,11 +203,11 @@ def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
     t = params.power_transmission
     loss = _loss_psd(t, pair.arms[0].shot_psd, nbw)
     if loss is not None:
-        arm = t * arm + noise_spectrum(_rng(ss[0]), n, fs, loss, bins)
+        arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), n, fs, loss, bins)
     _, _, guard_extra = _delay_taps(params, fs, n)
     if guard_extra:
         arm = kernel_response(params, fs, n, bins) * arm
     electronic = _electronic_psd(params.electronic_noise_rms, nbw)
     if electronic is not None:
-        arm = arm + noise_spectrum(_rng(ss[1]), n, fs, electronic, bins)
+        arm = arm + noise_spectrum(np.random.default_rng(ss[1]), n, fs, electronic, bins)
     return arm, guard_extra

@@ -17,8 +17,8 @@ from typing import Optional
 
 from .channel import _delay_taps
 from .dsp import FILTER_PAD, SEGMENT_LENGTH, check_band, check_segment
-from .errors import ConfigError, DataError
-from .mi import DELAY_RANGE, DELAY_STEP, MIN_SAMPLES_PER_BIN, N_BINS, scan_grid
+from .errors import ConfigError, DataError, RecordTooShort
+from .mi import DELAY_RANGE, DELAY_STEP, N_BINS, scan_window
 from .source import DESIGN_BAND
 from .trace import ChannelParams, DigitizerSpec, SourceParams
 
@@ -156,33 +156,36 @@ class RunConfig:
 
     def check(self, *stages: str) -> "RunConfig":
         """This config, once the settings of ``stages`` ("band", "scan", "spectrum",
-        "length"; all by default) pass the stages' own checks on ``spec``; else a
-        ConfigError."""
+        "length") pass the stages' own checks on ``spec``; else a ConfigError.
+        "scan" assumes unguarded records; "length" makes the same checks with the
+        guards of the records ``run_pipeline`` generates.  By default all but "scan"."""
         checks = {"band": lambda: check_band(self.f_lo, self.f_hi, self.spec.sample_rate),
-                  "scan": lambda: scan_grid(self.delay_step, self.delay_range, self.spec),
+                  "scan": lambda: scan_window(self.spec, self.delay_step, self.delay_range,
+                                              self.n_bins, 0, 0),
                   "spectrum": lambda: check_segment(self.segment_length, self.spec.n_samples),
                   "length": self._check_length}
         try:
-            for stage in stages or checks:
+            for stage in stages or ("band", "length", "spectrum"):
                 checks[stage]()
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
         return self
 
     def _check_length(self) -> None:
-        """Refuse generated records too short to hold each scanned arm's guard
-        plus the scan's largest shift on both sides and ``mi_delay_scan``'s
-        least window.  An arm's guard is the band-pass's or, on a channel arm,
-        the kernel's; the scatterer-only kernel is a zero delay and adds none."""
-        n, fs = self.spec.n_samples, self.spec.sample_rate
-        step_samples, n_steps = scan_grid(self.delay_step, self.delay_range, self.spec)
-        guard = FILTER_PAD
+        """Refuse generated records too short for the strictest curve the scenario
+        scans (``mi.scan_window``).  An arm's guard is the band-pass's or, on a
+        channel arm, the kernel's if larger; the scatterer-only kernel is a zero
+        delay and adds none."""
+        n, guard_a = self.spec.n_samples, FILTER_PAD
         if SCENARIOS[self.scenario][0] == "twin-channel":
-            guard = max(guard, _delay_taps(self.channel or ChannelParams(), fs, n)[2])
-        least = 2 * (guard + n_steps * step_samples) + MIN_SAMPLES_PER_BIN * self.n_bins
-        if n < least:
-            raise ConfigError(f"digitizer.n_samples {n} is too short: the band-pass guard, "
-                              f"delay range and bins need at least {least}")
+            kernel = _delay_taps(self.channel or ChannelParams(), self.spec.sample_rate, n)[2]
+            guard_a = max(guard_a, kernel)
+        try:
+            scan_window(self.spec, self.delay_step, self.delay_range, self.n_bins,
+                        guard_a, FILTER_PAD)
+        except RecordTooShort as exc:
+            raise ConfigError(f"digitizer.n_samples {n} is too short: the arms' guards, "
+                              f"delay range and bins need at least {exc.least}") from exc
 
     def to_dict(self) -> dict:
         """JSON form; a None channel or outdir is left out."""

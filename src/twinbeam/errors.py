@@ -17,6 +17,14 @@ class InvalidParams(ConfigError):
     pass
 
 
+class RecordTooShort(InvalidParams):
+    """A record is too short for a delay scan; ``least`` samples would do."""
+
+    def __init__(self, message: str, least: int):
+        super().__init__(message)
+        self.least = least
+
+
 class InvalidTransmission(ConfigError):
     pass
 

@@ -6,11 +6,13 @@ range, forms the joint 2-D histogram, and evaluates
     I = sum P(i,j) log2( P(i,j) / (P(i) P(j)) )
 
 with marginals taken from the joint histogram, which guarantees I >= 0 and
-finiteness (0 log 0 = 0).  ``mi_delay_scan`` is the hot path: bin indices are
-computed once per trace, and one joint histogram is updated exactly as b's
-window slides one sample at a time (only samples where b's bin index changes
-move a count), or rebuilt densely at a shift where that update would touch
-more samples than a rebuild costs.
+finiteness (0 log 0 = 0).  ``mi_delay_scan`` is the hot path: each trace is
+binned once, straight into the histogram's cell type (the narrowest unsigned
+type that holds a flat cell index), and one joint histogram is updated
+exactly as b's window slides one sample at a time (only samples where b's bin
+index changes move a count), or rebuilt densely at a shift where that update
+would touch more samples than a rebuild costs.  ``scan_window`` is the one
+rule for a scan's grid and a's window; ``RunConfig.check`` asks it too.
 
 Scan conventions:
 
@@ -40,6 +42,7 @@ from .errors import (
     InvalidParams,
     NonpositiveReference,
     NoPeak,
+    RecordTooShort,
     StepNotSampleAligned,
 )
 from .trace import DigitizerSpec, MICurve, Trace, TracePair, validate_pair
@@ -49,6 +52,7 @@ __all__ = [
     "histogram2d",
     "mi_from_hist",
     "mi_delay_scan",
+    "scan_window",
     "average_curves",
     "normalize_curve",
     "fwhm",
@@ -98,25 +102,25 @@ def _as_samples(x: Union[Trace, np.ndarray]) -> np.ndarray:
 _BIN_BLOCK = 1 << 16
 
 
-def _bin_indices(v: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+def _bin_indices(v: np.ndarray, n_bins: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width bin index of every sample over the array's own range.
 
-    Returns the indices and the n_bins + 1 bin edges.  The top edge closes
-    the last bin, so every finite sample lands in exactly one of the n_bins
-    cells.
+    Returns the indices, of ``dtype`` (the joint histogram's cell type, which
+    holds any flat cell index), and the n_bins + 1 bin edges.  The top edge closes the
+    last bin, so every finite sample lands in exactly one of the n_bins cells.
     """
     lo = float(v.min())
     hi = float(v.max())
     if not hi > lo:
         raise DegenerateRange("trace has zero dynamic range; cannot bin")
     scale = n_bins / (hi - lo)
-    idx = np.empty(len(v), dtype=np.int64)
+    idx = np.empty(len(v), dtype=dtype)
     buf = np.empty(min(len(v), _BIN_BLOCK))
     for start in range(0, len(v), _BIN_BLOCK):
         out = idx[start : start + _BIN_BLOCK]
         t = np.subtract(v[start : start + _BIN_BLOCK], lo, out=buf[: len(out)])
         np.multiply(t, scale, out=out, casting="unsafe")  # truncates like astype
-        np.clip(out, 0, n_bins - 1, out=out)
+        np.minimum(out, n_bins - 1, out=out)   # t >= 0, so only the top edge
     return idx, np.linspace(lo, hi, n_bins + 1)
 
 
@@ -133,8 +137,9 @@ def histogram2d(a, b, n_bins_a: int = N_BINS, n_bins_b: int = N_BINS) -> JointHi
         raise InvalidParams(f"records differ in length: {len(va)} vs {len(vb)}")
     if len(va) == 0:
         raise EmptyHistogram("no samples to histogram")
-    ia, edges_a = _bin_indices(va, n_bins_a)
-    ib, edges_b = _bin_indices(vb, n_bins_b)
+    cell = np.min_scalar_type(n_bins_a * n_bins_b - 1)
+    ia, edges_a = _bin_indices(va, n_bins_a, cell)
+    ib, edges_b = _bin_indices(vb, n_bins_b, cell)
     ia *= n_bins_b
     ia += ib
     flat = np.bincount(ia, minlength=n_bins_a * n_bins_b)
@@ -197,7 +202,9 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
 
     Shift ``s`` pairs ``ia[i]`` (a's fixed window) with
     ``ib[b_starts[s] + i]`` for ``i < n_win``; ``b_starts`` must be
-    non-increasing.  Returns MI in bits per shift.
+    non-increasing.  Both index arrays hold the cell type of ``m`` x ``m``
+    cells: less memory traffic than a wider type makes a walk step about a
+    third faster and a rebuild a fifth.  Returns MI in bits per shift.
 
     Moving b's window start from ``b`` to ``b - 1`` re-pairs a sample of a
     with a different bin only where b's bin index changes, i.e. at the
@@ -211,11 +218,7 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
     steps rebuild.  Counts stay exact integers either way, so every curve
     equals the dense rebuild's bit for bit.
     """
-    # narrowest type that holds a flat cell index: less memory traffic
-    # makes a walk step about a third faster and a rebuild a fifth
-    cell = np.min_scalar_type(m * m - 1)
-    ia_m = ia.astype(cell) * m
-    ib = ib.astype(cell)
+    ia_m = ia * m
     bp = np.flatnonzero(ib[1:] != ib[:-1]) + 1
     leave, enter = ib[bp], ib[bp - 1]
     # breakpoints in the window at every start the scan steps from
@@ -247,31 +250,39 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
     return out
 
 
-def _resolve_step_samples(step: float, sample_rate: float) -> int:
-    ratio = step * sample_rate
-    k = int(round(ratio))
-    if k < 1 or abs(ratio - k) > 1e-6:
+def scan_window(spec: DigitizerSpec, step: float, range_: float, n_bins: int,
+                guard_a: int, guard_b: int) -> tuple[slice, np.ndarray]:
+    """A's window and the shifts, in samples, of a scan over records of ``spec``.
+
+    A's window is the fixed part of its record that keeps a's guard, and b's
+    guard at every shift, outside the histogram: it leaves
+    max(guard_a, guard_b + largest shift) samples on each side and must hold
+    ``MIN_SAMPLES_PER_BIN`` samples per bin.  Raises StepNotSampleAligned
+    unless the step is a whole number of sample periods, InvalidParams unless
+    the range covers at least one step and at most a quarter of the record,
+    and RecordTooShort, naming the shortest record that passes, if the
+    window is too short.
+    """
+    ratio = step * spec.sample_rate
+    step_samples = int(round(ratio))
+    if step_samples < 1 or abs(ratio - step_samples) > 1e-6:
         raise StepNotSampleAligned(
             f"step {step:g} s is not an integer multiple of the sample period "
-            f"{1.0 / sample_rate:g} s"
+            f"{1.0 / spec.sample_rate:g} s"
         )
-    return k
-
-
-def scan_grid(step: float, range_: float, spec: DigitizerSpec) -> tuple[int, int]:
-    """Samples per delay step and steps per side of a scan over ``spec``.
-
-    Raises StepNotSampleAligned unless the step is a whole number of sample
-    periods, and InvalidParams unless the range covers at least one step and
-    at most a quarter of the record duration.
-    """
-    step_samples = _resolve_step_samples(step, spec.sample_rate)
     n_steps = int(np.floor(range_ / step + 1e-9))
     if n_steps < 1:
         raise InvalidParams("delay range must cover at least one step")
     if range_ > 0.25 * spec.duration:
         raise InvalidParams("delay range must be small compared with the trace duration")
-    return step_samples, n_steps
+    shifts = np.arange(-n_steps, n_steps + 1, dtype=np.int64) * step_samples
+    margin = max(guard_a, guard_b + int(shifts[-1]))
+    least = 2 * margin + MIN_SAMPLES_PER_BIN * n_bins
+    if spec.n_samples < least:
+        raise RecordTooShort(
+            f"a record of {spec.n_samples} samples is too short: the guards, "
+            f"delay range and bins need at least {least}", least)
+    return slice(margin, spec.n_samples - margin), shifts
 
 
 def mi_delay_scan(
@@ -282,39 +293,24 @@ def mi_delay_scan(
 ) -> MICurve:
     """MI versus relative delay over [-range_, +range_].
 
-    Each shift is a histogram over the overlap of the two guard-stripped
-    records.  One histogram is updated exactly from shift to shift where
-    that is cheaper than a rebuild, and rebuilt densely elsewhere.
+    Each shift is a histogram of a's window (``scan_window``) against b's
+    record shifted by the delay.  Both guard-stripped records are binned
+    once, straight into the kernel's cell type; one histogram is updated
+    exactly from shift to shift where that is cheaper than a rebuild, and
+    rebuilt densely elsewhere.
     """
     validate_pair(pair.a, pair.b)
-    fs = pair.a.spec.sample_rate
-    n = pair.a.spec.n_samples
-    step_samples, n_steps = scan_grid(step, range_, pair.a.spec)
-    max_shift = n_steps * step_samples
-
-    # Fixed window on a; b slides by the shift.  Window bounds keep every
-    # b index inside b's guard-stripped region for all shifts.
-    margin = max(pair.a.guard, pair.b.guard + max_shift)
-    lo, hi = margin, n - margin
-    if hi - lo < MIN_SAMPLES_PER_BIN * n_bins:
-        raise InvalidParams("guards and delay range leave too few samples to bin")
-
-    va = pair.a.samples[pair.a.guard : n - pair.a.guard]
-    vb = pair.b.samples[pair.b.guard : n - pair.b.guard]
-    ia_full, _ = _bin_indices(va, n_bins)
-    ib_full, _ = _bin_indices(vb, n_bins)
-    ia = np.ascontiguousarray(ia_full[lo - pair.a.guard : hi - pair.a.guard], dtype=np.int16)
-    ib = np.ascontiguousarray(ib_full, dtype=np.int16)
-
+    a, b = pair.a, pair.b
+    window, shifts = scan_window(a.spec, step, range_, n_bins, a.guard, b.guard)
+    cell = np.min_scalar_type(n_bins * n_bins - 1)
+    ia, _ = _bin_indices(a.valid(), n_bins, cell)
+    ib, _ = _bin_indices(b.valid(), n_bins, cell)
     # positive delay d: a retarded, so pair a[i] with b[i - d].
-    shifts = np.arange(-n_steps, n_steps + 1, dtype=np.int64) * step_samples
-    b_starts = (lo - pair.b.guard) - shifts
-    n_win = hi - lo
-
-    mi = _scan_kernel(ia, ib, b_starts, n_win, n_bins)
-
-    delays = shifts.astype(np.float64) / fs
-    return MICurve(delays=delays, mi=mi, spread=None, n_repeats=1, normalized=False)
+    b_starts = (window.start - b.guard) - shifts
+    mi = _scan_kernel(ia[window.start - a.guard : window.stop - a.guard], ib, b_starts,
+                      window.stop - window.start, n_bins)
+    return MICurve(delays=shifts / a.spec.sample_rate, mi=mi, spread=None, n_repeats=1,
+                   normalized=False)
 
 
 def average_curves(curves: Sequence[MICurve]) -> MICurve:

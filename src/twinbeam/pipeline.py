@@ -105,19 +105,16 @@ def _spectrum(config: RunConfig, difference: np.ndarray) -> SpectrumEstimate:
                               config.spec.sample_rate, config.segment_length)
 
 
-def _curve_stats(curve: MICurve) -> dict:
-    stats = {
-        "peak_bits" if not curve.normalized else "peak_norm": curve.peak,
-        "peak_delay_ns": curve.peak_delay * 1e9,
-        "n_repeats": curve.n_repeats,
-    }
+def _curve_stats(curve: MICurve, peak_bits: float) -> dict:
+    """Report entry of an averaged curve normalized to the unobstructed peak."""
     try:
-        stats["fwhm_ns"] = fwhm(curve) * 1e9
+        width = fwhm(curve) * 1e9
     except TwinbeamError:
-        stats["fwhm_ns"] = None
-    if curve.spread is not None:
-        stats["peak_spread"] = float(curve.spread[int(np.argmax(curve.mi))])
-    return stats
+        width = None
+    return {"peak_norm": curve.peak, "peak_delay_ns": curve.peak_delay * 1e9,
+            "n_repeats": curve.n_repeats, "fwhm_ns": width,
+            "peak_spread": float(curve.spread[int(np.argmax(curve.mi))]),
+            "peak_bits": peak_bits, "at_noise_floor": bool(curve.peak < 0.02)}
 
 
 def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
@@ -174,8 +171,11 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         pair = twin_recipe(config.source, config.spec, seed)
         if seed == seeds[0]:
             spectra = pair.noise_spectra()
-            est = _spectrum(config, pair.difference(spectra))
-            spectra = [x[band.bins].copy() for x in spectra]   # frees the full spectra
+            difference = pair.difference(spectra)
+            # free the full spectra before _spectrum draws the reference pair
+            spectra = [x[band.bins].copy() for x in spectra]
+            est = _spectrum(config, difference)
+            del difference
         else:
             spectra = pair.noise_spectra(band.bins)
         a, b = pair.arm_spectra(spectra)
@@ -196,10 +196,7 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     # Normalize everything to the unobstructed twin peak, as the measurement does.
     normalized = {name: normalize_curve(c, ref_peak) for name, c in curves.items()}
     for name, curve in normalized.items():
-        stats = _curve_stats(curve)
-        stats["peak_bits"] = curves[name].peak
-        stats["at_noise_floor"] = bool(curve.peak < 0.02)
-        report["scenarios"][name] = stats
+        report["scenarios"][name] = _curve_stats(curve, curves[name].peak)
 
     if gaussian_fit:
         gfit = fit_gaussian(normalized["twin-unobstructed"])

@@ -60,10 +60,12 @@ class TestHistogram2d:
             idx = ((v - lo) * (m / (hi - lo))).astype(np.int64)
             return np.clip(idx, 0, m - 1), np.linspace(lo, hi, m + 1)
 
-        h = histogram2d(x, y, 37, 50)
-        (ia, ea), (ib, eb) = whole(x, 37), whole(y, 50)
-        assert np.array_equal(h.counts.ravel(), np.bincount(ia * 50 + ib, minlength=37 * 50))
-        assert np.array_equal(h.edges_a, ea) and np.array_equal(h.edges_b, eb)
+        # bin indices are binned as the narrowest cell type: uint8, uint16, uint32
+        for ma, mb in [(37, 50), (10, 10), (300, 7), (300, 300)]:
+            h = histogram2d(x, y, ma, mb)
+            (ia, ea), (ib, eb) = whole(x, ma), whole(y, mb)
+            assert np.array_equal(h.counts.ravel(), np.bincount(ia * mb + ib, minlength=ma * mb))
+            assert np.array_equal(h.edges_a, ea) and np.array_equal(h.edges_b, eb)
 
     def test_uniform_independent_cell_occupancy(self):
         rng = np.random.default_rng(42)
@@ -202,11 +204,17 @@ class TestDelayScan:
         ref = mi_from_hist(histogram2d(x[4:-4], y[4:-4], 100, 100))
         assert curve.mi[i0] == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "lowpassed, step",
-        [(True, 0.5e-9), (True, 1.0e-9), (True, 5e-9), (False, 0.5e-9)],
-    )
-    def test_every_shift_matches_public_estimator(self, lowpassed, step):
+    @pytest.mark.parametrize("lowpassed, step, n_bins", [
+        pytest.param(True, 0.5e-9, 100, id="True-5e-10"),
+        pytest.param(True, 1.0e-9, 100, id="True-1e-09"),
+        pytest.param(True, 5e-9, 100, id="True-5e-09"),
+        pytest.param(False, 0.5e-9, 100, id="False-5e-10"),
+        # the kernel's cell type is uint8 up to 16 bins, uint32 past 256
+        pytest.param(True, 0.5e-9, 10, id="True-5e-10-10bins"),
+        pytest.param(True, 0.5e-9, 300, id="True-5e-10-300bins"),
+        pytest.param(False, 0.5e-9, 300, id="False-5e-10-300bins"),
+    ])
+    def test_every_shift_matches_public_estimator(self, lowpassed, step, n_bins):
         # low-passed traces hold each of 100 bins for about 13 samples, as
         # band-passed records do, so at 1- and 2-sample steps the scan updates
         # its histogram; at a 10-sample step, or on white noise, it rebuilds
@@ -223,13 +231,13 @@ class TestDelayScan:
             top = 1.01 * np.abs(v).max()
             v[n // 2], v[n // 2 + 1] = top, -top
         pair = _scan_pair(x, y, guard=guard)
-        curve = mi_delay_scan(pair, step=step, range_=20e-9)
+        curve = mi_delay_scan(pair, step=step, range_=20e-9, n_bins=n_bins)
         shifts = np.rint(curve.delays * 2e9).astype(np.int64)
         lo, hi = guard + shifts[-1], n - guard - shifts[-1]
         a, b = pair.a.samples, pair.b.samples
         for d, got in zip(shifts, curve.mi):
             # positive delay d pairs a[i] with b[i - d]
-            ref = mi_from_hist(histogram2d(a[lo:hi], b[lo - d : hi - d], 100, 100))
+            ref = mi_from_hist(histogram2d(a[lo:hi], b[lo - d : hi - d], n_bins, n_bins))
             assert got == pytest.approx(ref, abs=1e-12)
 
 

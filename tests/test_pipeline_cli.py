@@ -7,16 +7,16 @@ import pytest
 import twinbeam.cli as cli
 import twinbeam.pipeline as pipeline
 import twinbeam.source as source
-from twinbeam.channel import apply_channel
+from twinbeam.channel import _delay_taps, apply_channel
 from twinbeam.cli import main
 from twinbeam.config import RunConfig
-from twinbeam.errors import ConfigError
+from twinbeam.errors import ConfigError, RecordTooShort
 from twinbeam.io import load_trace, save_curve
 from twinbeam.pipeline import default_channel, run_pipeline, scatterer_only_channel
-from twinbeam.dsp import bandpass
+from twinbeam.dsp import FILTER_PAD, bandpass
 from twinbeam.mi import mi_delay_scan
 from twinbeam.source import gen_split_coherent, gen_split_thermal, gen_twin
-from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
+from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, Trace, TracePair
 
 
 def small_config(**kw):
@@ -91,6 +91,28 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="digitizer.n_samples 68335 .* at least 68336"):
             RunConfig(spec=DigitizerSpec(n_samples=68_335)).check()
         RunConfig(spec=DigitizerSpec(n_samples=68_336)).check()
+
+    @pytest.mark.parametrize("channel, least", [(None, 68_336),
+                                                (ChannelParams(sigma=1e-6), 97_862)])
+    def test_check_and_scan_agree_on_the_shortest_record(self, channel, least):
+        # a's guard is the channel kernel's where that passes the band-pass's
+        # (48 131 samples at sigma = 1 us); b's is the band-pass's
+        for n in (least - 1, least):
+            spec = DigitizerSpec(n_samples=n)
+            kernel = _delay_taps(channel or ChannelParams(), spec.sample_rate, n)[2]
+            rng = np.random.default_rng(n)
+            a, b = (Trace.from_raw(rng.standard_normal(n), spec, guard=guard)
+                    for guard in (max(FILTER_PAD, kernel), FILTER_PAD))
+            pair = TracePair(a=a, b=b)
+            config = RunConfig(channel=channel, spec=spec)
+            if n < least:
+                with pytest.raises(ConfigError, match=f"n_samples {n} is .* at least {least}"):
+                    config.check()
+                with pytest.raises(RecordTooShort, match=f"at least {least}"):
+                    mi_delay_scan(pair)
+            else:
+                config.check()
+                assert len(mi_delay_scan(pair).mi) == 1201
 
     @pytest.mark.parametrize("n", [32_768, 66_000])
     def test_short_record_pipeline_fails_before_any_draw(self, n, monkeypatch):
