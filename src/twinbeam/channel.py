@@ -30,6 +30,7 @@ from .trace import ChannelParams, Trace, TracePair
 __all__ = [
     "KERNEL_TRUNCATION_SIGMAS",
     "discretize_kernel",
+    "delay_taps",
     "apply_loss",
     "apply_is_delay",
     "apply_electronic_noise",
@@ -87,7 +88,7 @@ def discretize_kernel(sample_rate: float, tau0: float, sigma: float):
     return taps, k_min
 
 
-def _delay_taps(params: ChannelParams, sample_rate: float, n: int):
+def delay_taps(params: ChannelParams, sample_rate: float, n: int):
     """The delay kernel on an n-sample record: taps, lag of the first tap, guard added.
 
     A kernel narrower than one sample degenerates to one unit tap at the
@@ -116,7 +117,7 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     A kernel narrower than one sample degenerates to a pure integer delay.
     """
     n = len(trace.samples)
-    taps, k_min, guard_extra = _delay_taps(params, trace.spec.sample_rate, n)
+    taps, k_min, guard_extra = delay_taps(params, trace.spec.sample_rate, n)
     if guard_extra == 0:
         return trace
     if len(taps) == 1:
@@ -180,7 +181,7 @@ def kernel_response(params: ChannelParams, sample_rate: float, n: int,
     a phase ramp in the delta-kernel limit.  It costs one pass over the bins
     per tap, so ask only for the bins in use.
     """
-    taps, k_min, _ = _delay_taps(params, sample_rate, n)
+    taps, k_min, _ = delay_taps(params, sample_rate, n)
     k = np.arange(*bins.indices(n // 2 + 1))
     w = np.exp(-2j * np.pi * k / n)
     h = np.zeros(len(k), dtype=np.complex128)
@@ -190,13 +191,14 @@ def kernel_response(params: ChannelParams, sample_rate: float, n: int,
 
 
 def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
-                     params: ChannelParams, seed) -> tuple[np.ndarray, int]:
+                     params: ChannelParams, seed) -> np.ndarray:
     """``apply_channel``'s arm a of a generated pair, as its rfft over ``bins``.
 
     ``arm`` is the rfft of the pair's arm a over ``bins``.  Returns
-    H * (t * arm + L) + E and the guard the delay adds: the loss noise L and
-    the electronic noise E come from the seeds ``apply_channel`` uses, and H
-    is ``kernel_response``.  Checks what ``apply_channel`` checks.
+    H * (t * arm + L) + E: the loss noise L and the electronic noise E come
+    from the seeds ``apply_channel`` uses, and H is ``kernel_response``.
+    Checks what ``apply_channel`` checks; ``delay_taps`` gives the guard the
+    delay adds.
     """
     n, fs, nbw = pair.spec.n_samples, pair.spec.sample_rate, pair.noise_bandwidth
     ss = _stage_seeds(seed)
@@ -204,10 +206,9 @@ def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
     loss = _loss_psd(t, pair.arms[0].shot_psd, nbw)
     if loss is not None:
         arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), n, fs, loss, bins)
-    _, _, guard_extra = _delay_taps(params, fs, n)
-    if guard_extra:
+    if delay_taps(params, fs, n)[2]:
         arm = kernel_response(params, fs, n, bins) * arm
     electronic = _electronic_psd(params.electronic_noise_rms, nbw)
     if electronic is not None:
         arm = arm + noise_spectrum(np.random.default_rng(ss[1]), n, fs, electronic, bins)
-    return arm, guard_extra
+    return arm

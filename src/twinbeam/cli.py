@@ -19,16 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .config import RunConfig, SCENARIO_CHOICES, read_json
 from .design import matched_transmission
-from .dsp import bandpass, difference_spectrum
+from .dsp import FILTER_PAD, bandpass, check_segment, difference_spectrum
 from .errors import ConfigError, DataError, FitError, TwinbeamError
 from .io import load_curve, load_trace, save_curve, save_spectrum, save_trace
-from .mi import mi_delay_scan, normalize_curve
+from .mi import mi_delay_scan, normalize_curve, scan_window
 from .model import G_closed, G_numeric, fit_channel, fit_gaussian
 from .pipeline import run_pipeline
 from .source import RECIPES, gen_split_coherent
@@ -67,7 +66,7 @@ def _add_run_args(p: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _run_config(args) -> RunConfig:
-    """--config's JSON form, if any, under the run flags given; stages are unchecked."""
+    """--config's JSON form, if any, under the run flags given; each command checks its stages."""
     path = getattr(args, "config", None)
     d = read_json(path) if path else {}
     for key, _ in _RUN_FLAGS.values():
@@ -89,12 +88,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # a rate given reads CSV traces; bandpass checks a band given, so only the scan here
-    rate = getattr(args, "digitizer.sample_rate_gsps", 0) * 1e9 or None
+    config = _run_config(args)
+    rate = config.spec.sample_rate if hasattr(args, "digitizer.sample_rate_gsps") else None
     pair = TracePair(a=load_trace(args.trace_a, sample_rate=rate),
                      b=load_trace(args.trace_b, sample_rate=rate))
-    config = replace(_run_config(args), spec=pair.a.spec).check("scan")
-    if hasattr(args, "band_mhz"):
+    band = hasattr(args, "band_mhz")
+    # the scan's check, before any filtering, with the guards the scanned records carry
+    guards = [max(t.guard, FILTER_PAD) if band else t.guard for t in (pair.a, pair.b)]
+    scan_window(pair.a.spec, config.delay_step, config.delay_range, config.n_bins, *guards)
+    if band:
         pair = TracePair(a=bandpass(pair.a, config.f_lo, config.f_hi),
                          b=bandpass(pair.b, config.f_lo, config.f_hi))
     curve = mi_delay_scan(pair, step=config.delay_step, range_=config.delay_range,
@@ -107,7 +109,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
-    config = replace(_run_config(args), spec=pair.a.spec).check("spectrum")
+    config = _run_config(args)
+    check_segment(config.segment_length, pair.a.spec.n_samples)
     if args.ref_a and args.ref_b:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
     else:
@@ -121,7 +124,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    curve = load_curve(args.curve, normalized=args.normalized)
+    curve = load_curve(args.curve)
     if args.mode == "gaussian":
         out = fit_gaussian(curve).to_report()
     else:
@@ -211,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma0-ns", type=float, default=None)
     p.add_argument("--reference-peak", type=float, default=None,
                    help="normalize the curve by this peak before the channel fit")
-    p.add_argument("--normalized", action="store_true",
-                   help="curve is already normalized to the reference peak")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("oracle-check", help="closed form vs quadrature sweep")

@@ -4,7 +4,8 @@ Internally everything is SI (seconds, Hz, W); the JSON form and the CLI
 speak ns, MHz, mW, GS/s and dB.  The schema tables below are the one place
 that names each JSON key, the field it sets and its unit; they drive
 ``to_dict``, ``from_dict`` and the unknown-key check.  A missing key keeps
-its field's dataclass default.
+its field's dataclass default.  This module is only the schema; the command
+that runs a stage asks the stage's own check whether settings fit a record.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .channel import _delay_taps
-from .dsp import FILTER_PAD, SEGMENT_LENGTH, check_band, check_segment
-from .errors import ConfigError, DataError, RecordTooShort
-from .mi import DELAY_RANGE, DELAY_STEP, N_BINS, scan_window
+from .dsp import SEGMENT_LENGTH
+from .errors import ConfigError
+from .mi import DELAY_RANGE, DELAY_STEP, N_BINS
 from .source import DESIGN_BAND
 from .trace import ChannelParams, DigitizerSpec, SourceParams
 
@@ -127,7 +127,7 @@ _RUN = (
 
 @dataclass
 class RunConfig:
-    """Settings of one reproducible pipeline run; ``check`` fits them to the digitizer."""
+    """Settings of one reproducible pipeline run, checked only for their own shape."""
 
     scenario: str = "twin-channel"
     source: SourceParams = field(default_factory=SourceParams)
@@ -153,39 +153,6 @@ class RunConfig:
             raise ConfigError("band must satisfy 0 < f_lo < f_hi")
         if self.n_bins < 2:
             raise ConfigError("n_bins must be >= 2")
-
-    def check(self, *stages: str) -> "RunConfig":
-        """This config, once the settings of ``stages`` ("band", "scan", "spectrum",
-        "length") pass the stages' own checks on ``spec``; else a ConfigError.
-        "scan" assumes unguarded records; "length" makes the same checks with the
-        guards of the records ``run_pipeline`` generates.  By default all but "scan"."""
-        checks = {"band": lambda: check_band(self.f_lo, self.f_hi, self.spec.sample_rate),
-                  "scan": lambda: scan_window(self.spec, self.delay_step, self.delay_range,
-                                              self.n_bins, 0, 0),
-                  "spectrum": lambda: check_segment(self.segment_length, self.spec.n_samples),
-                  "length": self._check_length}
-        try:
-            for stage in stages or ("band", "length", "spectrum"):
-                checks[stage]()
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-        return self
-
-    def _check_length(self) -> None:
-        """Refuse generated records too short for the strictest curve the scenario
-        scans (``mi.scan_window``).  An arm's guard is the band-pass's or, on a
-        channel arm, the kernel's if larger; the scatterer-only kernel is a zero
-        delay and adds none."""
-        n, guard_a = self.spec.n_samples, FILTER_PAD
-        if SCENARIOS[self.scenario][0] == "twin-channel":
-            kernel = _delay_taps(self.channel or ChannelParams(), self.spec.sample_rate, n)[2]
-            guard_a = max(guard_a, kernel)
-        try:
-            scan_window(self.spec, self.delay_step, self.delay_range, self.n_bins,
-                        guard_a, FILTER_PAD)
-        except RecordTooShort as exc:
-            raise ConfigError(f"digitizer.n_samples {n} is too short: the arms' guards, "
-                              f"delay range and bins need at least {exc.least}") from exc
 
     def to_dict(self) -> dict:
         """JSON form; a None channel or outdir is left out."""

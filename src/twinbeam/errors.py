@@ -25,6 +25,14 @@ class RecordTooShort(InvalidParams):
         self.least = least
 
 
+class StepNotSampleAligned(InvalidParams):
+    """Delay step is not an integer multiple of the sample period: a setting, so exit 2."""
+
+
+class KernelTooWide(InvalidParams):
+    """Delay kernel support is comparable to the trace duration: a setting, so exit 2."""
+
+
 class InvalidTransmission(ConfigError):
     pass
 
@@ -55,14 +63,6 @@ class EmptyHistogram(DataError):
 
 class GridMismatch(DataError):
     pass
-
-
-class StepNotSampleAligned(DataError):
-    """Delay step is not an integer multiple of the sample period."""
-
-
-class KernelTooWide(DataError):
-    """Delay kernel support is comparable to the trace duration."""
 
 
 class BadMagic(DataError):

@@ -177,7 +177,7 @@ def save_curve(curve: MICurve, path) -> None:
             w.writerow([f"{d * 1e9:.6f}", f"{m:.9g}", f"{s:.9g}"])
 
 
-def load_curve(path, normalized: bool = False) -> MICurve:
+def load_curve(path) -> MICurve:
     """Read an MI curve CSV written by save_curve (or compatible)."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
@@ -187,8 +187,7 @@ def load_curve(path, normalized: bool = False) -> MICurve:
     spread = data[:, 2] if data.shape[1] > 2 else None
     if spread is not None and not np.any(spread > 0):
         spread = None
-    return MICurve(delays=delays, mi=np.maximum(mi, 0.0), spread=spread,
-                   normalized=normalized)
+    return MICurve(delays=delays, mi=np.maximum(mi, 0.0), spread=spread)
 
 
 def save_spectrum(est: SpectrumEstimate, path) -> None:

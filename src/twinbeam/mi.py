@@ -12,7 +12,8 @@ type that holds a flat cell index), and one joint histogram is updated
 exactly as b's window slides one sample at a time (only samples where b's bin
 index changes move a count), or rebuilt densely at a shift where that update
 would touch more samples than a rebuild costs.  ``scan_window`` is the one
-rule for a scan's grid and a's window; ``RunConfig.check`` asks it too.
+rule for a scan's grid and a's window; ``run_pipeline`` and ``analyze`` ask
+it first, with the guards their records will carry.
 
 Scan conventions:
 
@@ -309,8 +310,7 @@ def mi_delay_scan(
     b_starts = (window.start - b.guard) - shifts
     mi = _scan_kernel(ia[window.start - a.guard : window.stop - a.guard], ib, b_starts,
                       window.stop - window.start, n_bins)
-    return MICurve(delays=shifts / a.spec.sample_rate, mi=mi, spread=None, n_repeats=1,
-                   normalized=False)
+    return MICurve(delays=shifts / a.spec.sample_rate, mi=mi, spread=None, n_repeats=1)
 
 
 def average_curves(curves: Sequence[MICurve]) -> MICurve:
@@ -332,7 +332,6 @@ def average_curves(curves: Sequence[MICurve]) -> MICurve:
         mi=mean,
         spread=spread,
         n_repeats=len(curves),
-        normalized=all(c.normalized for c in curves),
     )
 
 
@@ -346,7 +345,6 @@ def normalize_curve(curve: MICurve, reference_peak: float) -> MICurve:
         mi=curve.mi / reference_peak,
         spread=spread,
         n_repeats=curve.n_repeats,
-        normalized=True,
     )
 
 

@@ -1,11 +1,12 @@
 """End-to-end orchestration: simulate, channel, filter, scan, average, fit.
 
-``run_pipeline`` reproduces the measurement workflow on synthetic data:
-repeated trace pairs are generated from a base seed, band-passed, delay
-scanned, averaged with one-standard-deviation spread, normalized to the
-unobstructed peak, and the channel curve is fed to the staged model fit.
-The report is a plain dict (stable, versioned schema); every number in it
-except those under ``"timing"`` is a deterministic function of (config, seed).
+``run_pipeline`` reproduces the measurement workflow on synthetic data: once
+the stages' own checks pass the settings, repeated trace pairs are generated
+from a base seed, band-passed, delay scanned, averaged with one-standard-
+deviation spread, normalized to the unobstructed peak, and the channel curve
+is fed to the staged model fit.  The report is a plain dict (stable, versioned
+schema); every number in it except those under ``"timing"`` is a
+deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import io as tbio
-from .channel import channel_spectrum
+from .channel import channel_spectrum, delay_taps
 from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
-from .dsp import FILTER_PAD, SpectrumEstimate, band_bins, band_record, squeezing_spectrum
-from .errors import TwinbeamError
-from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve
+from .dsp import (FILTER_PAD, SpectrumEstimate, band_bins, band_record, check_segment,
+                  squeezing_spectrum)
+from .errors import RecordTooShort, TwinbeamError
+from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve, scan_window
 from .model import fit_channel, fit_gaussian
 from .source import RECIPES, split_coherent_recipe, twin_recipe
 from .trace import ChannelParams, MICurve, Trace, TracePair
@@ -86,11 +88,11 @@ class _Band(NamedTuple):
     mask: np.ndarray
 
 
-def _record(config: RunConfig, band: _Band, spectrum: np.ndarray, guard: int = 0) -> Trace:
-    """The band-passed record of an arm from its spectrum over the band: one irfft.
-    Its guard is ``bandpass``'s, or ``guard`` if larger."""
+def _record(config: RunConfig, band: _Band, spectrum: np.ndarray,
+            guard: int = FILTER_PAD) -> Trace:
+    """The band-passed record of an arm from its spectrum over the band: one irfft."""
     samples = band_record(band.mask * spectrum, band.bins, config.spec.n_samples)
-    return Trace(samples=samples, spec=config.spec, guard=max(FILTER_PAD, guard))
+    return Trace(samples=samples, spec=config.spec, guard=guard)
 
 
 def _scan(config: RunConfig, a: Trace, b: Trace) -> MICurve:
@@ -142,11 +144,25 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     squeezing spectrum's difference records are one irfft each, of the
     difference of the arms' spectra.  With an output directory,
     writes per-scenario curve CSVs, the squeezing spectrum CSV, and
-    report.json.  Every stage runs, so every setting is checked against the
-    digitizer (``RunConfig.check``) before any trace is made.
+    report.json.  Every stage runs, so before the first draw ``band_bins``
+    checks the band, ``check_segment`` the Welch segment and ``mi.scan_window``
+    the scan, with the guards the scanned arms carry.
     """
     t0 = time.time()
-    config.check()
+    n, fs = config.spec.n_samples, config.spec.sample_rate
+    band = _Band(*band_bins(n, fs, config.f_lo, config.f_hi))
+    check_segment(config.segment_length, n)
+    channel_name, split_names, gaussian_fit = SCENARIOS[config.scenario]
+    channel = _CHANNELS[channel_name](config) if channel_name else None
+    # arm a's guard: the band-pass's or, on a channel arm, the kernel's if larger
+    guard_a = max(FILTER_PAD, delay_taps(channel, fs, n)[2] if channel else 0)
+    try:
+        scan_window(config.spec, config.delay_step, config.delay_range, config.n_bins,
+                    guard_a, FILTER_PAD)
+    except RecordTooShort as exc:
+        raise RecordTooShort(f"digitizer.n_samples {n} is too short: the arms' guards, "
+                             f"delay range and bins need at least {exc.least}",
+                             exc.least) from exc
     outdir = outdir or config.outdir
     out = Path(outdir) if outdir else None
     if out is not None:
@@ -159,13 +175,9 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         "seeds": seeds,
         "scenarios": {},
     }
-    channel_name, split_names, gaussian_fit = SCENARIOS[config.scenario]
-    channel = _CHANNELS[channel_name](config) if channel_name else None
     if channel_name == "twin-channel":
         report["channel_params"] = replace(config, channel=channel).to_dict()["channel"]
 
-    band = _Band(*band_bins(config.spec.n_samples, config.spec.sample_rate,
-                            config.f_lo, config.f_hi))
     runs = {name: [] for name in ("twin-unobstructed", channel_name, *split_names) if name}
     for seed in seeds:
         pair = twin_recipe(config.source, config.spec, seed)
@@ -182,8 +194,8 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         fb = _record(config, band, b)
         runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
         if channel is not None:
-            arm, guard = channel_spectrum(pair, a, band.bins, channel, seed + 10_000)
-            runs[channel_name].append(_scan(config, _record(config, band, arm, guard), fb))
+            arm = channel_spectrum(pair, a, band.bins, channel, seed + 10_000)
+            runs[channel_name].append(_scan(config, _record(config, band, arm, guard_a), fb))
         del fb   # no scanned arm stays while the next pair's arms are made
         for name in split_names:
             split = RECIPES[name](config.source, config.spec, seed + _SPLIT_SEED_OFFSETS[name])

@@ -160,7 +160,6 @@ class MICurve:
     mi: np.ndarray
     spread: Optional[np.ndarray] = None
     n_repeats: int = 1
-    normalized: bool = False
 
     def __post_init__(self):
         delays = np.asarray(self.delays, dtype=np.float64).copy()

@@ -86,7 +86,7 @@ def test_criterion_3_width_relations():
 def test_criterion_4_staged_fit_round_trip():
     t0 = time.time()
     d = np.arange(-600, 601) * 0.5e-9
-    curve = MICurve(delays=d, mi=G_closed(d, **PAPER), normalized=True)
+    curve = MICurve(delays=d, mi=G_closed(d, **PAPER))
     fit = fit_channel(curve, PAPER["sigma0"])
     errs = dict(
         tau0=abs(fit.tau0 - PAPER["tau0"]) / PAPER["tau0"],

@@ -272,7 +272,6 @@ class TestCurveOps:
         c = self._curve([0.1, 2.0, 0.3])
         n = normalize_curve(c, c.peak)
         assert n.peak == 1.0
-        assert n.normalized
 
     def test_normalize_linear(self):
         c = self._curve([0.1, 2.0, 0.3])

@@ -157,8 +157,8 @@ class TestModelFwhm:
         assert w == pytest.approx(GAUSSIAN_FWHM_FACTOR * 32.1e-9, rel=1e-6)
 
 
-def _curve_from(delays, values, **kw):
-    return MICurve(delays=delays, mi=values, **kw)
+def _curve_from(delays, values):
+    return MICurve(delays=delays, mi=values)
 
 
 class TestFitGaussian:
@@ -196,7 +196,7 @@ class TestFitChannel:
     def test_round_trip_paper_tuple(self):
         d = np.arange(-600, 601) * 0.5e-9
         m = G_closed(d, **PAPER)
-        fit = fit_channel(_curve_from(d, m, normalized=True), PAPER["sigma0"])
+        fit = fit_channel(_curve_from(d, m), PAPER["sigma0"])
         assert fit.tau0 == pytest.approx(PAPER["tau0"], rel=1e-3)
         assert fit.sigma == pytest.approx(PAPER["sigma"], rel=1e-3)
         assert fit.eta == pytest.approx(PAPER["eta"], rel=1e-3)
@@ -209,7 +209,7 @@ class TestFitChannel:
             true = dict(eta=rng.uniform(0.2, 0.95), tau0=rng.uniform(0.0, 60e-9),
                         sigma=rng.uniform(0.2, 1.5) * sigma0, sigma0=sigma0)
             m = G_closed(d, **true)
-            fit = fit_channel(_curve_from(d, m, normalized=True), sigma0)
+            fit = fit_channel(_curve_from(d, m), sigma0)
             assert fit.tau0 == pytest.approx(true["tau0"], abs=0.02e-9)
             assert fit.sigma == pytest.approx(true["sigma"], rel=5e-3)
             assert fit.eta == pytest.approx(true["eta"], rel=5e-3)
@@ -217,7 +217,7 @@ class TestFitChannel:
     def test_width_at_floor_gives_zero_spread_limit(self):
         d = np.arange(-600, 601) * 0.5e-9
         m = 0.8 * gaussian_g(d, 32.1e-9)  # no broadening at all
-        fit = fit_channel(_curve_from(d, m, normalized=True), 32.1e-9)
+        fit = fit_channel(_curve_from(d, m), 32.1e-9)
         assert fit.sigma < 5e-3 * 32.1e-9
         assert fit.eta == pytest.approx(0.8, rel=1e-3)
 
@@ -225,21 +225,21 @@ class TestFitChannel:
         d = np.arange(-600, 601) * 0.5e-9
         m = 0.8 * gaussian_g(d, 25e-9)  # narrower than the sigma0 floor
         with pytest.raises(BracketFailure):
-            fit_channel(_curve_from(d, m, normalized=True), 32.1e-9)
+            fit_channel(_curve_from(d, m), 32.1e-9)
 
     def test_side_lobe_at_half_height_warns(self):
         d = np.arange(-600, 601) * 0.5e-9
         m = G_closed(d, **PAPER)
         m = m + 0.8 * m.max() * gaussian_g(d - 200e-9, 5e-9)
         with pytest.warns(UserWarning, match="outermost"):
-            fit = fit_channel(_curve_from(d, m, normalized=True), PAPER["sigma0"])
+            fit = fit_channel(_curve_from(d, m), PAPER["sigma0"])
         assert fit.fwhm_channel > 200e-9  # spans out to the side lobe
 
     def test_normalization_invariance(self):
         d = np.arange(-600, 601) * 0.5e-9
         m = G_closed(d, **PAPER)
-        f1 = fit_channel(_curve_from(d, m, normalized=True), PAPER["sigma0"])
-        f2 = fit_channel(_curve_from(d, 0.5 * m, normalized=True), PAPER["sigma0"])
+        f1 = fit_channel(_curve_from(d, m), PAPER["sigma0"])
+        f2 = fit_channel(_curve_from(d, 0.5 * m), PAPER["sigma0"])
         assert f2.tau0 == pytest.approx(f1.tau0, abs=1e-15)
         assert f2.sigma == pytest.approx(f1.sigma, rel=1e-9)
         assert f2.eta == pytest.approx(0.5 * f1.eta, rel=1e-9)

@@ -7,7 +7,7 @@ import pytest
 import twinbeam.cli as cli
 import twinbeam.pipeline as pipeline
 import twinbeam.source as source
-from twinbeam.channel import _delay_taps, apply_channel
+from twinbeam.channel import apply_channel, delay_taps
 from twinbeam.cli import main
 from twinbeam.config import RunConfig
 from twinbeam.errors import ConfigError, RecordTooShort
@@ -30,6 +30,16 @@ def small_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+class _FirstDraw(Exception):
+    """Raised by the stubbed noise draw: run_pipeline accepted its settings."""
+
+
+def _stub_first_draw(monkeypatch):
+    def draw(*args, **kwargs):
+        raise _FirstDraw
+    monkeypatch.setattr(source, "noise_spectrum", draw)
 
 
 # RunConfig().to_dict(), key order included
@@ -73,6 +83,8 @@ class TestRunConfig:
         got = RunConfig.from_dict({"range_ns": 50, "source": {"sigma0_ns": 1.1}})
         assert got == RunConfig(delay_range=50e-9, source=SourceParams(sigma0=1.1e-9))
 
+    # run_pipeline checks every setting with its stage's own check before
+    # the first noise draw; a draw fails these tests.
     @pytest.mark.parametrize("d", [
         {"step_ns": 0.7},                       # off the 0.5 ns sample grid
         {"range_ns": 0.2},                      # less than one step
@@ -82,24 +94,28 @@ class TestRunConfig:
         {"band_mhz": [1.5, 1500]},              # f_hi above Nyquist
         {"band_mhz": [1.5]},
     ])
-    def test_invalid_values_rejected_by_check(self, d):
+    def test_invalid_values_rejected_by_check(self, d, monkeypatch):
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(d).check()
+            run_pipeline(RunConfig.from_dict(d))
 
-    def test_check_refuses_records_too_short_to_scan(self):
+    def test_check_refuses_records_too_short_to_scan(self, monkeypatch):
         # 2 x (32 768 band-pass guard + 600 largest shift) + 16 x 100 bins
+        _stub_first_draw(monkeypatch)
         with pytest.raises(ConfigError, match="digitizer.n_samples 68335 .* at least 68336"):
-            RunConfig(spec=DigitizerSpec(n_samples=68_335)).check()
-        RunConfig(spec=DigitizerSpec(n_samples=68_336)).check()
+            run_pipeline(RunConfig(spec=DigitizerSpec(n_samples=68_335)))
+        with pytest.raises(_FirstDraw):
+            run_pipeline(RunConfig(spec=DigitizerSpec(n_samples=68_336)))
 
     @pytest.mark.parametrize("channel, least", [(None, 68_336),
                                                 (ChannelParams(sigma=1e-6), 97_862)])
-    def test_check_and_scan_agree_on_the_shortest_record(self, channel, least):
+    def test_check_and_scan_agree_on_the_shortest_record(self, channel, least, monkeypatch):
         # a's guard is the channel kernel's where that passes the band-pass's
         # (48 131 samples at sigma = 1 us); b's is the band-pass's
+        _stub_first_draw(monkeypatch)
         for n in (least - 1, least):
             spec = DigitizerSpec(n_samples=n)
-            kernel = _delay_taps(channel or ChannelParams(), spec.sample_rate, n)[2]
+            kernel = delay_taps(channel or ChannelParams(), spec.sample_rate, n)[2]
             rng = np.random.default_rng(n)
             a, b = (Trace.from_raw(rng.standard_normal(n), spec, guard=guard)
                     for guard in (max(FILTER_PAD, kernel), FILTER_PAD))
@@ -107,11 +123,12 @@ class TestRunConfig:
             config = RunConfig(channel=channel, spec=spec)
             if n < least:
                 with pytest.raises(ConfigError, match=f"n_samples {n} is .* at least {least}"):
-                    config.check()
+                    run_pipeline(config)
                 with pytest.raises(RecordTooShort, match=f"at least {least}"):
                     mi_delay_scan(pair)
             else:
-                config.check()
+                with pytest.raises(_FirstDraw):
+                    run_pipeline(config)
                 assert len(mi_delay_scan(pair).mi) == 1201
 
     @pytest.mark.parametrize("n", [32_768, 66_000])
@@ -388,15 +405,46 @@ class TestCli:
         assert main(["spectrum", *short, *spectrum]) == 2
         assert main(["analyze", *slow, *scan]) == 2
 
-    def test_analyze_refuses_a_record_too_short_to_band_pass(self, tmp_path, capsys):
+    def test_analyze_refuses_a_record_too_short_to_band_pass(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # 8192 samples are too short for bandpass itself; 66 000 are over its
+        # 2 x 32 768, but short of the 68 336 the scan needs once both records
+        # carry its guard.  Both are refused before any filtering.
+        monkeypatch.setattr(cli, "bandpass", lambda *args: pytest.fail("band-passed"))
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
-        assert main(["simulate", "--n-samples", "8192", "--out-a", str(a),
-                     "--out-b", str(b)]) == 0
-        assert main(["analyze", "--trace-a", str(a), "--trace-b", str(b), "--band-mhz",
-                     "1.5:3.5", "--out", str(tmp_path / "c.csv")]) == 2
-        err = capsys.readouterr().err
-        assert "a record of 8192 samples is too short to band-pass" in err
-        assert "Traceback" not in err
+        for n in (8192, 66_000):
+            assert main(["simulate", "--n-samples", str(n), "--out-a", str(a),
+                         "--out-b", str(b)]) == 0
+            assert main(["analyze", "--trace-a", str(a), "--trace-b", str(b), "--band-mhz",
+                         "1.5:3.5", "--out", str(tmp_path / "c.csv")]) == 2
+            err = capsys.readouterr().err
+            assert f"a record of {n} samples is too short: the guards, delay range and " \
+                   "bins need at least 68336" in err
+            assert "Traceback" not in err
+
+    def test_analyze_reads_the_sample_rate_as_the_schema_does(self, tmp_path, monkeypatch):
+        # 0.134 * 1e9 is 134000000.00000001; the schema reads the literal 1.34e8
+        path = tmp_path / "a.csv"
+        np.savetxt(path, np.random.default_rng(1).standard_normal(1000))
+        rates, real_load = [], cli.load_trace
+
+        def recording_load(p, sample_rate=None):
+            rates.append(sample_rate)
+            return real_load(p, sample_rate=sample_rate)
+
+        monkeypatch.setattr(cli, "load_trace", recording_load)
+        main(["analyze", "--trace-a", str(path), "--trace-b", str(path),
+              "--sample-rate-gsps", "0.134", "--out", str(tmp_path / "c.csv")])
+        want = RunConfig.from_dict({"digitizer": {"sample_rate_gsps": 0.134}}).spec.sample_rate
+        assert want == 1.34e8
+        assert rates == [want, want]
+
+    def test_wide_kernel_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"channel": {"sigma_ns": 100_000}}))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "kernel span" in capsys.readouterr().err
 
     def test_analyze_checks_the_records_own_clock(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
