@@ -75,7 +75,7 @@ def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
         fh.write(payload)
 
 
-def _load_twbm(path) -> Trace:
+def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TWBM_MAGIC:
@@ -98,9 +98,12 @@ def _load_twbm(path) -> Trace:
             f"{path}: header declares {n} samples ({n * itemsize} bytes), "
             f"payload holds {len(payload)}"
         )
+    fs = float(header["sample_rate_hz"])
+    if sample_rate is not None and abs(fs - sample_rate) > 1e-6 * sample_rate:
+        raise NonUniformTime(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
     spec = DigitizerSpec(
-        sample_rate=float(header["sample_rate_hz"]),
+        sample_rate=fs,
         n_samples=n,
         bit_depth=int(header.get("bit_depth", 8)),
         full_scale=float(header.get("full_scale", 1.0)),
@@ -152,7 +155,9 @@ def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
 def load_trace(path, format: str = "auto", sample_rate: Optional[float] = None) -> Trace:
     """Read a trace from TWBM or CSV.
 
-    ``auto`` sniffs the TWBM magic and otherwise treats the file as CSV.
+    ``auto`` sniffs the TWBM magic and otherwise treats the file as CSV.  A
+    given ``sample_rate`` must agree, within 1e-6 relative, with a TWBM
+    header's rate or a CSV time column; it is the rate of a one-column CSV.
     """
     path = Path(path)
     if not path.exists():
@@ -161,7 +166,7 @@ def load_trace(path, format: str = "auto", sample_rate: Optional[float] = None) 
         with open(path, "rb") as fh:
             format = "twbm" if fh.read(4) == TWBM_MAGIC else "csv"
     if format == "twbm":
-        return _load_twbm(path)
+        return _load_twbm(path, sample_rate)
     if format == "csv":
         return _load_csv_trace(path, sample_rate)
     raise InvalidParams(f"unknown trace format {format!r}")

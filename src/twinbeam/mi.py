@@ -11,9 +11,14 @@ binned once, straight into the histogram's cell type (the narrowest unsigned
 type that holds a flat cell index), and one joint histogram is updated
 exactly as b's window slides one sample at a time (only samples where b's bin
 index changes move a count), or rebuilt densely at a shift where that update
-would touch more samples than a rebuild costs.  ``scan_window`` is the one
-rule for a scan's grid and a's window; ``run_pipeline`` and ``analyze`` ask
-it first, with the guards their records will carry.
+would touch more samples than a rebuild costs.  A scan with enough work
+cuts its shifts into contiguous blocks, one per usable core: the first runs
+in the calling process and each other one in a worker forked from it, which
+inherits the binned records and sends back only its MI values.  Counts are
+exact integers however a block reaches them, so the curve does not depend
+on the block count.  ``scan_window`` is the one rule for a scan's grid and
+a's window; ``run_pipeline`` and ``analyze`` ask it first, with the guards
+their records will carry.
 
 Scan conventions:
 
@@ -29,7 +34,11 @@ Scan conventions:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -216,8 +225,14 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
     densely instead when they exceed 0.4 ``n_win``: on 4e6-sample records
     a walked breakpoint costs about 2.5 times a rebuilt sample.  Long bin
     runs (band-passed traces) at small steps walk; white noise or coarse
-    steps rebuild.  Counts stay exact integers either way, so every curve
-    equals the dense rebuild's bit for bit.
+    steps rebuild.
+
+    The shifts are cut into contiguous blocks, one per usable core but no
+    more than the scan's work pays for (``_blocks``).  Each block starts
+    with a dense rebuild and then walks or rebuilds as above; the first runs
+    in this process and the others in forked workers (``_run_blocks``).
+    Counts stay exact integers at every shift, walked or rebuilt, so every
+    curve equals the dense rebuild's bit for bit, whatever the block count.
     """
     ia_m = ia * m
     bp = np.flatnonzero(ib[1:] != ib[:-1]) + 1
@@ -228,27 +243,134 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
     k0 = np.searchsorted(bp, starts)
     k1 = np.searchsorted(bp, starts + n_win)
     walked = np.concatenate(([0], np.cumsum(k1 - k0)))
-    out = np.empty(len(b_starts), dtype=np.float64)
-    b = None
-    for s, b_target in enumerate(b_starts):
-        b_target = int(b_target)
-        if b is None or walked[b - b_last] - walked[b_target - b_last] > 0.4 * n_win:
-            flat = np.bincount(ia_m + ib[b_target : b_target + n_win], minlength=m * m)
-        else:
-            for i in range(b - b_last - 1, b_target - b_last - 1, -1):
-                j0, j1 = k0[i], k1[i]
-                rows = ia_m[bp[j0:j1] - starts[i]]
-                flat -= np.bincount(rows + leave[j0:j1], minlength=m * m)
-                flat += np.bincount(rows + enter[j0:j1], minlength=m * m)
-        b = b_target
-        counts = flat.reshape(m, m)
-        row = counts.sum(axis=1)
-        col = counts.sum(axis=0)
-        ii, jj = np.nonzero(counts)
-        c = counts[ii, jj].astype(np.float64)
-        terms = (c / n_win) * np.log2(c * n_win / (row[ii] * col[jj]))
-        out[s] = max(0.0, float(terms.sum()))
-    return out
+
+    def block(lo, hi):
+        out = np.empty(hi - lo, dtype=np.float64)
+        b = None
+        for s, b_target in enumerate(b_starts[lo:hi]):
+            b_target = int(b_target)
+            if b is None or walked[b - b_last] - walked[b_target - b_last] > 0.4 * n_win:
+                flat = np.bincount(ia_m + ib[b_target : b_target + n_win], minlength=m * m)
+            else:
+                for i in range(b - b_last - 1, b_target - b_last - 1, -1):
+                    j0, j1 = k0[i], k1[i]
+                    rows = ia_m[bp[j0:j1] - starts[i]]
+                    flat -= np.bincount(rows + leave[j0:j1], minlength=m * m)
+                    flat += np.bincount(rows + enter[j0:j1], minlength=m * m)
+            b = b_target
+            counts = flat.reshape(m, m)
+            row = counts.sum(axis=1)
+            col = counts.sum(axis=0)
+            ii, jj = np.nonzero(counts)
+            c = counts[ii, jj].astype(np.float64)
+            terms = (c / n_win) * np.log2(c * n_win / (row[ii] * col[jj]))
+            out[s] = max(0.0, float(terms.sum()))
+        return out
+
+    # samples the scan touches: n_win per rebuild, 2.5 per walked breakpoint
+    # (the rule above), and m * m cells per shift for its MI
+    steps = walked[b_starts[:-1] - b_last] - walked[b_starts[1:] - b_last]
+    work = n_win + np.minimum(2.5 * steps, n_win).sum() + len(b_starts) * m * m
+    return _run_blocks(block, _blocks(len(b_starts), work))
+
+
+# Scan work, in samples and cells as _scan_kernel counts them, that each
+# block must carry for its forked worker to pay.  Forking and reaping a
+# worker, with the copy-on-write faults both processes then take on the
+# scan's record-sized temporaries, cost 10-50 ms on 2^16- to 2^20-sample
+# windows and up to 0.26 s on 4e6-sample ones (2-core VM); 1e8 samples of
+# work take about 0.45 s, so a split pays even there.
+_BLOCK_WORK = 100_000_000
+
+
+def _blocks(n_shifts: int, work: float) -> list[int]:
+    """Bounds of contiguous shift blocks, as near equal in size as they go.
+
+    One block per usable core, but no more than there are shifts or than
+    ``work`` holds ``_BLOCK_WORK``; a single block on a platform without
+    ``os.fork`` or ``os.sched_getaffinity``.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [0, n_shifts]
+    k = max(1, min(len(os.sched_getaffinity(0)), n_shifts, int(work // _BLOCK_WORK)))
+    return [n_shifts * i // k for i in range(k + 1)]
+
+
+def _run_blocks(block, bounds: list[int]) -> np.ndarray:
+    """``block(lo, hi)`` over consecutive ``bounds``, concatenated in order.
+
+    The first block runs in this process, each other one in a worker forked
+    from it, which inherits every array the block reads and sends back only
+    its float64 values through a pipe.  Every worker is reaped before this
+    returns, so its CPU time counts in RUSAGE_CHILDREN; a worker's error is
+    raised here with its type and message, and an error or interrupt in this
+    process kills and reaps the workers still running.
+    """
+    if len(bounds) == 2:
+        return block(bounds[0], bounds[1])
+    workers = {}   # pid -> read end of its pipe, in shift order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid, pipe = _fork_block(block, lo, hi)
+            workers[pid] = pipe
+        parts = [block(bounds[0], bounds[1])]
+        for pid, pipe in list(workers.items()):
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            parts.append(_block_result(pid, payload, status))
+    finally:
+        for pid, pipe in workers.items():   # only after an error or interrupt
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return np.concatenate(parts)
+
+
+def _fork_block(block, lo: int, hi: int):
+    """Fork a worker that computes ``block(lo, hi)``; returns its pid and pipe.
+
+    The worker only reads arrays it inherited and writes to its pipe: a zero
+    byte and its float64 values, or a one byte and the pickled (type,
+    message) of what it raised.  It leaves through ``os._exit``, so no atexit
+    handler, buffered output or test hook of this process runs in it.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                payload = b"\0" + block(lo, hi).tobytes()
+            except BaseException as exc:   # reported to the parent, which raises it
+                payload = b"\1" + pickle.dumps((type(exc), str(exc)))
+            with open(w, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _block_result(pid: int, payload: bytes, status: int) -> np.ndarray:
+    """A worker's values, or its error raised again here."""
+    if payload[:1] == b"\0" and status == 0:
+        return np.frombuffer(payload, dtype=np.float64, offset=1)
+    if payload[:1] == b"\1":
+        exc_type, message = pickle.loads(payload[1:])
+        raise exc_type(message)
+    raise ChildProcessError(f"scan worker {pid} ended with exit code "
+                            f"{os.waitstatus_to_exitcode(status)} and no result")
 
 
 def scan_window(spec: DigitizerSpec, step: float, range_: float, n_bins: int,
@@ -298,7 +420,9 @@ def mi_delay_scan(
     record shifted by the delay.  Both guard-stripped records are binned
     once, straight into the kernel's cell type; one histogram is updated
     exactly from shift to shift where that is cheaper than a rebuild, and
-    rebuilt densely elsewhere.
+    rebuilt densely elsewhere.  A scan whose work pays for it splits its
+    shifts across the usable cores in forked workers (``_scan_kernel``),
+    all reaped before it returns, with the same curve bit for bit.
     """
     validate_pair(pair.a, pair.b)
     a, b = pair.a, pair.b

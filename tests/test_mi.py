@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import twinbeam.mi as mi
 from twinbeam.errors import (
     DegenerateRange,
     EmptyHistogram,
@@ -204,20 +207,32 @@ class TestDelayScan:
         ref = mi_from_hist(histogram2d(x[4:-4], y[4:-4], 100, 100))
         assert curve.mi[i0] == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("lowpassed, step, n_bins", [
-        pytest.param(True, 0.5e-9, 100, id="True-5e-10"),
-        pytest.param(True, 1.0e-9, 100, id="True-1e-09"),
-        pytest.param(True, 5e-9, 100, id="True-5e-09"),
-        pytest.param(False, 0.5e-9, 100, id="False-5e-10"),
+    @pytest.mark.parametrize("lowpassed, step, n_bins, cores", [
+        pytest.param(True, 0.5e-9, 100, None, id="True-5e-10"),
+        pytest.param(True, 1.0e-9, 100, None, id="True-1e-09"),
+        pytest.param(True, 5e-9, 100, None, id="True-5e-09"),
+        pytest.param(False, 0.5e-9, 100, None, id="False-5e-10"),
         # the kernel's cell type is uint8 up to 16 bins, uint32 past 256
-        pytest.param(True, 0.5e-9, 10, id="True-5e-10-10bins"),
-        pytest.param(True, 0.5e-9, 300, id="True-5e-10-300bins"),
-        pytest.param(False, 0.5e-9, 300, id="False-5e-10-300bins"),
+        pytest.param(True, 0.5e-9, 10, None, id="True-5e-10-10bins"),
+        pytest.param(True, 0.5e-9, 300, None, id="True-5e-10-300bins"),
+        pytest.param(False, 0.5e-9, 300, None, id="False-5e-10-300bins"),
+        # shift blocks forced to one per core: walked and rebuilt scans, and
+        # more cores than the 9 shifts of a 5 ns step
+        pytest.param(True, 0.5e-9, 100, 1, id="True-5e-10-1core"),
+        pytest.param(True, 0.5e-9, 100, 2, id="True-5e-10-2cores"),
+        pytest.param(True, 0.5e-9, 100, 3, id="True-5e-10-3cores"),
+        pytest.param(False, 0.5e-9, 100, 2, id="False-5e-10-2cores"),
+        pytest.param(False, 0.5e-9, 100, 3, id="False-5e-10-3cores"),
+        pytest.param(True, 5e-9, 100, 16, id="True-5e-09-16cores"),
     ])
-    def test_every_shift_matches_public_estimator(self, lowpassed, step, n_bins):
+    def test_every_shift_matches_public_estimator(self, lowpassed, step, n_bins, cores,
+                                                  monkeypatch):
         # low-passed traces hold each of 100 bins for about 13 samples, as
         # band-passed records do, so at 1- and 2-sample steps the scan updates
         # its histogram; at a 10-sample step, or on white noise, it rebuilds
+        forks = _count_forks(monkeypatch)
+        if cores is not None:
+            _split_every_scan(monkeypatch, cores)
         rng = np.random.default_rng(13)
         n, guard = 2 ** 15, 64
 
@@ -232,6 +247,8 @@ class TestDelayScan:
             v[n // 2], v[n // 2 + 1] = top, -top
         pair = _scan_pair(x, y, guard=guard)
         curve = mi_delay_scan(pair, step=step, range_=20e-9, n_bins=n_bins)
+        # a scan this small stays in one block unless it is forced to split
+        assert len(forks) == (0 if cores is None else min(cores, len(curve.mi)) - 1)
         shifts = np.rint(curve.delays * 2e9).astype(np.int64)
         lo, hi = guard + shifts[-1], n - guard - shifts[-1]
         a, b = pair.a.samples, pair.b.samples
@@ -239,6 +256,56 @@ class TestDelayScan:
             # positive delay d pairs a[i] with b[i - d]
             ref = mi_from_hist(histogram2d(a[lo:hi], b[lo - d : hi - d], n_bins, n_bins))
             assert got == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("failing", ["worker", "parent"])
+    def test_block_error_is_raised_with_no_child_left(self, failing, monkeypatch):
+        # a worker's error crosses its pipe with its type and message; an error
+        # in the parent's own block kills the workers; either way all are reaped
+        _split_every_scan(monkeypatch, 3)
+        run_blocks = mi._run_blocks
+
+        def run_failing(block, bounds):
+            def maybe_fail(lo, hi):
+                if (lo > 0) == (failing == "worker"):
+                    raise DegenerateRange(f"block from shift {lo}")
+                return block(lo, hi)
+            return run_blocks(maybe_fail, bounds)
+
+        monkeypatch.setattr(mi, "_run_blocks", run_failing)
+        x, y = gaussian_pair(0.5, 2 ** 14, seed=14)
+        with pytest.raises(DegenerateRange, match="block from shift"):
+            mi_delay_scan(_scan_pair(x, y), range_=20e-9)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_scan_forks_only_when_it_pays_and_a_core_is_free(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        x, y = gaussian_pair(0.5, 2 ** 16, seed=15)
+        pair = _scan_pair(x, y)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tiny = mi_delay_scan(pair, range_=2e-9)   # 9 shifts: far below _BLOCK_WORK
+        _split_every_scan(monkeypatch, 1)
+        assert np.array_equal(mi_delay_scan(pair, range_=2e-9).mi, tiny.mi)
+
+
+def _count_forks(monkeypatch):
+    """Record the pid of every worker a scan forks."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _split_every_scan(monkeypatch, cores):
+    """One shift block per core, however little work a scan holds."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(mi, "_BLOCK_WORK", 1)
 
 
 class TestCurveOps:

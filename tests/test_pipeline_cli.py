@@ -455,6 +455,22 @@ class TestCli:
         assert main(scan + ["--step-ns", "0.25"]) == 0   # one sample at 4 GS/s
         assert main(scan + ["--step-ns", "0.3"]) == 2
 
+    def _twbm_pair(self, tmp_path):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--n-samples", str(2 ** 16), "--out-a", str(a),
+                     "--out-b", str(b)]) == 0
+        return a, ["analyze", "--trace-a", str(a), "--trace-b", str(b), "--range-ns", "20",
+                   "--out", str(tmp_path / "c.csv")]
+
+    def test_analyze_refuses_a_rate_the_twbm_header_contradicts(self, tmp_path, capsys):
+        a, scan = self._twbm_pair(tmp_path)
+        assert main(scan + ["--sample-rate-gsps", "4"]) == 3
+        assert f"{a}: header says 2e+09 S/s, metadata says 4e+09" in capsys.readouterr().err
+
+    def test_analyze_takes_a_rate_the_twbm_header_matches(self, tmp_path):
+        _, scan = self._twbm_pair(tmp_path)
+        assert main(scan + ["--sample-rate-gsps", "2"]) == 0
+
     def test_pipeline_cli_smoke(self, tmp_path):
         rc = main(["pipeline", "--scenario", "twin", "--repeats", "1",
                    "--seed", "5", "--range-ns", "40", "--outdir", str(tmp_path),
