@@ -21,7 +21,7 @@ differ only near the record ends, inside the guard the delay adds.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sfft
 
 from .errors import InvalidParams, InvalidTransmission, KernelTooWide
 from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, synth_noise, _white
@@ -132,11 +132,12 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     xp = np.pad(trace.samples, (lpad, rpad), mode="reflect")
     # y[i] = sum_j taps[j] * x[i - (k_min + j)]; with xp[m] = x[m - lpad]
     # this is the full convolution of xp with taps, offset by lpad - k_min.
-    y = signal.fftconvolve(xp, taps, mode="full")[lpad - k_min : lpad - k_min + n]
+    n_fft = sfft.next_fast_len(len(xp) + len(taps) - 1, real=True)
+    y = sfft.irfft(sfft.rfft(xp, n_fft) * sfft.rfft(taps, n_fft), n_fft)
+    y = y[lpad - k_min : lpad - k_min + n]
     # Reflection cropping leaks a small mean; the fluctuation stays DC-free.
     y = y - y.mean()
-    return trace.with_samples(np.ascontiguousarray(y),
-                              guard=trace.guard + guard_extra)
+    return trace.with_samples(y, guard=trace.guard + guard_extra)
 
 
 def _electronic_psd(rms: float, noise_bandwidth):

@@ -45,8 +45,15 @@ def _scaled(out, exponent: int):
     return (out, lambda v: float(Decimal(repr(float(v))).scaleb(exponent)))
 
 
+def _integer(v) -> int:
+    """An integral number as an int: 4e6 reads as 4000000; 2.5 and true are refused."""
+    if isinstance(v, bool) or not float(v).is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 _AS_IS = (lambda x: x, lambda v: v)
-_INT = (lambda x: x, int)
+_INT = (lambda x: x, _integer)
 _FLOAT = (lambda x: x, float)
 _NS = _scaled(lambda x: x * 1e9, -9)
 _MW = _scaled(lambda x: x * 1e3, -3)
@@ -96,12 +103,15 @@ def _load(cls, d, table, where: str):
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
     kw = {}
     for key, name, (_, into) in table:
-        if key in d and not isinstance(name, tuple):
-            kw[name] = into(d[key])
-        elif key in d:   # one value per field
-            if not (isinstance(d[key], list) and len(d[key]) == len(name)):
-                raise ConfigError(f"{key} must be a list of {len(name)} numbers")
-            kw.update(zip(name, map(into, d[key])))
+        try:
+            if key in d and not isinstance(name, tuple):
+                kw[name] = into(d[key])
+            elif key in d:   # one value per field
+                if not (isinstance(d[key], list) and len(d[key]) == len(name)):
+                    raise ConfigError(f"{key} must be a list of {len(name)} numbers")
+                kw.update(zip(name, map(into, d[key])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} key {key}: {exc}") from exc
     return cls(**kw)
 
 
@@ -147,6 +157,8 @@ class RunConfig:
         if self.scenario not in SCENARIO_CHOICES:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose from {SCENARIO_CHOICES}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if not (0 < self.f_lo < self.f_hi):
@@ -160,11 +172,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Parse the JSON form; an unknown key at any level is a ConfigError."""
-        try:
-            return _load(cls, d, _RUN, "config")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        """Parse the JSON form; an unknown key or a bad value at any level is a ConfigError."""
+        return _load(cls, d, _RUN, "config")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

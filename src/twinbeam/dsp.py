@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import signal
 
 from .errors import InvalidBand, InvalidParams
 from .trace import Trace, TracePair, validate_pair
@@ -137,18 +136,39 @@ class SpectrumEstimate:
         return float(10.0 * np.log10(self.psd[sel].mean() / self.reference_psd[sel].mean()))
 
 
+# Samples of Welch segments per rfft call: a batch's spectra stay a few MB
+# instead of one complex array for every segment of the record.
+_WELCH_BATCH = 1 << 18
+
+
 def welch_psd(x: np.ndarray, fs: float, segment_length: int):
-    """Welch PSD, Hann window, 50 % overlap, density scaling."""
-    freqs, psd = signal.welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=segment_length,
-        noverlap=segment_length // 2,
-        detrend="constant",
-        scaling="density",
-    )
-    return freqs, psd
+    """Welch PSD, Hann window, 50 % overlap, density scaling.
+
+    The same estimate as scipy's ``welch`` with ``window="hann"``,
+    ``noverlap=segment_length // 2`` and ``detrend="constant"``: a trailing
+    partial segment is dropped, and the one-sided PSD doubles every bin but
+    DC and, for an even segment, Nyquist.  Raises InvalidParams unless the
+    segment is a power of two no longer than ``x`` (``check_segment``).
+    """
+    check_segment(segment_length, len(x))
+    seg = segment_length
+    segments = np.lib.stride_tricks.sliding_window_view(
+        np.asarray(x, dtype=np.float64), seg)[:: seg - seg // 2]
+    # scipy's periodic Hann window, bit for bit (of length 1 it is [1]),
+    # scaled to density before the FFT as scipy scales it.
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, seg + 1)[:-1])
+           if seg > 1 else np.ones(1))
+    win /= np.sqrt(fs * (win * win).sum())
+    power = np.zeros(seg // 2 + 1)
+    rows = max(1, _WELCH_BATCH // seg)
+    for start in range(0, len(segments), rows):
+        batch = segments[start : start + rows]
+        z = sfft.rfft((batch - batch.mean(axis=1, keepdims=True)) * win,
+                      axis=1, overwrite_x=True)
+        power += (z.real ** 2 + z.imag ** 2).sum(axis=0)
+    psd = power / len(segments)
+    psd[1 : None if seg % 2 else -1] *= 2.0
+    return sfft.rfftfreq(seg, d=1.0 / fs), psd
 
 
 def check_segment(segment_length: int, n_samples: int) -> None:
@@ -167,7 +187,6 @@ def squeezing_spectrum(difference: np.ndarray, reference: np.ndarray, fs: float,
     reference is normally the difference of an independent coherent pair at
     matched powers (the shot-noise level).
     """
-    check_segment(segment_length, min(len(difference), len(reference)))
     freqs, psd = welch_psd(difference, fs, segment_length)
     _, ref = welch_psd(reference, fs, segment_length)
     with np.errstate(divide="ignore", invalid="ignore"):

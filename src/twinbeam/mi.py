@@ -380,12 +380,16 @@ def scan_window(spec: DigitizerSpec, step: float, range_: float, n_bins: int,
     A's window is the fixed part of its record that keeps a's guard, and b's
     guard at every shift, outside the histogram: it leaves
     max(guard_a, guard_b + largest shift) samples on each side and must hold
-    ``MIN_SAMPLES_PER_BIN`` samples per bin.  Raises StepNotSampleAligned
-    unless the step is a whole number of sample periods, InvalidParams unless
-    the range covers at least one step and at most a quarter of the record,
-    and RecordTooShort, naming the shortest record that passes, if the
-    window is too short.
+    ``MIN_SAMPLES_PER_BIN`` samples per bin.  Raises InvalidParams unless
+    the step and range are finite, StepNotSampleAligned unless the step is a
+    whole number of sample periods, InvalidParams unless the range covers
+    at least one step and at most a quarter of the record, and
+    RecordTooShort, naming the shortest record that passes, if the window is
+    too short.
     """
+    for name, value in (("step", step), ("range", range_)):
+        if not math.isfinite(value):
+            raise InvalidParams(f"delay {name} must be finite, got {value:g} s")
     ratio = step * spec.sample_rate
     step_samples = int(round(ratio))
     if step_samples < 1 or abs(ratio - step_samples) > 1e-6:

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from twinbeam.channel import (
     apply_channel,
@@ -9,6 +10,7 @@ from twinbeam.channel import (
     apply_is_delay,
     apply_loss,
     channel_spectrum,
+    delay_taps,
     discretize_kernel,
     kernel_response,
 )
@@ -149,6 +151,30 @@ class TestKernel:
         pair = gen_twin(SourceParams(), small_spec, seed=11)
         out = apply_is_delay(pair.a, ChannelParams())
         assert out.guard >= pair.a.guard + 1000
+
+
+class TestDelayConvolution:
+    """``apply_is_delay`` against scipy.signal.fftconvolve on a reflected record."""
+
+    @pytest.mark.parametrize("params", [
+        ChannelParams(tau0=32.7e-9, sigma=1e-6),   # 48 002 taps
+        ChannelParams(),                           # tau0 < 12 sigma: k_min < 0
+        ChannelParams(tau0=100e-9, sigma=2e-9),    # k_min > 0
+        ChannelParams(tau0=32.5e-9, sigma=1e-13),  # one tap: the roll
+    ], ids=["wide", "negative k_min", "positive k_min", "delta"])
+    def test_matches_fftconvolve(self, small_spec, params):
+        x = gen_twin(SourceParams(), small_spec, seed=12).a
+        n = small_spec.n_samples
+        taps, k_min, _ = delay_taps(params, small_spec.sample_rate, n)
+        pad = len(taps) + abs(k_min)
+        # y[i] = sum_j taps[j] x[i - k_min - j], and x[m] = xp[m + pad]
+        full = signal.fftconvolve(np.pad(x.samples, pad, mode="reflect"), taps)
+        want = full[pad - k_min : pad - k_min + n]
+        out = apply_is_delay(x, params)
+        inner = slice(out.guard, n - out.guard)
+        d = out.samples[inner] - want[inner]
+        # the records differ by a constant only: the mean their ends leak
+        assert np.abs(d - d.mean()).max() < 1e-13 * np.abs(x.samples).max()
 
 
 class TestKernelResponse:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from twinbeam.dsp import SpectrumEstimate, band_mask, bandpass, difference_spectrum, welch_psd
 from twinbeam.errors import InvalidBand, InvalidParams
@@ -105,6 +106,32 @@ class TestBandMask:
         assert np.all(h[(f > F_LO + 0.21e6) & (f < F_HI - 0.21e6)] == 1.0)
         assert np.all(h[(f < F_LO) | (f > F_HI)] == 0.0)
         assert np.all((h >= 0) & (h <= 1))
+
+
+class TestWelchPsd:
+    """``welch_psd`` against scipy.signal.welch with the same settings."""
+
+    @pytest.mark.parametrize("n, seg", [
+        (1001, 1),                        # Hann of length 1 is [1]; step 1
+        (1001, 2),
+        (2 ** 14, 2 ** 14),               # exactly one segment
+        (2 ** 18 + 2 ** 13 + 12345, 2 ** 14),   # odd: partial last segment dropped; 33 segments
+        (999, 8),
+    ])
+    def test_matches_scipy(self, n, seg):
+        x = 3.0 + np.random.default_rng(n + seg).standard_normal(n)
+        with np.errstate(all="raise"):
+            f, p = welch_psd(x, 2.0e9, seg)
+        f_ref, p_ref = signal.welch(x, fs=2.0e9, window="hann", nperseg=seg,
+                                    noverlap=seg // 2, detrend="constant",
+                                    scaling="density")
+        assert np.array_equal(f, f_ref)
+        np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seg", [0, 3, 2 ** 10])
+    def test_refuses_a_bad_segment(self, seg):
+        with pytest.raises(InvalidParams):
+            welch_psd(np.ones(1000), 2.0e9, seg)
 
 
 class TestDifferenceSpectrum:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinbeam
 import twinbeam.cli as cli
 import twinbeam.pipeline as pipeline
 import twinbeam.source as source
@@ -152,6 +157,23 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self, d):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("d, key", [
+        ({"seed": 2.5}, "seed"),
+        ({"digitizer": {"bit_depth": 1.5}}, "bit_depth"),
+        ({"digitizer": {"n_samples": True}}, "n_samples"),
+    ])
+    def test_non_integral_integer_keys_rejected(self, d, key):
+        with pytest.raises(ConfigError, match=f"key {key}: .* is not an integer"):
+            RunConfig.from_dict(d)
+
+    def test_integral_float_read_as_int(self):
+        spec = RunConfig.from_dict({"digitizer": {"n_samples": 4e6}}).spec
+        assert spec.n_samples == 4_000_000 and type(spec.n_samples) is int
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig.from_dict({"seed": -1})
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -371,6 +393,31 @@ class TestCli:
         monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
         assert main(["pipeline", "--step-ns", "0.7"]) == 2
         assert "sample period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [("--step-ns", "nan", "step"),
+                                                   ("--range-ns", "inf", "range")])
+    def test_non_finite_scan_setting_exits_2(self, flag, value, name, tmp_path, monkeypatch,
+                                             capsys):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--n-samples", "140000", "--out-a", str(a),
+                     "--out-b", str(b)]) == 0
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        for argv in (["pipeline"],
+                     ["analyze", "--trace-a", str(a), "--trace-b", str(b),
+                      "--out", str(tmp_path / "c.csv")]):
+            assert main([*argv, flag, value]) == 2
+            err = capsys.readouterr().err
+            assert f"delay {name} must be finite, got {value} s" in err
+            assert "Traceback" not in err
+
+    def test_import_loads_no_scipy_signal(self):
+        code = ("import sys, twinbeam, twinbeam.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+        src = str(Path(twinbeam.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("command", ["matched-transmission", "pipeline"])
     def test_band_past_design_grid_exits_2_before_any_trace(self, command, monkeypatch,
