@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, SCENARIO_CHOICES, read_json
+from .config import RunConfig, SCENARIO_CHOICES, check_seed, read_json
 from .design import matched_transmission
 from .dsp import FILTER_PAD, bandpass, check_segment, difference_spectrum
 from .errors import ConfigError, DataError, FitError, TwinbeamError
@@ -114,7 +114,8 @@ def _cmd_spectrum(args) -> int:
     if args.ref_a and args.ref_b:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
     else:
-        ref = gen_split_coherent(config.source, pair.a.spec, args.synth_ref_seed)
+        ref = gen_split_coherent(config.source, pair.a.spec,
+                                 check_seed(args.synth_ref_seed, "--synth-ref-seed"))
     est = difference_spectrum(pair, ref, segment_length=config.segment_length)
     save_spectrum(est, args.out)
     print(f"wrote {args.out}: in-band mean "
@@ -138,7 +139,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed(args.seed, "--seed"))
     t = np.linspace(-200e-9, 300e-9, args.points)
     worst = 0.0
     chan, source = ChannelParams(), SourceParams()

@@ -22,7 +22,7 @@ from .mi import DELAY_RANGE, DELAY_STEP, N_BINS
 from .source import DESIGN_BAND
 from .trace import ChannelParams, DigitizerSpec, SourceParams
 
-__all__ = ["RunConfig", "SCENARIOS", "SCENARIO_CHOICES", "read_json"]
+__all__ = ["RunConfig", "SCENARIOS", "SCENARIO_CHOICES", "check_seed", "read_json"]
 
 # Curves each scenario scans besides the unobstructed twin curve: a channel
 # curve on arm a of every twin pair, split-source curves on pairs of their
@@ -157,8 +157,7 @@ class RunConfig:
         if self.scenario not in SCENARIO_CHOICES:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose from {SCENARIO_CHOICES}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "seed")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if not (0 < self.f_lo < self.f_hi):
@@ -181,6 +180,13 @@ class RunConfig:
 
     def dump_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+def check_seed(seed: int, name: str) -> int:
+    """``seed``, refused with a ConfigError naming ``name`` unless numpy can seed with it."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def read_json(path):

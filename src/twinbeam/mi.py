@@ -9,14 +9,16 @@ with marginals taken from the joint histogram, which guarantees I >= 0 and
 finiteness (0 log 0 = 0).  ``mi_delay_scan`` is the hot path: each trace is
 binned once, straight into the histogram's cell type (the narrowest unsigned
 type that holds a flat cell index), and one joint histogram is updated
-exactly as b's window slides one sample at a time (only samples where b's bin
-index changes move a count), or rebuilt densely at a shift where that update
-would touch more samples than a rebuild costs.  A scan with enough work
-cuts its shifts into contiguous blocks, one per usable core: the first runs
-in the calling process and each other one in a worker forked from it, which
-inherits the binned records and sends back only its MI values.  Counts are
-exact integers however a block reaches them, so the curve does not depend
-on the block count.  ``scan_window`` is the one rule for a scan's grid and
+exactly as b's window slides one sample at a time, or rebuilt densely at a
+shift where that update would cost more than a rebuild.  Each sample where
+b's bin index changes moves one count, nearly always to the next bin up or
+down, so a slide's moves are tallied in one ``bincount`` keyed by leaving
+cell and direction, with the rare farther jumps from a side table.  A scan
+with enough work cuts its shifts into contiguous blocks, one per usable
+core: the first runs in the calling process and each other one in a worker
+forked from it, which inherits the binned records and sends back only its
+MI values.  Counts are exact integers however a block reaches them, so the
+curve does not depend on the block count.  ``scan_window`` is the one rule for a scan's grid and
 a's window; ``run_pipeline`` and ``analyze`` ask it first, with the guards
 their records will carry.
 
@@ -220,12 +222,26 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
     with a different bin only where b's bin index changes, i.e. at the
     breakpoints ``j in [b, b + n_win)`` with ``ib[j] != ib[j - 1]``: each
     moves one count from cell ``(ia[j - b], ib[j])`` to
-    ``(ia[j - b], ib[j - 1])``.  Before each shift the kernel counts the
-    breakpoints the steps to it would walk and rebuilds the histogram
-    densely instead when they exceed 0.4 ``n_win``: on 4e6-sample records
-    a walked breakpoint costs about 2.5 times a rebuilt sample.  Long bin
-    runs (band-passed traces) at small steps walk; white noise or coarse
-    steps rebuild.
+    ``(ia[j - b], ib[j - 1])``.  On a band-passed record b's bin moves by
+    one at every breakpoint (all 312 821 of seed 7's paper-size arm), so
+    each breakpoint is coded once by its leaving cell and block: up one
+    bin, down one bin, or farther (``_walk_tables``).  A step gathers a's
+    rows at its breakpoints, through a zero-padded view of ``ia * m`` that
+    needs no index arithmetic, and makes one ``bincount`` of row plus
+    code: it subtracts all three blocks and adds block 0 one cell up and
+    block 1 one cell down; a farther jump's entering cell comes from a side
+    table, in one more ``bincount`` only on a step whose window holds one.
+
+    Before each shift the kernel counts the breakpoints the steps to it
+    would walk and rebuilds the histogram densely instead when they exceed
+    0.4 ``n_win``.  That rule, and the work count below, price a walked
+    breakpoint at 2.5 rebuilt samples; on 4e6-sample records (2-core VM)
+    it costs about 1.5 (1.4 ms a step at 286 000 breakpoints against 12 ms
+    a rebuild), so a step walks only where it wins by a wide margin.
+    ``_BLOCK_WORK`` is calibrated in the same units: re-pricing one means
+    re-deriving the other.  Long bin runs (band-passed traces) at small
+    steps walk; white noise or coarse steps rebuild at every shift and
+    build no walk table.
 
     The shifts are cut into contiguous blocks, one per usable core but no
     more than the scan's work pays for (``_blocks``).  Each block starts
@@ -234,44 +250,79 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
     Counts stay exact integers at every shift, walked or rebuilt, so every
     curve equals the dense rebuild's bit for bit, whatever the block count.
     """
-    ia_m = ia * m
+    mm = m * m
+    # a's rows behind a pad as long as the latest start, so that
+    # ia_pad[pad - start + j] is the row paired with ib[j] at that start
+    pad = int(b_starts[0])
+    ia_pad = np.zeros(pad + n_win, dtype=ia.dtype)
+    ia_m = ia_pad[pad:]
+    np.multiply(ia, m, out=ia_m)
     bp = np.flatnonzero(ib[1:] != ib[:-1]) + 1
-    leave, enter = ib[bp], ib[bp - 1]
     # breakpoints in the window at every start the scan steps from
     b_last = int(b_starts[-1])
-    starts = np.arange(b_last + 1, int(b_starts[0]) + 1)
+    starts = np.arange(b_last + 1, pad + 1)
     k0 = np.searchsorted(bp, starts)
     k1 = np.searchsorted(bp, starts + n_win)
     walked = np.concatenate(([0], np.cumsum(k1 - k0)))
+    steps = walked[b_starts[:-1] - b_last] - walked[b_starts[1:] - b_last]
+    walks = np.concatenate(([False], steps <= 0.4 * n_win))
+    if walks.any():
+        code, fpos, fenter = _walk_tables(ib, bp, mm)
+        f0 = np.searchsorted(fpos, starts)
+        f1 = np.searchsorted(fpos, starts + n_win)
 
     def block(lo, hi):
         out = np.empty(hi - lo, dtype=np.float64)
-        b = None
-        for s, b_target in enumerate(b_starts[lo:hi]):
-            b_target = int(b_target)
-            if b is None or walked[b - b_last] - walked[b_target - b_last] > 0.4 * n_win:
-                flat = np.bincount(ia_m + ib[b_target : b_target + n_win], minlength=m * m)
+        for s in range(lo, hi):
+            b = int(b_starts[s])
+            if s == lo or not walks[s]:
+                flat = np.bincount(ia_m + ib[b : b + n_win], minlength=mm)
             else:
-                for i in range(b - b_last - 1, b_target - b_last - 1, -1):
+                for i in range(int(b_starts[s - 1]) - b_last - 1, b - b_last - 1, -1):
+                    rows_at = ia_pad[pad - int(starts[i]):]   # a's row paired with ib[j]
                     j0, j1 = k0[i], k1[i]
-                    rows = ia_m[bp[j0:j1] - starts[i]]
-                    flat -= np.bincount(rows + leave[j0:j1], minlength=m * m)
-                    flat += np.bincount(rows + enter[j0:j1], minlength=m * m)
-            b = b_target
+                    moved = rows_at[bp[j0:j1]] + code[j0:j1]
+                    cnt = np.bincount(moved, minlength=3 * mm)
+                    flat -= cnt.reshape(3, mm).sum(axis=0)
+                    flat[1:] += cnt[: mm - 1]           # up one bin
+                    flat[:-1] += cnt[mm + 1 : 2 * mm]   # down one bin
+                    if f1[i] > f0[i]:
+                        entered = rows_at[fpos[f0[i] : f1[i]]]
+                        entered += fenter[f0[i] : f1[i]]
+                        flat += np.bincount(entered, minlength=mm)
+            nz = np.flatnonzero(flat)
+            ii, jj = np.divmod(nz, m)
             counts = flat.reshape(m, m)
             row = counts.sum(axis=1)
             col = counts.sum(axis=0)
-            ii, jj = np.nonzero(counts)
-            c = counts[ii, jj].astype(np.float64)
+            c = flat[nz].astype(np.float64)
             terms = (c / n_win) * np.log2(c * n_win / (row[ii] * col[jj]))
-            out[s] = max(0.0, float(terms.sum()))
+            out[s - lo] = max(0.0, float(terms.sum()))
         return out
 
     # samples the scan touches: n_win per rebuild, 2.5 per walked breakpoint
-    # (the rule above), and m * m cells per shift for its MI
-    steps = walked[b_starts[:-1] - b_last] - walked[b_starts[1:] - b_last]
-    work = n_win + np.minimum(2.5 * steps, n_win).sum() + len(b_starts) * m * m
+    # (the rule's price above), and m * m cells per shift for its MI
+    work = n_win + np.minimum(2.5 * steps, n_win).sum() + len(b_starts) * mm
     return _run_blocks(block, _blocks(len(b_starts), work))
+
+
+def _walk_tables(ib, bp, mm):
+    """Walk codes of b's breakpoints ``bp``, and the farther jumps' side table.
+
+    A breakpoint ``j`` leaves cell ``ib[j]`` of its row for ``ib[j - 1]``.
+    Its code, in the narrowest type that holds ``3 * mm - 1``, is that
+    leaving cell plus ``mm`` times its block: 0 for a move up one bin, 1 for
+    a move down one bin, 2 for any farther jump.  The farther jumps'
+    positions and entering cells are returned apart, since their move is
+    not a fixed offset.
+    """
+    leave, enter = ib[bp], ib[bp - 1]
+    code = leave.astype(np.min_scalar_type(3 * mm - 1))
+    down = leave == enter + 1
+    far = (enter != leave + 1) & ~down
+    code[down] += mm
+    code[far] += 2 * mm
+    return code, bp[far], enter[far]
 
 
 # Scan work, in samples and cells as _scan_kernel counts them, that each

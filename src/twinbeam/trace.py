@@ -13,7 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -202,6 +203,14 @@ class MICurve:
         return float(self.delays[int(np.argmax(self.mi))])
 
 
+def _refuse_non_finite(params) -> None:
+    """Raise InvalidParams naming the first field of ``params`` that is not finite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise InvalidParams(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Twin-beam source settings.
@@ -219,6 +228,12 @@ class SourceParams:
     mean_power_b: float = 5.3e-3
 
     def __post_init__(self):
+        _refuse_non_finite(self)
+        try:   # the power ratio the noise budget forms
+            10.0 ** (self.excess_noise_db / 10.0)
+        except OverflowError:
+            raise InvalidParams(f"excess_noise_db {self.excess_noise_db} dB overflows "
+                                "as a power ratio") from None
         if self.squeezing_db < 0:
             raise InvalidParams(f"squeezing_db must be >= 0, got {self.squeezing_db}")
         if not (self.sigma0 > 0):
@@ -246,6 +261,7 @@ class ChannelParams:
     electronic_noise_rms: float = 0.0   # levels, over the trace noise bandwidth
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not (0.0 < self.eta <= 1.0):
             raise InvalidParams(f"eta must be in (0, 1], got {self.eta}")
         if not (self.sigma > 0):

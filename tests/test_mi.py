@@ -207,40 +207,38 @@ class TestDelayScan:
         ref = mi_from_hist(histogram2d(x[4:-4], y[4:-4], 100, 100))
         assert curve.mi[i0] == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("lowpassed, step, n_bins, cores", [
-        pytest.param(True, 0.5e-9, 100, None, id="True-5e-10"),
-        pytest.param(True, 1.0e-9, 100, None, id="True-1e-09"),
-        pytest.param(True, 5e-9, 100, None, id="True-5e-09"),
-        pytest.param(False, 0.5e-9, 100, None, id="False-5e-10"),
+    @pytest.mark.parametrize("record, step, n_bins, cores", [
+        pytest.param("lowpassed", 0.5e-9, 100, None, id="True-5e-10"),
+        pytest.param("lowpassed", 1.0e-9, 100, None, id="True-1e-09"),
+        pytest.param("lowpassed", 5e-9, 100, None, id="True-5e-09"),
+        pytest.param("white", 0.5e-9, 100, None, id="False-5e-10"),
         # the kernel's cell type is uint8 up to 16 bins, uint32 past 256
-        pytest.param(True, 0.5e-9, 10, None, id="True-5e-10-10bins"),
-        pytest.param(True, 0.5e-9, 300, None, id="True-5e-10-300bins"),
-        pytest.param(False, 0.5e-9, 300, None, id="False-5e-10-300bins"),
+        pytest.param("lowpassed", 0.5e-9, 10, None, id="True-5e-10-10bins"),
+        pytest.param("lowpassed", 0.5e-9, 300, None, id="True-5e-10-300bins"),
+        pytest.param("white", 0.5e-9, 300, None, id="False-5e-10-300bins"),
+        # b's bin moves farther than one bin at 3 % of the breakpoints at 100
+        # bins and 47 % at 300, so the walk's far side table is exercised
+        pytest.param("stepped", 0.5e-9, 100, None, id="stepped-5e-10"),
+        pytest.param("stepped", 0.5e-9, 300, 2, id="stepped-5e-10-300bins-2cores"),
         # shift blocks forced to one per core: walked and rebuilt scans, and
         # more cores than the 9 shifts of a 5 ns step
-        pytest.param(True, 0.5e-9, 100, 1, id="True-5e-10-1core"),
-        pytest.param(True, 0.5e-9, 100, 2, id="True-5e-10-2cores"),
-        pytest.param(True, 0.5e-9, 100, 3, id="True-5e-10-3cores"),
-        pytest.param(False, 0.5e-9, 100, 2, id="False-5e-10-2cores"),
-        pytest.param(False, 0.5e-9, 100, 3, id="False-5e-10-3cores"),
-        pytest.param(True, 5e-9, 100, 16, id="True-5e-09-16cores"),
+        pytest.param("lowpassed", 0.5e-9, 100, 1, id="True-5e-10-1core"),
+        pytest.param("lowpassed", 0.5e-9, 100, 2, id="True-5e-10-2cores"),
+        pytest.param("lowpassed", 0.5e-9, 100, 3, id="True-5e-10-3cores"),
+        pytest.param("white", 0.5e-9, 100, 2, id="False-5e-10-2cores"),
+        pytest.param("white", 0.5e-9, 100, 3, id="False-5e-10-3cores"),
+        pytest.param("lowpassed", 5e-9, 100, 16, id="True-5e-09-16cores"),
     ])
-    def test_every_shift_matches_public_estimator(self, lowpassed, step, n_bins, cores,
+    def test_every_shift_matches_public_estimator(self, record, step, n_bins, cores,
                                                   monkeypatch):
-        # low-passed traces hold each of 100 bins for about 13 samples, as
-        # band-passed records do, so at 1- and 2-sample steps the scan updates
-        # its histogram; at a 10-sample step, or on white noise, it rebuilds
+        # at 1- and 2-sample steps the scan updates its histogram on the
+        # low-passed and stepped pairs; at a 10-sample step, or on white
+        # noise, it rebuilds
         forks = _count_forks(monkeypatch)
         if cores is not None:
             _split_every_scan(monkeypatch, cores)
-        rng = np.random.default_rng(13)
         n, guard = 2 ** 15, 64
-
-        def lowpass(v):
-            return np.fft.irfft(np.fft.rfft(v)[:48], n) if lowpassed else v
-
-        x = lowpass(rng.standard_normal(n))
-        y = np.roll(x, 6) + lowpass(rng.standard_normal(n))
+        x, y = _scan_records(record, n)
         # sentinels inside every window pin whole-trace and window bin edges
         for v in (x, y):
             top = 1.01 * np.abs(v).max()
@@ -256,6 +254,38 @@ class TestDelayScan:
             # positive delay d pairs a[i] with b[i - d]
             ref = mi_from_hist(histogram2d(a[lo:hi], b[lo - d : hi - d], n_bins, n_bins))
             assert got == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("record", ["lowpassed", "white"])
+    def test_one_bincount_per_walked_step(self, record, monkeypatch):
+        # a walked step counts its breakpoints in one bincount, plus one for
+        # the entering cells of farther jumps only where its window holds
+        # one; a rebuilt shift makes one call, and a scan that never walks
+        # builds no walk table
+        n, guard = 2 ** 15, 64
+        x, y = _scan_records(record, n)
+        y[guard + 30] = 3 * np.abs(y).max()   # far jumps at b's samples 30 and 31
+        pair = _scan_pair(x, y, guard=guard)
+        calls, bincount = [], np.bincount
+
+        def counting_bincount(*args, **kwargs):
+            calls.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(mi.np, "bincount", counting_bincount)
+        if record == "white":
+            monkeypatch.setattr(mi, "_walk_tables",
+                                lambda *args: pytest.fail("built a walk table"))
+        curve = mi_delay_scan(pair, step=0.5e-9, range_=20e-9)
+        ib = mi._bin_indices(pair.b.valid(), 100, np.uint16)[0]
+        far = np.flatnonzero(np.abs(np.diff(ib.astype(np.int64))) > 1) + 1
+        # b's window starts at 80 - s at shift s and holds n - 2 * 104 samples
+        n_win, starts = n - 2 * 104, 80 - np.arange(len(curve.mi) - 1)
+        far_steps = sum(bool(np.any((far >= s) & (far < s + n_win))) for s in starts)
+        if record == "white":
+            assert len(calls) == len(curve.mi)
+        else:
+            assert 0 < far_steps < len(starts)
+            assert len(calls) == len(curve.mi) + far_steps
 
     @pytest.mark.parametrize("failing", ["worker", "parent"])
     def test_block_error_is_raised_with_no_child_left(self, failing, monkeypatch):
@@ -286,6 +316,26 @@ class TestDelayScan:
         tiny = mi_delay_scan(pair, range_=2e-9)   # 9 shifts: far below _BLOCK_WORK
         _split_every_scan(monkeypatch, 1)
         assert np.array_equal(mi_delay_scan(pair, range_=2e-9).mi, tiny.mi)
+
+
+def _scan_records(record, n):
+    """x and y of the pairs the delay-scan tests walk, before any sentinel.
+
+    "lowpassed" holds each of 100 bins for about 13 samples, as band-passed
+    records do; "stepped" holds the low-passed record for 8 samples at a
+    time, so b's bin moves by one at most breakpoints and farther at some;
+    "white" is white noise.  y is x delayed by 6 samples plus its own noise.
+    """
+    rng = np.random.default_rng(13)
+
+    def shape(v):
+        if record == "white":
+            return v
+        v = np.fft.irfft(np.fft.rfft(v)[:48], n)
+        return np.repeat(v[::8], 8) if record == "stepped" else v
+
+    x = shape(rng.standard_normal(n))
+    return x, np.roll(x, 6) + shape(rng.standard_normal(n))
 
 
 def _count_forks(monkeypatch):

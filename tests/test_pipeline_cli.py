@@ -410,6 +410,36 @@ class TestCli:
             assert f"delay {name} must be finite, got {value} s" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--squeezing-db", "nan", "squeezing_db"),
+        ("--power-b-mw", "inf", "mean_power_b"),
+        ("--excess-noise-db", "1e6", "excess_noise_db"),
+        ("--electronic-noise-rms", "inf", "electronic_noise_rms"),
+        ("--electronic-noise-rms", "nan", "electronic_noise_rms"),
+    ])
+    def test_bad_source_or_channel_value_exits_2(self, flag, value, name, monkeypatch,
+                                                 capsys):
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["pipeline", "--range-ns", "20", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--synth-ref-seed", "-1"],
+        ["oracle-check", "--seed", "-1", "--tuples", "1", "--points", "11"],
+    ])
+    def test_negative_seed_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        if argv[0] == "spectrum":
+            a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+            assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
+                         "--out-b", str(b)]) == 0
+            argv = [*argv, "--trace-a", str(a), "--trace-b", str(b),
+                    "--out", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{argv[1]} must be >= 0, got -1" in err and "Traceback" not in err
+
     def test_import_loads_no_scipy_signal(self):
         code = ("import sys, twinbeam, twinbeam.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")

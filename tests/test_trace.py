@@ -124,6 +124,24 @@ class TestParams:
         with pytest.raises(InvalidParams):
             SourceParams(mean_power_a=0.0)
 
+    @pytest.mark.parametrize("cls, name, value", [
+        (SourceParams, "squeezing_db", float("nan")),
+        (SourceParams, "sigma0", float("inf")),
+        (SourceParams, "excess_noise_db", float("inf")),
+        (SourceParams, "mean_power_b", float("inf")),
+        (ChannelParams, "tau0", float("nan")),
+        (ChannelParams, "electronic_noise_rms", float("inf")),
+        (ChannelParams, "electronic_noise_rms", float("nan")),
+    ])
+    def test_non_finite_field_named(self, cls, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be finite"):
+            cls(**{name: value})
+
+    def test_excess_noise_whose_power_ratio_overflows(self):
+        with pytest.raises(InvalidParams, match="excess_noise_db 1000000.0 dB overflows"):
+            SourceParams(excess_noise_db=1e6)
+        SourceParams(excess_noise_db=3000.0)   # 1e300 is a float
+
     def test_channel_defaults(self):
         p = ChannelParams()
         assert p.eta == pytest.approx(0.598)
