@@ -11,6 +11,7 @@ that runs a stage asks the stage's own check whether settings fit a record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -40,9 +41,16 @@ SCENARIO_CHOICES = tuple(SCENARIOS)
 
 # A unit is (to JSON, from JSON).  ``_scaled`` reads a JSON value as the
 # decimal literal it spells (1.1 ns is 1.1e-9, unlike 1.1 / 1e9; 50 ns is 50e-9,
-# unlike 50 * 1e-9); ``out`` is the reports' arithmetic (not 50e-9 / 1e-9).
+# unlike 50 * 1e-9) and refuses a finite one that overflows in SI units;
+# ``out`` is the reports' arithmetic (not 50e-9 / 1e-9).
 def _scaled(out, exponent: int):
-    return (out, lambda v: float(Decimal(repr(float(v))).scaleb(exponent)))
+    def into(v):
+        x = float(v)
+        si = float(Decimal(repr(x)).scaleb(exponent))
+        if math.isfinite(x) and not math.isfinite(si):
+            raise ValueError(f"{v!r} overflows in SI units")
+        return si
+    return (out, into)
 
 
 def _integer(v) -> int:

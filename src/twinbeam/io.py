@@ -50,6 +50,9 @@ def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
     """Write a trace as a TWBM container."""
     if encoding not in _ENCODINGS:
         raise InvalidParams(f"unknown encoding {encoding!r}; use one of {sorted(_ENCODINGS)}")
+    if encoding == "u8" and trace.spec.bit_depth > 8:
+        raise InvalidParams(f"encoding 'u8' holds 8 bits, but the trace's bit_depth "
+                            f"is {trace.spec.bit_depth}")
     header = {
         "sample_rate_hz": trace.spec.sample_rate,
         "n_samples": trace.spec.n_samples,

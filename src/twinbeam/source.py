@@ -44,6 +44,7 @@ curve of a 4-million-sample record below the estimator bias floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -143,8 +144,14 @@ class NoiseBudget:
                 "excess_noise_db too small: per-arm noise would fall below the "
                 "independent (squeezing) noise floor"
             )
+        excess = (x_lin - s_lin) * (0.5 * (shot_a + shot_b))
+        if not (shape_mean > 0 and math.isfinite(excess / shape_mean)):
+            raise InvalidParams(
+                f"sigma0 {params.sigma0 * 1e9:g} ns is too wide: its shared spectrum "
+                "underflows over the design band"
+            )
         return cls(shot_variance_a=shot_a, shot_variance_b=shot_b,
-                   shared_scale=(x_lin - s_lin) * (0.5 * (shot_a + shot_b)) / shape_mean)
+                   shared_scale=excess / shape_mean)
 
 
 def noise_spectrum(rng: np.random.Generator, n: int, fs: float,

@@ -32,8 +32,8 @@ class DigitizerSpec:
     full_scale: float = 1.0        # volts mapped onto the level range
 
     def __post_init__(self):
-        if not (self.sample_rate > 0):
-            raise InvalidParams(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not (0 < self.sample_rate < math.inf):
+            raise InvalidParams(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if not (self.n_samples > 0):
             raise InvalidParams(f"n_samples must be > 0, got {self.n_samples}")
         if 2 ** self.bit_depth < 2:
@@ -236,6 +236,9 @@ class SourceParams:
                                 "as a power ratio") from None
         if self.squeezing_db < 0:
             raise InvalidParams(f"squeezing_db must be >= 0, got {self.squeezing_db}")
+        if 10.0 ** (-self.squeezing_db / 10.0) == 0.0:   # the noise budget's power ratio
+            raise InvalidParams(f"squeezing_db {self.squeezing_db} dB underflows "
+                                "as a power ratio")
         if not (self.sigma0 > 0):
             raise InvalidParams(f"sigma0 must be > 0, got {self.sigma0}")
         if not (self.mean_power_a > 0 and self.mean_power_b > 0):

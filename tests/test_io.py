@@ -13,7 +13,7 @@ from twinbeam.io import (
     save_trace,
 )
 from twinbeam.source import gen_split_coherent, gen_twin, quantize
-from twinbeam.trace import MICurve, SourceParams
+from twinbeam.trace import DigitizerSpec, MICurve, SourceParams, Trace
 
 
 class TestTwbm:
@@ -50,6 +50,15 @@ class TestTwbm:
         raw = np.frombuffer(payload[12 + hdr_len:], dtype=np.uint8)
         assert raw.min() >= 0 and raw.max() <= 255
         assert len(raw) == small_spec.n_samples
+
+    def test_u8_refuses_more_than_8_bits(self, tmp_path):
+        spec = DigitizerSpec(n_samples=64, bit_depth=12)
+        trace = Trace(samples=np.zeros(64), spec=spec, mean_level=2048.0)
+        path = tmp_path / "q.twbm"
+        with pytest.raises(InvalidParams, match="bit_depth is 12"):
+            save_trace(trace, path, encoding="u8")
+        assert not path.exists()
+        save_trace(trace, path)   # f64le keeps every level
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.twbm"

@@ -287,6 +287,33 @@ class TestDelayScan:
             assert 0 < far_steps < len(starts)
             assert len(calls) == len(curve.mi) + far_steps
 
+    @pytest.mark.parametrize("record", ["concentrated", "independent"])
+    def test_table_mi_matches_public_estimator(self, record):
+        # a's most common bin holds over 90 % of the window, so the c log2 c
+        # table reaches most of the window's length; an independent pair's
+        # MI is a small difference of large sums
+        n, guard = 2 ** 15, 64
+        pair = _pinned_pair(record, n, guard)
+        curve = mi_delay_scan(pair, step=0.5e-9, range_=20e-9)
+        if record == "concentrated":
+            lo = guard + 40
+            rows = histogram2d(pair.a.samples[lo:-lo], pair.b.samples[lo:-lo]).counts
+            assert rows.sum(axis=1).max() > 0.9 * (n - 2 * lo)
+        _assert_every_shift_matches(pair, curve, guard, 100)
+
+    @pytest.mark.parametrize("n_bins", [2, 16, 100, 300])
+    def test_curve_is_the_same_at_any_block_count(self, n_bins, monkeypatch):
+        # uint8 cells up to 16 bins, uint16 at 100, uint32 at 300; each block
+        # builds its own table, and every value is a fixed function of its counts
+        n, guard = 2 ** 15, 64
+        pair = _pinned_pair("lowpassed", n, guard)
+        curves = []
+        for cores in (1, 3):
+            _split_every_scan(monkeypatch, cores)
+            curves.append(mi_delay_scan(pair, step=0.5e-9, range_=20e-9, n_bins=n_bins))
+        assert np.array_equal(curves[0].mi, curves[1].mi)
+        _assert_every_shift_matches(pair, curves[0], guard, n_bins)
+
     @pytest.mark.parametrize("failing", ["worker", "parent"])
     def test_block_error_is_raised_with_no_child_left(self, failing, monkeypatch):
         # a worker's error crosses its pipe with its type and message; an error
@@ -325,6 +352,8 @@ def _scan_records(record, n):
     records do; "stepped" holds the low-passed record for 8 samples at a
     time, so b's bin moves by one at most breakpoints and farther at some;
     "white" is white noise.  y is x delayed by 6 samples plus its own noise.
+    "concentrated" sets the 92 % of the low-passed x nearest zero to zero;
+    "independent" pairs two low-passed records of their own noises.
     """
     rng = np.random.default_rng(13)
 
@@ -335,7 +364,30 @@ def _scan_records(record, n):
         return np.repeat(v[::8], 8) if record == "stepped" else v
 
     x = shape(rng.standard_normal(n))
+    if record == "concentrated":
+        x[np.abs(x) < np.quantile(np.abs(x), 0.92)] = 0.0
+    if record == "independent":
+        return x, shape(rng.standard_normal(n))
     return x, np.roll(x, 6) + shape(rng.standard_normal(n))
+
+
+def _pinned_pair(record, n, guard):
+    """``_scan_records``' pair with sentinels that pin whole-trace and window bin edges."""
+    x, y = _scan_records(record, n)
+    for v in (x, y):
+        top = 1.01 * np.abs(v).max()
+        v[n // 2], v[n // 2 + 1] = top, -top
+    return _scan_pair(x, y, guard=guard)
+
+
+def _assert_every_shift_matches(pair, curve, guard, n_bins):
+    """Each of ``curve``'s values within 1e-12 bits of histogram2d + mi_from_hist."""
+    shifts = np.rint(curve.delays * 2e9).astype(np.int64)
+    lo, hi = guard + shifts[-1], len(pair.a.samples) - guard - shifts[-1]
+    a, b = pair.a.samples, pair.b.samples
+    for d, got in zip(shifts, curve.mi):
+        ref = mi_from_hist(histogram2d(a[lo:hi], b[lo - d : hi - d], n_bins, n_bins))
+        assert got == pytest.approx(ref, abs=1e-12)
 
 
 def _count_forks(monkeypatch):

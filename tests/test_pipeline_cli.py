@@ -424,6 +424,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--sigma0-ns", "3000"], "sigma0"),
+        (["--sigma0-ns", "1e9"], "sigma0"),
+        (["--squeezing-db", "1e6"], "squeezing_db"),
+        (["--squeezing-db", "1e6", "--transmission", "0.5"], "squeezing_db"),
+        ({"digitizer": {"sample_rate_gsps": 1e300}}, "sample_rate_gsps"),
+    ])
+    def test_value_out_of_float_range_exits_2(self, flags, name, tmp_path, monkeypatch,
+                                              capsys):
+        # the shared spectrum underflows, 10^(-x/10) underflows, 1e309 S/s overflows
+        if isinstance(flags, dict):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(flags))
+            flags = ["--config", str(path)]
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["pipeline", "--range-ns", "20", *flags]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    def test_widest_drawable_sigma0_reaches_the_draws(self, monkeypatch):
+        _stub_first_draw(monkeypatch)
+        with pytest.raises(_FirstDraw):
+            main(["pipeline", "--range-ns", "20", "--sigma0-ns", "2800"])
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--synth-ref-seed", "-1"],
         ["oracle-check", "--seed", "-1", "--tuples", "1", "--points", "11"],

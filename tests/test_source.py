@@ -258,6 +258,14 @@ class TestNoiseBudget:
         assert b.shot_variance_b == pytest.approx(b.shot_variance_a * 5.3 / 5.9)
         assert b.shared_scale > 0
 
+    def test_sigma0_whose_shared_spectrum_underflows(self):
+        # 2800 ns leaves a finite shared level; wider, the band mean is
+        # subnormal (its scale overflows) or zero
+        assert np.isfinite(NoiseBudget.from_source(SourceParams(sigma0=2800e-9)).shared_scale)
+        for sigma0 in (2850e-9, 3000e-9, 1.0):
+            with pytest.raises(InvalidParams, match="sigma0 .* ns is too wide"):
+                NoiseBudget.from_source(SourceParams(sigma0=sigma0))
+
     def test_invalid(self):
         with pytest.raises(InvalidParams):
             NoiseBudget(shot_variance_a=-1.0, shot_variance_b=1.0, shared_scale=0.0)

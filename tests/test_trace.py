@@ -30,6 +30,8 @@ class TestDigitizerSpec:
         {"n_samples": 0},
         {"bit_depth": 0},
         {"full_scale": 0.0},
+        {"sample_rate": float("inf")},
+        {"sample_rate": float("nan")},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InvalidParams):
@@ -141,6 +143,11 @@ class TestParams:
         with pytest.raises(InvalidParams, match="excess_noise_db 1000000.0 dB overflows"):
             SourceParams(excess_noise_db=1e6)
         SourceParams(excess_noise_db=3000.0)   # 1e300 is a float
+
+    def test_squeezing_whose_power_ratio_underflows(self):
+        with pytest.raises(InvalidParams, match="squeezing_db 1000000.0 dB underflows"):
+            SourceParams(squeezing_db=1e6)
+        SourceParams(squeezing_db=3000.0)   # 1e-300 is a float
 
     def test_channel_defaults(self):
         p = ChannelParams()
