@@ -30,7 +30,6 @@ from .source import (
     gen_split_coherent,
     gen_split_thermal,
     gen_twin,
-    quantize,
 )
 from .channel import apply_channel, apply_electronic_noise, apply_is_delay, apply_loss
 from .dsp import SpectrumEstimate, bandpass, difference_spectrum
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelParams", "DigitizerSpec", "FitResult", "MICurve", "SourceParams",
     "Trace", "TracePair", "validate_pair",
-    "NoiseBudget", "gen_split_coherent", "gen_split_thermal", "gen_twin", "quantize",
+    "NoiseBudget", "gen_split_coherent", "gen_split_thermal", "gen_twin",
     "apply_channel", "apply_electronic_noise", "apply_is_delay", "apply_loss",
     "SpectrumEstimate", "bandpass", "difference_spectrum",
     "JointHistogram", "average_curves", "fwhm", "histogram2d", "mi_delay_scan",

@@ -44,7 +44,7 @@ __all__ = [
 KERNEL_TRUNCATION_SIGMAS = 12.0
 
 
-def _loss_psd(transmission: float, shot_psd, noise_bandwidth):
+def _loss_psd(transmission: float, shot_psd):
     """PSD of the vacuum noise a beam splitter of this transmission adds; None at t = 1."""
     if not (0.0 < transmission <= 1.0):
         raise InvalidTransmission(f"transmission must be in (0, 1], got {transmission}")
@@ -52,8 +52,7 @@ def _loss_psd(transmission: float, shot_psd, noise_bandwidth):
         return None
     if shot_psd is None:
         raise InvalidParams("trace carries no shot_psd, so its loss noise is unknown")
-    nbw = noise_bandwidth or NOISE_BANDWIDTH_HZ
-    return _white(transmission * (1.0 - transmission) * shot_psd, nbw)
+    return _white(transmission * (1.0 - transmission) * shot_psd)
 
 
 def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
@@ -62,7 +61,7 @@ def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
     The shot PSD is the trace's own bookkeeping value; the output carries the
     scaled mean level and shot PSD of the attenuated beam.
     """
-    psd = _loss_psd(transmission, trace.shot_psd, trace.noise_bandwidth)
+    psd = _loss_psd(transmission, trace.shot_psd)
     if psd is None:
         return trace
     noise = synth_noise(np.random.default_rng(seed), len(trace.samples),
@@ -140,19 +139,18 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     return trace.with_samples(y, guard=trace.guard + guard_extra)
 
 
-def _electronic_psd(rms: float, noise_bandwidth):
+def _electronic_psd(rms: float):
     """PSD of detector noise of total rms ``rms`` (levels); None at zero rms."""
     if rms < 0:
         raise InvalidParams(f"rms must be >= 0, got {rms}")
     if rms == 0:
         return None
-    nbw = noise_bandwidth or NOISE_BANDWIDTH_HZ
-    return _white(rms ** 2 / nbw, nbw)
+    return _white(rms ** 2 / NOISE_BANDWIDTH_HZ)
 
 
 def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
     """Add independent Gaussian detector noise of the given total rms (levels)."""
-    psd = _electronic_psd(rms, trace.noise_bandwidth)
+    psd = _electronic_psd(rms)
     if psd is None:
         return trace
     noise = synth_noise(np.random.default_rng(seed), len(trace.samples),
@@ -201,15 +199,15 @@ def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
     Checks what ``apply_channel`` checks; ``delay_taps`` gives the guard the
     delay adds.
     """
-    n, fs, nbw = pair.spec.n_samples, pair.spec.sample_rate, pair.noise_bandwidth
+    n, fs = pair.spec.n_samples, pair.spec.sample_rate
     ss = _stage_seeds(seed)
     t = params.power_transmission
-    loss = _loss_psd(t, pair.arms[0].shot_psd, nbw)
+    loss = _loss_psd(t, pair.arms[0].shot_psd)
     if loss is not None:
         arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), n, fs, loss, bins)
     if delay_taps(params, fs, n)[2]:
         arm = kernel_response(params, fs, n, bins) * arm
-    electronic = _electronic_psd(params.electronic_noise_rms, nbw)
+    electronic = _electronic_psd(params.electronic_noise_rms)
     if electronic is not None:
         arm = arm + noise_spectrum(np.random.default_rng(ss[1]), n, fs, electronic, bins)
     return arm

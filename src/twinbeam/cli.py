@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -108,10 +109,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if (args.ref_a is None) != (args.ref_b is None):
+        given, missing = ("--ref-a", "--ref-b") if args.ref_b is None else ("--ref-b", "--ref-a")
+        raise ConfigError(f"{given} needs {missing}: the reference is a pair of files")
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
     config = _run_config(args)
     check_segment(config.segment_length, pair.a.spec.n_samples)
-    if args.ref_a and args.ref_b:
+    if args.ref_a is not None:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
     else:
         ref = gen_split_coherent(config.source, pair.a.spec,
@@ -125,6 +129,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.mode == "gaussian":
+        for flag, value in (("--sigma0-ns", args.sigma0_ns),
+                            ("--reference-peak", args.reference_peak)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to --mode channel")
     curve = load_curve(args.curve)
     if args.mode == "gaussian":
         out = fit_gaussian(curve).to_report()
@@ -139,6 +148,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol:g}")
+    if args.tuples < 0:
+        raise ConfigError(f"--tuples must be >= 0, got {args.tuples}")
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
     rng = np.random.default_rng(check_seed(args.seed, "--seed"))
     t = np.linspace(-200e-9, 300e-9, args.points)
     worst = 0.0

@@ -7,8 +7,9 @@ TWBM container layout (little-endian throughout):
     bytes 8-11   header length H, uint32
     bytes 12-    UTF-8 JSON header of H bytes:
                  {sample_rate_hz, n_samples, encoding, label,
-                  full_scale, mean_level, bit_depth?, guard?,
-                  shot_psd?, noise_bandwidth_hz?}
+                  mean_level, bit_depth?, guard?, shot_psd?}
+                 (other keys, such as the full_scale and noise_bandwidth_hz
+                 of earlier files, are ignored)
     then         raw payload; encoding "u8" stores the record as raw levels
                  (mean included), "f64le" stores the zero-mean fluctuation.
 
@@ -47,7 +48,7 @@ _ENCODINGS = {"u8": np.uint8, "f64le": "<f8"}
 
 
 def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
-    """Write a trace as a TWBM container."""
+    """Write a trace as a TWBM container; "u8" clips the rounded levels to the spec's range."""
     if encoding not in _ENCODINGS:
         raise InvalidParams(f"unknown encoding {encoding!r}; use one of {sorted(_ENCODINGS)}")
     if encoding == "u8" and trace.spec.bit_depth > 8:
@@ -58,17 +59,15 @@ def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
         "n_samples": trace.spec.n_samples,
         "encoding": encoding,
         "label": trace.label,
-        "full_scale": trace.spec.full_scale,
         "mean_level": trace.mean_level,
         "bit_depth": trace.spec.bit_depth,
         "guard": trace.guard,
         "shot_psd": trace.shot_psd,
-        "noise_bandwidth_hz": trace.noise_bandwidth,
     }
     hdr = json.dumps(header).encode("utf-8")
     if encoding == "u8":
         raw = trace.samples + trace.mean_level
-        payload = np.clip(np.rint(raw), 0, 255).astype(np.uint8).tobytes()
+        payload = np.clip(np.rint(raw), 0, trace.spec.n_levels - 1).astype(np.uint8).tobytes()
     else:
         payload = trace.samples.astype("<f8").tobytes()
     with open(path, "wb") as fh:
@@ -109,7 +108,6 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         sample_rate=fs,
         n_samples=n,
         bit_depth=int(header.get("bit_depth", 8)),
-        full_scale=float(header.get("full_scale", 1.0)),
     )
     mean_level = float(header.get("mean_level", 0.0))
     if encoding == "u8":
@@ -123,7 +121,6 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         label=header.get("label", "trace"),
         mean_level=mean_level,
         shot_psd=header.get("shot_psd"),
-        noise_bandwidth=header.get("noise_bandwidth_hz"),
         guard=int(header.get("guard", 0)),
     )
 

@@ -145,13 +145,17 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     difference of the arms' spectra.  With an output directory,
     writes per-scenario curve CSVs, the squeezing spectrum CSV, and
     report.json.  Every stage runs, so before the first draw ``band_bins``
-    checks the band, ``check_segment`` the Welch segment and ``mi.scan_window``
-    the scan, with the guards the scanned arms carry.
+    checks the band, ``check_segment`` the Welch segment, ``twin_recipe`` the
+    source on this record and ``mi.scan_window`` the scan, with the guards
+    the scanned arms carry.
     """
     t0 = time.time()
     n, fs = config.spec.n_samples, config.spec.sample_rate
     band = _Band(*band_bins(n, fs, config.f_lo, config.f_hi))
     check_segment(config.segment_length, n)
+    seeds = [config.seed + r for r in range(config.repeats)]
+    # the twin recipes check the source on this record before a channel is matched to it
+    pairs = [twin_recipe(config.source, config.spec, seed) for seed in seeds]
     channel_name, split_names, gaussian_fit = SCENARIOS[config.scenario]
     channel = _CHANNELS[channel_name](config) if channel_name else None
     # arm a's guard: the band-pass's or, on a channel arm, the kernel's if larger
@@ -168,7 +172,6 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    seeds = [config.seed + r for r in range(config.repeats)]
     report: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -179,8 +182,7 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         report["channel_params"] = replace(config, channel=channel).to_dict()["channel"]
 
     runs = {name: [] for name in ("twin-unobstructed", channel_name, *split_names) if name}
-    for seed in seeds:
-        pair = twin_recipe(config.source, config.spec, seed)
+    for seed, pair in zip(seeds, pairs):
         if seed == seeds[0]:
             spectra = pair.noise_spectra()
             difference = pair.difference(spectra)

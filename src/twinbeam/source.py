@@ -37,9 +37,11 @@ where the post-filter delay oscillation self-cancels; without it the sharp
 band-pass would imprint secondary MI lobes of more than half the peak height
 near 200 ns, which no measured curve shows.
 
-White noises are band-limited to NOISE_BANDWIDTH_HZ (a detection-bandwidth
-stand-in); truly Nyquist-wide shot noise would bury the unfiltered delay
-curve of a 4-million-sample record below the estimator bias floor.
+Every white noise (shot here, loss and electronic in ``channel``) is
+band-limited to NOISE_BANDWIDTH_HZ, the one detection bandwidth, which a
+``PairRecipe`` refuses above Nyquist; truly Nyquist-wide shot noise would bury
+the unfiltered delay curve of a 4-million-sample record below the estimator
+bias floor.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,8 +74,6 @@ __all__ = [
     "gen_twin",
     "gen_split_thermal",
     "gen_split_coherent",
-    "quantize",
-    "QuantizeResult",
 ]
 
 # Detection bandwidth of every synthesized white noise (Hz).
@@ -105,9 +105,9 @@ def shared_psd_shape(f: np.ndarray, sigma0: float) -> np.ndarray:
     return gauss * notch
 
 
-def _shot_psds(params: SourceParams, noise_bandwidth: float) -> tuple[float, float]:
+def _shot_psds(params: SourceParams) -> tuple[float, float]:
     """Shot PSDs (level^2/Hz) of arms a and b; arm b's scales with its power."""
-    shot_a = SHOT_RMS_LEVELS ** 2 / noise_bandwidth
+    shot_a = SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ
     return shot_a, shot_a * params.mean_power_b / params.mean_power_a
 
 
@@ -133,9 +133,8 @@ class NoiseBudget:
             raise InvalidParams("noise levels must be nonnegative")
 
     @classmethod
-    def from_source(cls, params: SourceParams,
-                    noise_bandwidth: float = NOISE_BANDWIDTH_HZ) -> "NoiseBudget":
-        shot_a, shot_b = _shot_psds(params, noise_bandwidth)
+    def from_source(cls, params: SourceParams) -> "NoiseBudget":
+        shot_a, shot_b = _shot_psds(params)
         x_lin = 10.0 ** (params.excess_noise_db / 10.0)
         s_lin = 10.0 ** (-params.squeezing_db / 10.0)
         shape_mean = float(shared_psd_shape(_BAND_GRID, params.sigma0).mean())
@@ -183,8 +182,8 @@ def synth_noise(rng: np.random.Generator, n: int, fs: float,
     return np.fft.irfft(noise_spectrum(rng, n, fs, psd), n)
 
 
-def _white(level: float, bandwidth: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda f: np.where(f <= bandwidth, level, 0.0)
+def _white(level: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda f: np.where(f <= NOISE_BANDWIDTH_HZ, level, 0.0)
 
 
 def _mix(weights, xs):
@@ -210,10 +209,13 @@ class PairRecipe:
     """
 
     spec: DigitizerSpec
-    noise_bandwidth: float
     noises: tuple[tuple[np.random.SeedSequence, Callable[[np.ndarray], np.ndarray]], ...]
     weights: tuple[tuple[float, ...], tuple[float, ...]]
     arms: tuple[Arm, Arm]
+
+    def __post_init__(self):
+        if NOISE_BANDWIDTH_HZ > 0.5 * self.spec.sample_rate:
+            raise InvalidParams("noise bandwidth exceeds Nyquist")
 
     def noise_spectra(self, bins: slice = slice(None)) -> list[np.ndarray]:
         """Each noise's rfft over ``bins``: every normal of the pair drawn once."""
@@ -237,67 +239,73 @@ class PairRecipe:
         """The pair's records, one irfft per noise."""
         n, fs = self.spec.n_samples, self.spec.sample_rate
         records = [synth_noise(np.random.default_rng(ss), n, fs, psd) for ss, psd in self.noises]
-        a, b = (Trace(samples=_mix(w, records), spec=self.spec,
-                      noise_bandwidth=self.noise_bandwidth, **arm._asdict())
+        a, b = (Trace(samples=_mix(w, records), spec=self.spec, **arm._asdict())
                 for w, arm in zip(self.weights, self.arms))
         return TracePair(a=a, b=b)
 
 
-def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
-                noise_bandwidth: Optional[float] = None) -> PairRecipe:
-    """Quantum-correlated twin pair (probe / conjugate); see ``gen_twin``."""
-    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
-    if nbw > 0.5 * spec.sample_rate:
-        raise InvalidParams("noise bandwidth exceeds Nyquist")
-    budget = NoiseBudget.from_source(params, nbw)
+def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
+    """Quantum-correlated twin pair (probe / conjugate); see ``gen_twin``.
+
+    Refuses a source whose records float64 cannot carry on ``spec``'s record.
+    A record's mean is known only to about eps times its rms, so ``Trace``'s
+    DC-removal tolerance needs eps * rms inside it, for an arm excess_noise_db
+    above its shot level over DESIGN_BAND.  Each bin's scale psd * fs * n / 2
+    must stay finite at the shared PSD's peak, at most ``shared_scale``,
+    which grows without bound with sigma0.
+    """
+    budget = NoiseBudget.from_source(params)
+    rms = math.sqrt(10.0 ** (params.excess_noise_db / 10.0) * (DESIGN_BAND[1] - DESIGN_BAND[0])
+                    * max(budget.shot_variance_a, budget.shot_variance_b))
+    if np.finfo(np.float64).eps * rms > spec.dc_tolerance:
+        raise InvalidParams(f"excess_noise_db {params.excess_noise_db:g} dB is too high: an arm "
+                            f"of rms {rms:.3g} levels over the design band cannot hold its mean "
+                            f"within {spec.dc_tolerance:g} levels in float64")
+    if not math.isfinite(budget.shared_scale * spec.sample_rate * spec.n_samples / 2.0):
+        raise InvalidParams(f"sigma0 {params.sigma0 * 1e9:g} ns is too wide for a "
+                            f"{spec.n_samples}-sample record: its shared spectrum's per-bin "
+                            "scale overflows float64")
     s_lin = 10.0 ** (-params.squeezing_db / 10.0)
     shared, own_a, own_b = np.random.SeedSequence(seed).spawn(3)
     return PairRecipe(
-        spec=spec, noise_bandwidth=nbw,
+        spec=spec,
         noises=((shared, lambda f: budget.shared_scale * shared_psd_shape(f, params.sigma0)),
-                (own_a, _white(s_lin * budget.shot_variance_a, nbw)),
-                (own_b, _white(s_lin * budget.shot_variance_b, nbw))),
+                (own_a, _white(s_lin * budget.shot_variance_a)),
+                (own_b, _white(s_lin * budget.shot_variance_b))),
         weights=((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
         arms=(Arm("probe", MEAN_LEVEL_A, budget.shot_variance_a),
               Arm("conjugate", _mean_level_b(params), budget.shot_variance_b)))
 
 
-def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
-                         thermal_excess_db: float = THERMAL_EXCESS_DB,
-                         noise_bandwidth: Optional[float] = None) -> PairRecipe:
+def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
     """Conjugate beam split 50/50; see ``gen_split_thermal``."""
-    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
-    if thermal_excess_db < 0:
-        raise InvalidParams("thermal_excess_db must be >= 0")
-    _, shot_full = _shot_psds(params, nbw)
-    x_lin = 10.0 ** (thermal_excess_db / 10.0)
+    _, shot_full = _shot_psds(params)
+    x_lin = 10.0 ** (THERMAL_EXCESS_DB / 10.0)
     lorentz = lambda f: 1.0 / (1.0 + (f / THERMAL_CORNER_HZ) ** 2)
     amp = (x_lin - 1.0) * shot_full / float(lorentz(_BAND_GRID).mean())
     shot_half = 0.5 * shot_full  # shot PSD at half the optical power
     mean_half = 0.5 * _mean_level_b(params)
     thermal, q1, q2 = np.random.SeedSequence(seed).spawn(3)
     return PairRecipe(
-        spec=spec, noise_bandwidth=nbw,
+        spec=spec,
         noises=((thermal, lambda f: amp * lorentz(f)),
-                (q1, _white(shot_half, nbw)),
-                (q2, _white(shot_half, nbw))),
+                (q1, _white(shot_half)),
+                (q2, _white(shot_half))),
         weights=((0.5, 1.0, 0.0), (0.5, 0.0, 1.0)),
         arms=(Arm("conjugate-split-1", mean_half, shot_half),
               Arm("conjugate-split-2", mean_half, shot_half)))
 
 
-def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int,
-                          noise_bandwidth: Optional[float] = None) -> PairRecipe:
+def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
     """Two independent shot-noise-limited arms; see ``gen_split_coherent``.
 
     A coherent pair has no shared spectrum, so any source is accepted.
     """
-    nbw = float(noise_bandwidth or NOISE_BANDWIDTH_HZ)
-    shot_a, shot_b = _shot_psds(params, nbw)
+    shot_a, shot_b = _shot_psds(params)
     own_a, own_b = np.random.SeedSequence(seed).spawn(2)
     return PairRecipe(
-        spec=spec, noise_bandwidth=nbw,
-        noises=((own_a, _white(shot_a, nbw)), (own_b, _white(shot_b, nbw))),
+        spec=spec,
+        noises=((own_a, _white(shot_a)), (own_b, _white(shot_b))),
         weights=((1.0, 0.0), (0.0, 1.0)),
         arms=(Arm("coherent-A", MEAN_LEVEL_A, shot_a),
               Arm("coherent-B", _mean_level_b(params), shot_b)))
@@ -308,8 +316,7 @@ RECIPES = {"twin": twin_recipe, "split-thermal": split_thermal_recipe,
            "split-coherent": split_coherent_recipe}
 
 
-def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
-             noise_bandwidth: Optional[float] = None) -> TracePair:
+def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
     """Quantum-correlated twin pair (probe / conjugate).
 
     The pair's intensity-difference PSD sits squeezing_db below the coherent
@@ -317,46 +324,21 @@ def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int,
     excess_noise_db above its shot level in band, and the delay-MI envelope
     follows a Gaussian of scale sigma0.
     """
-    return twin_recipe(params, spec, seed, noise_bandwidth).traces()
+    return twin_recipe(params, spec, seed).traces()
 
 
-def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int,
-                      thermal_excess_db: float = THERMAL_EXCESS_DB,
-                      noise_bandwidth: Optional[float] = None) -> TracePair:
+def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
     """Conjugate beam split 50/50: classical low-frequency correlations only.
 
     A low-pass (corner below the analysis band) Gaussian process models the
-    thermal-like conjugate fluctuation; each split output receives half of it
-    plus independent shot-scale noise at its own (halved) power.  With zero
-    thermal excess this degenerates to the split-coherent case.
+    thermal-like conjugate fluctuation, THERMAL_EXCESS_DB above shot noise in
+    band; each split output receives half of it plus independent shot-scale
+    noise at its own (halved) power.  With zero thermal excess this
+    degenerates to the split-coherent case.
     """
-    return split_thermal_recipe(params, spec, seed, thermal_excess_db, noise_bandwidth).traces()
+    return split_thermal_recipe(params, spec, seed).traces()
 
 
-def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int,
-                       noise_bandwidth: Optional[float] = None) -> TracePair:
+def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
     """Two independent shot-noise-limited traces at the configured powers."""
-    return split_coherent_recipe(params, spec, seed, noise_bandwidth).traces()
-
-
-class QuantizeResult(NamedTuple):
-    trace: Trace
-    clip_fraction: float
-
-
-def quantize(trace: Trace) -> QuantizeResult:
-    """Round the raw record onto the digitizer's level grid.
-
-    The fluctuation plus mean level is rounded to the nearest of 2**bit_depth
-    integer levels; values beyond the range clip to the extreme levels.
-    Clipping is reported, never fatal.
-    """
-    if not np.all(np.isfinite(trace.samples)):
-        raise InvalidParams("trace has non-finite samples")
-    raw = trace.samples + trace.mean_level
-    top = float(trace.spec.n_levels - 1)
-    clipped = np.count_nonzero((raw < -0.5) | (raw > top + 0.5))
-    q = np.clip(np.rint(raw), 0.0, top)
-    new_mean = float(q.mean())
-    out = trace.with_samples(q - new_mean, mean_level=new_mean)
-    return QuantizeResult(trace=out, clip_fraction=clipped / len(raw))
+    return split_coherent_recipe(params, spec, seed).traces()

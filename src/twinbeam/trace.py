@@ -29,7 +29,6 @@ class DigitizerSpec:
     sample_rate: float = 2.0e9     # samples / second
     n_samples: int = 4_000_000
     bit_depth: int = 8             # 2**bit_depth levels
-    full_scale: float = 1.0        # volts mapped onto the level range
 
     def __post_init__(self):
         if not (0 < self.sample_rate < math.inf):
@@ -38,8 +37,6 @@ class DigitizerSpec:
             raise InvalidParams(f"n_samples must be > 0, got {self.n_samples}")
         if 2 ** self.bit_depth < 2:
             raise InvalidParams(f"bit_depth must give >= 2 levels, got {self.bit_depth}")
-        if not (self.full_scale > 0):
-            raise InvalidParams(f"full_scale must be > 0, got {self.full_scale}")
 
     @property
     def duration(self) -> float:
@@ -48,6 +45,11 @@ class DigitizerSpec:
     @property
     def n_levels(self) -> int:
         return 2 ** self.bit_depth
+
+    @property
+    def dc_tolerance(self) -> float:
+        """Largest mean (levels) a ``Trace`` of this spec accepts as DC-free."""
+        return 1e-9 * self.n_levels
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,8 @@ class Trace:
     number of samples at each end that downstream statistics must exclude
     (filter and convolution transients accumulate here).  ``shot_psd`` is the
     one-sided shot-noise PSD (level^2/Hz) associated with the beam's mean
-    power, and ``noise_bandwidth`` the band over which white noises on this
-    trace were synthesized; both are optional bookkeeping used by the channel
-    model.
+    power: optional bookkeeping used by the channel model, whose noises, like
+    the source's, are white over ``source.NOISE_BANDWIDTH_HZ``.
     """
 
     samples: np.ndarray
@@ -68,7 +69,6 @@ class Trace:
     label: str = "probe"
     mean_level: float = 0.0
     shot_psd: Optional[float] = None
-    noise_bandwidth: Optional[float] = None
     guard: int = 0
 
     def __post_init__(self):
@@ -83,7 +83,7 @@ class Trace:
         if not samples.flags.owndata:
             samples = samples.copy()
         mean = float(samples.mean())
-        tol = 1e-9 * self.spec.n_levels
+        tol = self.spec.dc_tolerance
         if abs(mean) > tol:
             raise InvalidParams(
                 f"trace mean {mean:g} exceeds DC-removal tolerance {tol:g}; "
@@ -113,7 +113,6 @@ class Trace:
             label=self.label,
             mean_level=self.mean_level,
             shot_psd=self.shot_psd,
-            noise_bandwidth=self.noise_bandwidth,
             guard=self.guard,
         )
         kw.update(updates)
@@ -261,7 +260,7 @@ class ChannelParams:
     tau0: float = 32.7e-9
     sigma: float = 19.7e-9
     power_transmission: float = 0.14
-    electronic_noise_rms: float = 0.0   # levels, over the trace noise bandwidth
+    electronic_noise_rms: float = 0.0   # levels, over source.NOISE_BANDWIDTH_HZ
 
     def __post_init__(self):
         _refuse_non_finite(self)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,9 @@ def gaussian_pair(rho, n, seed, scale=1.0):
     x = rng.standard_normal(n)
     y = rho * x + np.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
     return scale * x, scale * y
+
+
+def twbm_payload(path) -> bytes:
+    """The payload of a TWBM file: the bytes after its header."""
+    data = path.read_bytes()
+    return data[12 + struct.unpack("<II", data[4:12])[1]:]

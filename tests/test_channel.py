@@ -20,7 +20,7 @@ from twinbeam.errors import InvalidParams, InvalidTransmission, KernelTooWide
 from twinbeam.mi import mi_delay_scan
 from twinbeam.model import peak_value
 from twinbeam.pipeline import scatterer_only_channel
-from twinbeam.source import gen_twin, twin_recipe
+from twinbeam.source import NOISE_BANDWIDTH_HZ, gen_twin, twin_recipe
 from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
 
 from conftest import make_trace
@@ -50,8 +50,7 @@ class TestApplyLoss:
         t = 0.14
         out = apply_loss(pair.a, t, seed=5)
         added = out.samples - t * pair.a.samples
-        nbw = pair.a.noise_bandwidth
-        expected_var = t * (1 - t) * pair.a.shot_psd * nbw
+        expected_var = t * (1 - t) * pair.a.shot_psd * NOISE_BANDWIDTH_HZ
         assert added.var() == pytest.approx(expected_var, rel=0.02)
         assert out.mean_level == pytest.approx(t * pair.a.mean_level)
         assert out.shot_psd == pytest.approx(t * pair.a.shot_psd)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -12,8 +13,10 @@ from twinbeam.io import (
     save_spectrum,
     save_trace,
 )
-from twinbeam.source import gen_split_coherent, gen_twin, quantize
+from twinbeam.source import gen_split_coherent, gen_twin
 from twinbeam.trace import DigitizerSpec, MICurve, SourceParams, Trace
+
+from conftest import twbm_payload
 
 
 class TestTwbm:
@@ -27,29 +30,47 @@ class TestTwbm:
         assert back.label == pair.a.label
         assert back.mean_level == pair.a.mean_level
         assert back.shot_psd == pair.a.shot_psd
-        assert back.noise_bandwidth == pair.a.noise_bandwidth
         assert back.guard == pair.a.guard
 
     def test_u8_round_trip_bit_identical(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=2)
-        q, _ = quantize(pair.a)
-        path = tmp_path / "q.twbm"
-        save_trace(q, path, encoding="u8")
-        back = load_trace(path)
+        path, again = tmp_path / "q.twbm", tmp_path / "again.twbm"
+        save_trace(pair.a, path, encoding="u8")
+        save_trace(load_trace(path), again, encoding="u8")
         # raw levels are preserved exactly through the u8 payload
-        assert np.array_equal(back.samples + back.mean_level,
-                              q.samples + q.mean_level)
+        assert twbm_payload(again) == twbm_payload(path)
 
     def test_u8_values_span_levels(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=3)
-        q, _ = quantize(pair.a)
         path = tmp_path / "q.twbm"
-        save_trace(q, path, encoding="u8")
-        payload = path.read_bytes()
-        hdr_len = struct.unpack("<II", payload[4:12])[1]
-        raw = np.frombuffer(payload[12 + hdr_len:], dtype=np.uint8)
+        save_trace(pair.a, path, encoding="u8")
+        raw = np.frombuffer(twbm_payload(path), dtype=np.uint8)
         assert raw.min() >= 0 and raw.max() <= 255
         assert len(raw) == small_spec.n_samples
+
+    def test_u8_clips_to_the_spec_levels(self, tmp_path):
+        spec = DigitizerSpec(n_samples=64, bit_depth=4)
+        samples = np.linspace(-12.0, 12.0, 64)
+        path = tmp_path / "q.twbm"
+        save_trace(Trace(samples=samples, spec=spec, mean_level=7.5), path, encoding="u8")
+        levels = np.frombuffer(twbm_payload(path), dtype=np.uint8)
+        assert levels.max() == 15 and levels.min() == 0
+        assert np.array_equal(levels, np.clip(np.rint(samples + 7.5), 0, 15))
+
+    def test_loads_a_header_with_earlier_keys(self, tmp_path, small_spec):
+        # a header with keys the loader does not read, as earlier files carry
+        pair = gen_twin(SourceParams(), small_spec, seed=1)
+        header = {"sample_rate_hz": 2e9, "n_samples": small_spec.n_samples,
+                  "encoding": "f64le", "label": "probe", "full_scale": 1.0,
+                  "mean_level": 128.0, "bit_depth": 8, "guard": 0,
+                  "shot_psd": pair.a.shot_psd, "noise_bandwidth_hz": 300e6}
+        hdr = json.dumps(header).encode()
+        path = tmp_path / "old.twbm"
+        path.write_bytes(b"TWBM" + struct.pack("<II", 1, len(hdr)) + hdr
+                         + pair.a.samples.astype("<f8").tobytes())
+        back = load_trace(path)
+        assert np.array_equal(back.samples, pair.a.samples)
+        assert back.spec == small_spec and back.shot_psd == pair.a.shot_psd
 
     def test_u8_refuses_more_than_8_bits(self, tmp_path):
         spec = DigitizerSpec(n_samples=64, bit_depth=12)

@@ -324,6 +324,46 @@ class TestCli:
     def test_oracle_check(self):
         assert main(["oracle-check", "--tuples", "3", "--points", "101"]) == 0
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
+                                             ("--tuples", "-3"), ("--points", "0"),
+                                             ("--points", "1")])
+    def test_oracle_check_refuses_a_setting_that_voids_it(self, flag, value, capsys):
+        assert main(["oracle-check", "--tuples", "1", "--points", "11", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("given, missing", [("--ref-a", "--ref-b"), ("--ref-b", "--ref-a")])
+    def test_spectrum_refuses_half_a_reference_pair(self, given, missing, tmp_path, capsys):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
+                     "--out-b", str(b)]) == 0
+        assert main(["spectrum", "--trace-a", str(a), "--trace-b", str(b),
+                     given, str(tmp_path / "nonexistent.twbm"),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"{given} needs {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--sigma0-ns", "99"), ("--reference-peak", "-5")])
+    def test_gaussian_fit_refuses_channel_flags(self, flag, value, tmp_path, capsys):
+        from twinbeam.trace import MICurve
+
+        d = np.arange(-100, 101) * 0.5e-9
+        curve = tmp_path / "c.csv"
+        save_curve(MICurve(delays=d, mi=np.exp(-0.5 * (d / 20e-9) ** 2)), curve)
+        assert main(["fit", "--curve", str(curve), "--mode", "gaussian", flag, value]) == 2
+        assert f"{flag} applies only to --mode channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator", ["twin", "split-thermal", "split-coherent"])
+    def test_simulate_refuses_a_rate_below_twice_the_noise_bandwidth(self, generator, tmp_path,
+                                                                     capsys):
+        def simulate(rate):
+            return main(["simulate", "--scenario", generator, "--sample-rate-gsps", rate,
+                         "--n-samples", str(2 ** 14), "--out-a", str(tmp_path / "a.twbm"),
+                         "--out-b", str(tmp_path / "b.twbm")])
+
+        assert simulate("0.5") == 2
+        assert "noise bandwidth exceeds Nyquist" in capsys.readouterr().err
+        assert simulate("0.6") == 0
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["analyze", "--trace-a", str(tmp_path / "no.twbm"),
                    "--trace-b", str(tmp_path / "no2.twbm"), "--out",
@@ -443,10 +483,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
-    def test_widest_drawable_sigma0_reaches_the_draws(self, monkeypatch):
+    def test_widest_drawable_sigma0_reaches_the_draws(self, monkeypatch, capsys):
+        # past 2767 ns the shared PSD's per-bin scale overflows on 4e6 samples
         _stub_first_draw(monkeypatch)
         with pytest.raises(_FirstDraw):
-            main(["pipeline", "--range-ns", "20", "--sigma0-ns", "2800"])
+            main(["pipeline", "--range-ns", "20", "--sigma0-ns", "2767"])
+        assert main(["pipeline", "--range-ns", "20", "--sigma0-ns", "2768"]) == 2
+        assert "sigma0 2768 ns is too wide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--sigma0-ns", "2800", "--scenario", "twin"], "sigma0"),
+        (["--excess-noise-db", "300", "--transmission", "0.5"], "excess_noise_db"),
+        (["--excess-noise-db", "3000", "--transmission", "0.5"], "excess_noise_db"),
+        (["--excess-noise-db", "300"], "excess_noise_db"),
+    ])
+    def test_source_float64_cannot_carry_exits_2_before_any_draw(self, flags, name, tmp_path,
+                                                                  monkeypatch, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"digitizer": {"n_samples": 140_000}}))
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["pipeline", "--config", str(path), "--repeats", "1", "--range-ns", "20",
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    def test_wide_sigma0_on_a_short_record_draws_without_overflow(self, tmp_path):
+        # a numpy overflow would raise here (filterwarnings); a curve this wide
+        # may still fail its Gaussian fit
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"digitizer": {"n_samples": 140_000}}))
+        assert main(["pipeline", "--config", str(path), "--repeats", "1", "--range-ns", "20",
+                     "--sigma0-ns", "2000"]) in (0, 4)
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--synth-ref-seed", "-1"],

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+import twinbeam.source as source
 from twinbeam.dsp import bandpass, welch_psd
 from twinbeam.errors import InvalidParams
+from twinbeam.io import save_trace
 from twinbeam.mi import mi_delay_scan
 from twinbeam.source import (
     NOISE_BANDWIDTH_HZ,
@@ -13,12 +15,13 @@ from twinbeam.source import (
     gen_split_thermal,
     gen_twin,
     noise_spectrum,
-    quantize,
     split_coherent_recipe,
     synth_noise,
     twin_recipe,
 )
 from twinbeam.trace import DigitizerSpec, SourceParams, Trace, TracePair
+
+from conftest import twbm_payload
 
 F_LO, F_HI = 1.5e6, 3.5e6
 
@@ -145,16 +148,17 @@ class TestTwinStatistics:
 
 class TestSplitCoherent:
     def test_arms_pass_independence_bound(self, mid_spec):
-        # at full Nyquist noise bandwidth the samples are white, so the
-        # normalized cross-correlation over the delay-scan range must stay
-        # below 5/sqrt(N)
-        pair = gen_split_coherent(SourceParams(), mid_spec, seed=35,
-                                  noise_bandwidth=1.0e9)
-        n = mid_spec.n_samples
+        # at 0.6 GS/s the Nyquist frequency is the noise bandwidth, so the
+        # samples are white and the normalized cross-correlation over the
+        # delay-scan range must stay below 5/sqrt(N)
+        spec = DigitizerSpec(sample_rate=2 * NOISE_BANDWIDTH_HZ, n_samples=mid_spec.n_samples)
+        pair = gen_split_coherent(SourceParams(), spec, seed=35)
+        n = spec.n_samples
         a = pair.a.samples / np.sqrt(np.sum(pair.a.samples ** 2))
         b = pair.b.samples / np.sqrt(np.sum(pair.b.samples ** 2))
         xc = np.fft.irfft(np.fft.rfft(a) * np.conj(np.fft.rfft(b)), n)
-        lags = np.concatenate([xc[:601], xc[-600:]])  # +/- 300 ns
+        k = round(300e-9 * spec.sample_rate)
+        lags = np.concatenate([xc[:k + 1], xc[-k:]])  # +/- 300 ns
         assert np.max(np.abs(lags)) < 5.0 / np.sqrt(n)
 
     def test_one_record_in_both_arms_hits_self_mi(self, small_spec):
@@ -193,9 +197,10 @@ class TestSplitThermal:
         assert coherent < thermal < twin
         assert thermal < 0.75 * twin
 
-    def test_zero_thermal_reduces_to_coherent(self, small_spec):
+    def test_zero_thermal_reduces_to_coherent(self, small_spec, monkeypatch):
         params = SourceParams()
-        pair = gen_split_thermal(params, small_spec, seed=39, thermal_excess_db=0.0)
+        monkeypatch.setattr(source, "THERMAL_EXCESS_DB", 0.0)
+        pair = gen_split_thermal(params, small_spec, seed=39)
         curve = mi_delay_scan(pair, range_=10e-9)
         # no shared component at all: MI at the estimator floor
         assert curve.peak < 0.02
@@ -213,40 +218,43 @@ class TestSplitThermal:
 
 
 class TestQuantize:
-    def test_grid_point_fixed(self, small_spec):
+    """The digitizer's level grid, onto which ``save_trace``'s u8 encoding rounds."""
+
+    @staticmethod
+    def levels(trace, path):
+        save_trace(trace, path, encoding="u8")
+        return np.frombuffer(twbm_payload(path), dtype=np.uint8).astype(np.float64)
+
+    def test_grid_point_fixed(self, small_spec, tmp_path):
         rng = np.random.default_rng(50)
         levels = rng.integers(40, 200, size=small_spec.n_samples).astype(float)
         tr = Trace.from_raw(levels, small_spec)
-        out, clip = quantize(tr)
-        assert clip == 0.0
-        assert np.array_equal(out.samples + out.mean_level, levels)
+        assert np.array_equal(self.levels(tr, tmp_path / "q.twbm"), levels)
 
-    def test_gaussian_six_sigma_no_clipping(self, small_spec):
+    def test_gaussian_six_sigma_no_clipping(self, small_spec, tmp_path):
         # oracle: clipping probability 2 Phi(-6) = erfc(6/sqrt(2)) < 1e-8
         assert erfc(6.0 / np.sqrt(2.0)) < 1e-8
         rng = np.random.default_rng(51)
         sigma = 128.0 / 6.0
         tr = Trace.from_raw(128.0 + sigma * rng.standard_normal(small_spec.n_samples),
                             small_spec)
-        out, clip = quantize(tr)
-        assert clip <= 1e-8 * 10  # seeded draw: no sample beyond 6 sigma expected
-        assert clip == 0.0
+        # seeded draw: no sample beyond 6 sigma, so none lands on an extreme level
+        levels = self.levels(tr, tmp_path / "q.twbm")
+        assert levels.min() > 0.0 and levels.max() < 255.0
 
-    def test_at_most_256_levels(self, small_spec):
+    def test_at_most_256_levels(self, small_spec, tmp_path):
         pair = gen_twin(SourceParams(), small_spec, seed=52)
-        out, _ = quantize(pair.a)
-        raw = out.samples + out.mean_level
-        assert len(np.unique(raw)) <= 256
-        assert raw.min() >= 0.0 and raw.max() <= 255.0
+        levels = self.levels(pair.a, tmp_path / "q.twbm")
+        assert len(np.unique(levels)) <= 256
+        assert np.array_equal(levels, np.clip(np.rint(pair.a.samples + pair.a.mean_level),
+                                              0.0, 255.0))
 
-    def test_squeezing_survives_quantization(self):
+    def test_squeezing_survives_quantization(self, tmp_path):
         spec = DigitizerSpec(n_samples=2 ** 21)
         params = SourceParams()
         pair = gen_twin(params, spec, seed=53)
-        qa, _ = quantize(pair.a)
-        qb, _ = quantize(pair.b)
-        diff = qa.samples - qb.samples
-        measured = in_band_psd_mean(diff, spec.sample_rate)
+        diff = self.levels(pair.a, tmp_path / "a.twbm") - self.levels(pair.b, tmp_path / "b.twbm")
+        measured = in_band_psd_mean(diff - diff.mean(), spec.sample_rate)
         ratio = measured / (pair.a.shot_psd + pair.b.shot_psd)
         assert 10 * np.log10(ratio) == pytest.approx(-params.squeezing_db, abs=0.5)
 
@@ -265,6 +273,19 @@ class TestNoiseBudget:
         for sigma0 in (2850e-9, 3000e-9, 1.0):
             with pytest.raises(InvalidParams, match="sigma0 .* ns is too wide"):
                 NoiseBudget.from_source(SourceParams(sigma0=sigma0))
+
+    def test_twin_records_float64_cannot_carry(self):
+        # the shared PSD's per-bin scale overflows past 2767 ns on 4e6 samples;
+        # past 182 dB eps * rms of an arm exceeds the DC-removal tolerance
+        spec = DigitizerSpec(n_samples=4_000_000)
+        for ok, bad, name in ((SourceParams(sigma0=2767e-9), SourceParams(sigma0=2768e-9),
+                               "sigma0 2768 ns is too wide for a 4000000-sample record"),
+                              (SourceParams(excess_noise_db=182.0),
+                               SourceParams(excess_noise_db=183.0),
+                               "excess_noise_db 183 dB is too high")):
+            twin_recipe(ok, spec, seed=1)
+            with pytest.raises(InvalidParams, match=name):
+                twin_recipe(bad, spec, seed=1)
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):

@@ -29,7 +29,7 @@ class TestDigitizerSpec:
         {"sample_rate": -1.0},
         {"n_samples": 0},
         {"bit_depth": 0},
-        {"full_scale": 0.0},
+        {"bit_depth": -1},
         {"sample_rate": float("inf")},
         {"sample_rate": float("nan")},
     ])
