@@ -104,11 +104,7 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
     if sample_rate is not None and abs(fs - sample_rate) > 1e-6 * sample_rate:
         raise NonUniformTime(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
-    spec = DigitizerSpec(
-        sample_rate=fs,
-        n_samples=n,
-        bit_depth=int(header.get("bit_depth", 8)),
-    )
+    spec = DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=int(header.get("bit_depth", 8)))
     mean_level = float(header.get("mean_level", 0.0))
     if encoding == "u8":
         samples = values - values.mean()

@@ -206,12 +206,15 @@ class PairRecipe:
     ``noises`` are independent Gaussian noises as (seed, one-sided PSD); each
     is drawn from its own seed by ``noise_spectrum``.  Arm a is the sum of
     the noises weighted by ``weights[0]``, arm b by ``weights[1]``.
+    ``arm_rms`` bounds each arm's rms over all frequencies (levels): the root
+    of its PSD's integral, which ``traces`` checks before it draws.
     """
 
     spec: DigitizerSpec
     noises: tuple[tuple[np.random.SeedSequence, Callable[[np.ndarray], np.ndarray]], ...]
     weights: tuple[tuple[float, ...], tuple[float, ...]]
     arms: tuple[Arm, Arm]
+    arm_rms: tuple[float, float]
 
     def __post_init__(self):
         if NOISE_BANDWIDTH_HZ > 0.5 * self.spec.sample_rate:
@@ -236,7 +239,13 @@ class PairRecipe:
         return np.fft.irfft(_mix([x - y for x, y in zip(wa, wb)], spectra), self.spec.n_samples)
 
     def traces(self) -> TracePair:
-        """The pair's records, one irfft per noise."""
+        """The pair's records, one irfft per noise; see ``twin_recipe`` for the check."""
+        for arm, rms in zip(self.arms, self.arm_rms):
+            if not np.finfo(np.float64).eps * rms <= self.spec.dc_tolerance:
+                raise InvalidParams(f"arm {arm.label} of full-band rms up to {rms:.3g} levels "
+                                    f"cannot hold its mean within {self.spec.dc_tolerance:g} "
+                                    "levels in float64: sigma0, excess_noise_db or the power "
+                                    "ratio is too large for a full-band record")
         n, fs = self.spec.n_samples, self.spec.sample_rate
         records = [synth_noise(np.random.default_rng(ss), n, fs, psd) for ss, psd in self.noises]
         a, b = (Trace(samples=_mix(w, records), spec=self.spec, **arm._asdict())
@@ -247,12 +256,14 @@ class PairRecipe:
 def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
     """Quantum-correlated twin pair (probe / conjugate); see ``gen_twin``.
 
-    Refuses a source whose records float64 cannot carry on ``spec``'s record.
-    A record's mean is known only to about eps times its rms, so ``Trace``'s
-    DC-removal tolerance needs eps * rms inside it, for an arm excess_noise_db
-    above its shot level over DESIGN_BAND.  Each bin's scale psd * fs * n / 2
-    must stay finite at the shared PSD's peak, at most ``shared_scale``,
-    which grows without bound with sigma0.
+    Refuses a source whose band-passed records float64 cannot carry on
+    ``spec``'s record.  A record's mean is known only to about eps times its
+    rms, so ``Trace``'s DC-removal tolerance needs eps * rms inside it, for an
+    arm excess_noise_db above its shot level over DESIGN_BAND.  Each bin's
+    scale psd * fs * n / 2 must stay finite at the shared PSD's peak, at most
+    ``shared_scale``, which grows without bound with sigma0.  ``traces``
+    applies the rms bound over all frequencies, where the shared spectrum
+    carries at most shared_scale / (4 sqrt(pi) sigma0).
     """
     budget = NoiseBudget.from_source(params)
     rms = math.sqrt(10.0 ** (params.excess_noise_db / 10.0) * (DESIGN_BAND[1] - DESIGN_BAND[0])
@@ -266,6 +277,7 @@ def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRec
                             f"{spec.n_samples}-sample record: its shared spectrum's per-bin "
                             "scale overflows float64")
     s_lin = 10.0 ** (-params.squeezing_db / 10.0)
+    shared_var = budget.shared_scale / (4.0 * math.sqrt(math.pi) * params.sigma0)
     shared, own_a, own_b = np.random.SeedSequence(seed).spawn(3)
     return PairRecipe(
         spec=spec,
@@ -274,7 +286,9 @@ def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRec
                 (own_b, _white(s_lin * budget.shot_variance_b))),
         weights=((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
         arms=(Arm("probe", MEAN_LEVEL_A, budget.shot_variance_a),
-              Arm("conjugate", _mean_level_b(params), budget.shot_variance_b)))
+              Arm("conjugate", _mean_level_b(params), budget.shot_variance_b)),
+        arm_rms=tuple(math.sqrt(shared_var + s_lin * shot * NOISE_BANDWIDTH_HZ) for shot in
+                      (budget.shot_variance_a, budget.shot_variance_b)))
 
 
 def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
@@ -293,7 +307,9 @@ def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -
                 (q2, _white(shot_half))),
         weights=((0.5, 1.0, 0.0), (0.5, 0.0, 1.0)),
         arms=(Arm("conjugate-split-1", mean_half, shot_half),
-              Arm("conjugate-split-2", mean_half, shot_half)))
+              Arm("conjugate-split-2", mean_half, shot_half)),
+        arm_rms=(math.sqrt(0.25 * amp * THERMAL_CORNER_HZ * math.pi / 2.0
+                           + shot_half * NOISE_BANDWIDTH_HZ),) * 2)
 
 
 def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
@@ -308,7 +324,8 @@ def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) 
         noises=((own_a, _white(shot_a)), (own_b, _white(shot_b))),
         weights=((1.0, 0.0), (0.0, 1.0)),
         arms=(Arm("coherent-A", MEAN_LEVEL_A, shot_a),
-              Arm("coherent-B", _mean_level_b(params), shot_b)))
+              Arm("coherent-B", _mean_level_b(params), shot_b)),
+        arm_rms=(math.sqrt(shot_a * NOISE_BANDWIDTH_HZ), math.sqrt(shot_b * NOISE_BANDWIDTH_HZ)))
 
 
 # Recipe of each generated pair by name, called as (params, spec, seed).

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,15 +108,7 @@ class Trace:
 
     def with_samples(self, samples: np.ndarray, **updates) -> "Trace":
         """New trace sharing this trace's metadata with replaced samples."""
-        kw = dict(
-            spec=self.spec,
-            label=self.label,
-            mean_level=self.mean_level,
-            shot_psd=self.shot_psd,
-            guard=self.guard,
-        )
-        kw.update(updates)
-        return Trace(samples=samples, **kw)
+        return replace(self, samples=samples, **updates)
 
 
 def validate_pair(a: Trace, b: Trace) -> None:

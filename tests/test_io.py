@@ -36,8 +36,11 @@ class TestTwbm:
         pair = gen_twin(SourceParams(), small_spec, seed=2)
         path, again = tmp_path / "q.twbm", tmp_path / "again.twbm"
         save_trace(pair.a, path, encoding="u8")
-        save_trace(load_trace(path), again, encoding="u8")
+        back = load_trace(path)
+        save_trace(back, again, encoding="u8")
         # raw levels are preserved exactly through the u8 payload
+        levels = np.frombuffer(twbm_payload(path), dtype=np.uint8).astype(np.float64)
+        assert back.samples + back.mean_level == pytest.approx(levels, abs=1e-9)
         assert twbm_payload(again) == twbm_payload(path)
 
     def test_u8_values_span_levels(self, tmp_path, small_spec):

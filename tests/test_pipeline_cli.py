@@ -364,6 +364,20 @@ class TestCli:
         assert "noise bandwidth exceeds Nyquist" in capsys.readouterr().err
         assert simulate("0.6") == 0
 
+    @pytest.mark.parametrize("generator, flags", [
+        ("twin", ["--sigma0-ns", "1000"]),
+        ("split-coherent", ["--power-b-mw", "1e20"]),
+    ])
+    def test_simulate_refuses_an_arm_float64_cannot_carry(self, generator, flags, tmp_path,
+                                                          monkeypatch, capsys):
+        # the full-band record carries the whole shared spectrum: 1000 ns
+        # passes the pipeline's design-band checks but not this one
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["simulate", "--scenario", generator, *flags, "--out-a",
+                     str(tmp_path / "a.twbm"), "--out-b", str(tmp_path / "b.twbm")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot hold its mean" in err and "Traceback" not in err
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["analyze", "--trace-a", str(tmp_path / "no.twbm"),
                    "--trace-b", str(tmp_path / "no2.twbm"), "--out",

@@ -287,6 +287,25 @@ class TestNoiseBudget:
             with pytest.raises(InvalidParams, match=name):
                 twin_recipe(bad, spec, seed=1)
 
+    def test_full_band_records_float64_cannot_carry(self, monkeypatch):
+        # the bound is the integral of each arm's PSD: 5.8e8 levels at 650 ns,
+        # 1.2e10 at 700 ns, against eps * rms <= 2.56e-7 (rms 1.15e9)
+        spec = DigitizerSpec(n_samples=4_000_000)
+        ok = twin_recipe(SourceParams(sigma0=650e-9), spec, seed=1)
+        bad = twin_recipe(SourceParams(sigma0=700e-9), spec, seed=1)
+        assert ok.arm_rms[0] == pytest.approx(5.78e8, rel=0.01)
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(source, "synth_noise", draw)
+        with pytest.raises(Drawn):
+            ok.traces()
+        with pytest.raises(InvalidParams, match="arm probe of full-band rms .* sigma0"):
+            bad.traces()
+
     def test_invalid(self):
         with pytest.raises(InvalidParams):
             NoiseBudget(shot_variance_a=-1.0, shot_variance_b=1.0, shared_scale=0.0)
