@@ -20,17 +20,20 @@ differ only near the record ends, inside the guard the delay adds.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import fft as sfft
 
 from .errors import InvalidParams, InvalidTransmission, KernelTooWide
-from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, synth_noise, _white
-from .trace import ChannelParams, Trace, TracePair
+from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, _white
+from .trace import ChannelParams, DigitizerSpec, Trace, TracePair
 
 __all__ = [
     "KERNEL_TRUNCATION_SIGMAS",
     "discretize_kernel",
     "delay_taps",
+    "channel_guard",
     "apply_loss",
     "apply_is_delay",
     "apply_electronic_noise",
@@ -64,13 +67,11 @@ def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
     psd = _loss_psd(transmission, trace.shot_psd)
     if psd is None:
         return trace
-    noise = synth_noise(np.random.default_rng(seed), len(trace.samples),
-                        trace.spec.sample_rate, psd)
-    return trace.with_samples(
-        transmission * trace.samples + noise,
-        mean_level=transmission * trace.mean_level,
-        shot_psd=transmission * trace.shot_psd,
-    )
+    n, fs = trace.spec.n_samples, trace.spec.sample_rate
+    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), n, fs, psd), n)
+    return replace(trace, samples=transmission * trace.samples + noise,
+                   mean_level=transmission * trace.mean_level,
+                   shot_psd=transmission * trace.shot_psd)
 
 
 def discretize_kernel(sample_rate: float, tau0: float, sigma: float):
@@ -107,6 +108,12 @@ def delay_taps(params: ChannelParams, sample_rate: float, n: int):
     return taps, k_min, guard_extra
 
 
+def channel_guard(params: ChannelParams, spec: DigitizerSpec) -> int:
+    """The guard the channel adds to arm a of ``spec``'s record, checked there before any draw."""
+    _electronic_psd(params.electronic_noise_rms, spec)
+    return delay_taps(params, spec.sample_rate, spec.n_samples)[2]
+
+
 def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     """Convolve the fluctuation with the normalized exponential delay kernel.
 
@@ -124,7 +131,7 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
         # preserves the zero mean exactly; the wrapped samples fall inside the
         # enlarged guard.
         y = np.roll(trace.samples, k_min)  # y[i] = x[i - k_min]
-        return trace.with_samples(y, guard=trace.guard + guard_extra)
+        return replace(trace, samples=y, guard=trace.guard + guard_extra)
 
     k_max = k_min + len(taps) - 1
     lpad, rpad = max(k_max, 0), max(-k_min, 0)
@@ -136,26 +143,37 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     y = y[lpad - k_min : lpad - k_min + n]
     # Reflection cropping leaks a small mean; the fluctuation stays DC-free.
     y = y - y.mean()
-    return trace.with_samples(y, guard=trace.guard + guard_extra)
+    return replace(trace, samples=y, guard=trace.guard + guard_extra)
 
 
-def _electronic_psd(rms: float):
-    """PSD of detector noise of total rms ``rms`` (levels); None at zero rms."""
+def _electronic_psd(rms: float, spec: DigitizerSpec):
+    """PSD of detector noise of total rms ``rms`` (levels); None at zero rms.
+
+    Refuses an rms whose arm on ``spec``'s record float64 cannot carry: its
+    mean, known to about eps * rms, must lie within ``Trace``'s DC-removal
+    tolerance, and each bin's scale psd * fs * n / 2 must stay finite.
+    """
     if rms < 0:
         raise InvalidParams(f"rms must be >= 0, got {rms}")
     if rms == 0:
         return None
-    return _white(rms ** 2 / NOISE_BANDWIDTH_HZ)
+    psd = rms * rms / NOISE_BANDWIDTH_HZ
+    if not (np.finfo(np.float64).eps * rms <= spec.dc_tolerance
+            and np.isfinite(psd * spec.sample_rate * spec.n_samples / 2.0)):
+        raise InvalidParams(f"channel.electronic_noise_rms {rms:g} levels is too large: an arm "
+                            f"holding it cannot keep its mean within {spec.dc_tolerance:g} "
+                            f"levels in float64 on a {spec.n_samples}-sample record")
+    return _white(psd)
 
 
 def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
     """Add independent Gaussian detector noise of the given total rms (levels)."""
-    psd = _electronic_psd(rms)
+    psd = _electronic_psd(rms, trace.spec)
     if psd is None:
         return trace
-    noise = synth_noise(np.random.default_rng(seed), len(trace.samples),
-                        trace.spec.sample_rate, psd)
-    return trace.with_samples(trace.samples + noise)
+    n, fs = trace.spec.n_samples, trace.spec.sample_rate
+    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), n, fs, psd), n)
+    return replace(trace, samples=trace.samples + noise)
 
 
 def _stage_seeds(seed: int) -> list[np.random.SeedSequence]:
@@ -196,8 +214,8 @@ def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
     ``arm`` is the rfft of the pair's arm a over ``bins``.  Returns
     H * (t * arm + L) + E: the loss noise L and the electronic noise E come
     from the seeds ``apply_channel`` uses, and H is ``kernel_response``.
-    Checks what ``apply_channel`` checks; ``delay_taps`` gives the guard the
-    delay adds.
+    Checks what ``apply_channel`` checks; ``channel_guard`` gives the guard
+    the delay adds.
     """
     n, fs = pair.spec.n_samples, pair.spec.sample_rate
     ss = _stage_seeds(seed)
@@ -207,7 +225,7 @@ def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
         arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), n, fs, loss, bins)
     if delay_taps(params, fs, n)[2]:
         arm = kernel_response(params, fs, n, bins) * arm
-    electronic = _electronic_psd(params.electronic_noise_rms)
+    electronic = _electronic_psd(params.electronic_noise_rms, pair.spec)
     if electronic is not None:
         arm = arm + noise_spectrum(np.random.default_rng(ss[1]), n, fs, electronic, bins)
     return arm

@@ -112,14 +112,17 @@ def _cmd_spectrum(args) -> int:
     if (args.ref_a is None) != (args.ref_b is None):
         given, missing = ("--ref-a", "--ref-b") if args.ref_b is None else ("--ref-b", "--ref-a")
         raise ConfigError(f"{given} needs {missing}: the reference is a pair of files")
+    if args.ref_a is not None and args.synth_ref_seed is not None:
+        raise ConfigError("--synth-ref-seed seeds the synthetic reference, which "
+                          "--ref-a and --ref-b replace")
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
     config = _run_config(args)
     check_segment(config.segment_length, pair.a.spec.n_samples)
     if args.ref_a is not None:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
     else:
-        ref = gen_split_coherent(config.source, pair.a.spec,
-                                 check_seed(args.synth_ref_seed, "--synth-ref-seed"))
+        seed = 987 if args.synth_ref_seed is None else args.synth_ref_seed
+        ref = gen_split_coherent(config.source, pair.a.spec, check_seed(seed, "--synth-ref-seed"))
     est = difference_spectrum(pair, ref, segment_length=config.segment_length)
     save_spectrum(est, args.out)
     print(f"wrote {args.out}: in-band mean "
@@ -218,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-b", required=True)
     p.add_argument("--ref-a", default=None)
     p.add_argument("--ref-b", default=None)
-    p.add_argument("--synth-ref-seed", type=int, default=987,
-                   help="seed of the synthetic coherent reference when no ref files")
+    p.add_argument("--synth-ref-seed", type=int, default=None,
+                   help="seed of the synthetic reference drawn without ref files (987)")
     _add_run_args(p, "--segment", "--band-mhz")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)

@@ -18,13 +18,13 @@ own grid (``pipeline.run_pipeline``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as sfft
 
 from .errors import InvalidBand, InvalidParams
-from .trace import Trace, TracePair, validate_pair
+from .trace import Trace, TracePair
 
 __all__ = [
     "TRANSITION_WIDTH_HZ",
@@ -95,7 +95,7 @@ def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     # The mask kills DC on the padded record; cropping leaves a tiny residual
     # mean, which is re-zeroed to keep the trace contract exact.
     y = y - y.mean()
-    return trace.with_samples(y, guard=max(trace.guard, FILTER_PAD))
+    return replace(trace, samples=y, guard=max(trace.guard, FILTER_PAD))
 
 
 def band_bins(n: int, fs: float, f_lo: float, f_hi: float) -> tuple[slice, np.ndarray]:
@@ -208,8 +208,6 @@ def difference_spectrum(
 
     Both pairs are reduced to (a - b) and passed to ``squeezing_spectrum``.
     """
-    validate_pair(pair.a, pair.b)
-    validate_pair(reference.a, reference.b)
     if pair.a.spec.sample_rate != reference.a.spec.sample_rate:
         raise InvalidParams("pair and reference must share a sample rate")
     return squeezing_spectrum(pair.a.samples - pair.b.samples,

@@ -65,10 +65,6 @@ class GridMismatch(DataError):
     pass
 
 
-class BadMagic(DataError):
-    pass
-
-
 class HeaderMismatch(DataError):
     pass
 

@@ -15,6 +15,7 @@ TWBM container layout (little-endian throughout):
 
 CSV traces hold one column (value) or two (time, value); the time column is
 validated uniform and then discarded in favor of the declared sample rate.
+A malformed file of either kind is a ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import warnings
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import BadMagic, DataError, HeaderMismatch, InvalidParams, NonUniformTime
+from .errors import DataError, HeaderMismatch, InvalidParams, NonUniformTime
 from .trace import DigitizerSpec, MICurve, Trace
 from .dsp import SpectrumEstimate
 
@@ -78,11 +80,12 @@ def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
 
 
 def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
+    """The trace in a file that starts with the TWBM magic."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TWBM_MAGIC:
-            raise BadMagic(f"{path}: expected magic {TWBM_MAGIC!r}, found {magic!r}")
-        version, hdr_len = struct.unpack("<II", fh.read(8))
+        prefix = fh.read(12)
+        if len(prefix) < 12:
+            raise HeaderMismatch(f"{path}: file ends inside the TWBM version and header length")
+        version, hdr_len = struct.unpack("<4xII", prefix)
         if version != TWBM_VERSION:
             raise HeaderMismatch(f"{path}: unsupported TWBM version {version}")
         try:
@@ -90,39 +93,40 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HeaderMismatch(f"{path}: unreadable header: {exc}") from exc
         payload = fh.read()
-    encoding = header.get("encoding")
+    try:
+        encoding = header.get("encoding")
+        n = int(header["n_samples"])
+        fs = float(header["sample_rate_hz"])
+        bit_depth = int(header.get("bit_depth", 8))
+        guard = int(header.get("guard", 0))
+        mean_level = float(header.get("mean_level", 0.0))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise HeaderMismatch(f"{path}: malformed header: {exc!r}") from exc
     if encoding not in _ENCODINGS:
         raise HeaderMismatch(f"{path}: unknown encoding {encoding!r}")
-    n = int(header["n_samples"])
     itemsize = 1 if encoding == "u8" else 8
     if len(payload) != n * itemsize:
         raise HeaderMismatch(
             f"{path}: header declares {n} samples ({n * itemsize} bytes), "
             f"payload holds {len(payload)}"
         )
-    fs = float(header["sample_rate_hz"])
     if sample_rate is not None and abs(fs - sample_rate) > 1e-6 * sample_rate:
         raise NonUniformTime(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
-    spec = DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=int(header.get("bit_depth", 8)))
-    mean_level = float(header.get("mean_level", 0.0))
+    kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=bit_depth),
+              label=header.get("label", "trace"), shot_psd=header.get("shot_psd"), guard=guard)
     if encoding == "u8":
-        samples = values - values.mean()
-        mean_level = float(values.mean())
-    else:
-        samples = values
-    return Trace(
-        samples=samples,
-        spec=spec,
-        label=header.get("label", "trace"),
-        mean_level=mean_level,
-        shot_psd=header.get("shot_psd"),
-        guard=int(header.get("guard", 0)),
-    )
+        return Trace.from_raw(values, **kw)
+    return Trace(samples=values, mean_level=mean_level, **kw)
 
 
 def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
-    data = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)   # numpy's warning of a file with no data
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+        except (UserWarning, ValueError) as exc:   # a UnicodeDecodeError is a ValueError
+            raise DataError(f"{path}: not a TWBM file, nor a CSV of numbers: {exc}") from exc
     if data.shape[1] == 1:
         values = data[:, 0]
         if sample_rate is None:
@@ -143,38 +147,31 @@ def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
             )
     else:
         raise DataError(f"{path}: expected 1 or 2 CSV columns, found {data.shape[1]}")
-    mean = float(values.mean())
-    spec = DigitizerSpec(sample_rate=fs, n_samples=len(values))
-    return Trace(samples=values - mean, spec=spec, label=Path(path).stem, mean_level=mean)
+    return Trace.from_raw(values, DigitizerSpec(sample_rate=fs, n_samples=len(values)),
+                          label=Path(path).stem)
 
 
-def load_trace(path, format: str = "auto", sample_rate: Optional[float] = None) -> Trace:
+def load_trace(path, sample_rate: Optional[float] = None) -> Trace:
     """Read a trace from TWBM or CSV.
 
-    ``auto`` sniffs the TWBM magic and otherwise treats the file as CSV.  A
-    given ``sample_rate`` must agree, within 1e-6 relative, with a TWBM
+    A file that starts with the TWBM magic is read as TWBM, any other as CSV.
+    A given ``sample_rate`` must agree, within 1e-6 relative, with a TWBM
     header's rate or a CSV time column; it is the rate of a one-column CSV.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
-    if format == "auto":
-        with open(path, "rb") as fh:
-            format = "twbm" if fh.read(4) == TWBM_MAGIC else "csv"
-    if format == "twbm":
-        return _load_twbm(path, sample_rate)
-    if format == "csv":
-        return _load_csv_trace(path, sample_rate)
-    raise InvalidParams(f"unknown trace format {format!r}")
+    with open(path, "rb") as fh:
+        twbm = fh.read(4) == TWBM_MAGIC
+    return (_load_twbm if twbm else _load_csv_trace)(path, sample_rate)
 
 
 def save_curve(curve: MICurve, path) -> None:
     """Write an MI curve as CSV: delay_ns, mi, spread."""
-    spread = curve.spread if curve.spread is not None else np.zeros_like(curve.mi)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["delay_ns", "mi", "spread"])
-        for d, m, s in zip(curve.delays, curve.mi, spread):
+        for d, m, s in zip(curve.delays, curve.mi, curve.spread):
             w.writerow([f"{d * 1e9:.6f}", f"{m:.9g}", f"{s:.9g}"])
 
 
@@ -186,8 +183,6 @@ def load_curve(path) -> MICurve:
     delays = data[:, 0] * 1e-9
     mi = data[:, 1]
     spread = data[:, 2] if data.shape[1] > 2 else None
-    if spread is not None and not np.any(spread > 0):
-        spread = None
     return MICurve(delays=delays, mi=np.maximum(mi, 0.0), spread=spread)
 
 

@@ -65,7 +65,7 @@ from .errors import (
     RecordTooShort,
     StepNotSampleAligned,
 )
-from .trace import DigitizerSpec, MICurve, Trace, TracePair, validate_pair
+from .trace import DigitizerSpec, MICurve, Trace, TracePair
 
 __all__ = [
     "JointHistogram",
@@ -513,7 +513,6 @@ def mi_delay_scan(
     in forked workers, all reaped before it returns, with the same curve bit
     for bit.
     """
-    validate_pair(pair.a, pair.b)
     a, b = pair.a, pair.b
     window, shifts = scan_window(a.spec, step, range_, n_bins, a.guard, b.guard)
     cell = np.min_scalar_type(n_bins * n_bins - 1)
@@ -523,7 +522,7 @@ def mi_delay_scan(
     b_starts = (window.start - b.guard) - shifts
     mi = _scan_kernel(ia[window.start - a.guard : window.stop - a.guard], ib, b_starts,
                       window.stop - window.start, n_bins)
-    return MICurve(delays=shifts / a.spec.sample_rate, mi=mi, spread=None, n_repeats=1)
+    return MICurve(delays=shifts / a.spec.sample_rate, mi=mi)
 
 
 def average_curves(curves: Sequence[MICurve]) -> MICurve:
@@ -552,11 +551,10 @@ def normalize_curve(curve: MICurve, reference_peak: float) -> MICurve:
     """Divide MI and spread by a reference peak height."""
     if not reference_peak > 0:
         raise NonpositiveReference(f"reference peak must be > 0, got {reference_peak}")
-    spread = None if curve.spread is None else curve.spread / reference_peak
     return MICurve(
         delays=curve.delays.copy(),
         mi=curve.mi / reference_peak,
-        spread=spread,
+        spread=curve.spread / reference_peak,
         n_repeats=curve.n_repeats,
     )
 

@@ -6,7 +6,8 @@ from a base seed, band-passed, delay scanned, averaged with one-standard-
 deviation spread, normalized to the unobstructed peak, and the channel curve
 is fed to the staged model fit.  The report is a plain dict (stable, versioned
 schema); every number in it except those under ``"timing"`` is a
-deterministic function of (config, seed).
+deterministic function of (config, seed); its ``config`` leaves out
+``outdir``, so where a run writes does not change it.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import json
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import io as tbio
-from .channel import channel_spectrum, delay_taps
+from .channel import channel_guard, channel_spectrum
 from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
 from .dsp import (FILTER_PAD, SpectrumEstimate, band_bins, band_record, check_segment,
@@ -81,17 +82,11 @@ _CHANNELS = {
 _SPLIT_SEED_OFFSETS = {"split-thermal": 20_000, "split-coherent": 30_000}
 
 
-class _Band(NamedTuple):
-    """The band-pass on a generated record's own rfft grid."""
-
-    bins: slice
-    mask: np.ndarray
-
-
-def _record(config: RunConfig, band: _Band, spectrum: np.ndarray,
+def _record(config: RunConfig, band: tuple[slice, np.ndarray], spectrum: np.ndarray,
             guard: int = FILTER_PAD) -> Trace:
-    """The band-passed record of an arm from its spectrum over the band: one irfft."""
-    samples = band_record(band.mask * spectrum, band.bins, config.spec.n_samples)
+    """The band-passed record of an arm from its spectrum over ``band_bins``: one irfft."""
+    bins, mask = band
+    samples = band_record(mask * spectrum, bins, config.spec.n_samples)
     return Trace(samples=samples, spec=config.spec, guard=guard)
 
 
@@ -146,12 +141,13 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     writes per-scenario curve CSVs, the squeezing spectrum CSV, and
     report.json.  Every stage runs, so before the first draw ``band_bins``
     checks the band, ``check_segment`` the Welch segment, ``twin_recipe`` the
-    source on this record and ``mi.scan_window`` the scan, with the guards
-    the scanned arms carry.
+    source on this record, ``channel_guard`` the channel on it and
+    ``mi.scan_window`` the scan, with the guards the scanned arms carry.
     """
     t0 = time.time()
     n, fs = config.spec.n_samples, config.spec.sample_rate
-    band = _Band(*band_bins(n, fs, config.f_lo, config.f_hi))
+    band = band_bins(n, fs, config.f_lo, config.f_hi)
+    bins = band[0]
     check_segment(config.segment_length, n)
     seeds = [config.seed + r for r in range(config.repeats)]
     # the twin recipes check the source on this record before a channel is matched to it
@@ -159,7 +155,7 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     channel_name, split_names, gaussian_fit = SCENARIOS[config.scenario]
     channel = _CHANNELS[channel_name](config) if channel_name else None
     # arm a's guard: the band-pass's or, on a channel arm, the kernel's if larger
-    guard_a = max(FILTER_PAD, delay_taps(channel, fs, n)[2] if channel else 0)
+    guard_a = max(FILTER_PAD, channel_guard(channel, config.spec) if channel else 0)
     try:
         scan_window(config.spec, config.delay_step, config.delay_range, config.n_bins,
                     guard_a, FILTER_PAD)
@@ -174,7 +170,7 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
 
     report: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "config": config.to_dict(),
+        "config": replace(config, outdir=None).to_dict(),
         "seeds": seeds,
         "scenarios": {},
     }
@@ -187,21 +183,21 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
             spectra = pair.noise_spectra()
             difference = pair.difference(spectra)
             # free the full spectra before _spectrum draws the reference pair
-            spectra = [x[band.bins].copy() for x in spectra]
+            spectra = [x[bins].copy() for x in spectra]
             est = _spectrum(config, difference)
             del difference
         else:
-            spectra = pair.noise_spectra(band.bins)
+            spectra = pair.noise_spectra(bins)
         a, b = pair.arm_spectra(spectra)
         fb = _record(config, band, b)
         runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
         if channel is not None:
-            arm = channel_spectrum(pair, a, band.bins, channel, seed + 10_000)
+            arm = channel_spectrum(pair, a, bins, channel, seed + 10_000)
             runs[channel_name].append(_scan(config, _record(config, band, arm, guard_a), fb))
         del fb   # no scanned arm stays while the next pair's arms are made
         for name in split_names:
             split = RECIPES[name](config.source, config.spec, seed + _SPLIT_SEED_OFFSETS[name])
-            arms = split.arm_spectra(split.noise_spectra(band.bins))
+            arms = split.arm_spectra(split.noise_spectra(bins))
             runs[name].append(_scan(config, *(_record(config, band, x) for x in arms)))
 
     curves = {name: average_curves(run) for name, run in runs.items()}

@@ -6,15 +6,15 @@ the target one-sided PSD, so a given (params, spec, seed) is bit-reproducible
 and the PSD is exact by construction.  Every generated record is therefore
 periodic: it is the inverse rfft of its spectrum on the record's own grid.
 
-``noise_spectrum`` is the one draw routine.  A ``PairRecipe`` names a pair's
-independent noises (each drawn from its own seed) and each arm's weights on
-them; ``RECIPES`` names the recipe of each generator (``twin``,
-``split-thermal``, ``split-coherent``).  ``PairRecipe.traces`` synthesizes
-the records (``gen_*`` return it); ``noise_spectra`` and ``arm_spectra`` give
-the same records' spectra over a slice of bins from the same draws, so a
-caller that filters, delays or differences generated records can do so on
-the spectrum and inverse-transform each result once
-(``pipeline.run_pipeline`` does).
+``noise_spectrum`` draws every generated noise, here and in ``channel``.  A
+``PairRecipe`` names a pair's independent noises (each drawn from its own
+seed) and each arm's weights on them; ``RECIPES`` names the recipe of each
+generator (``twin``, ``split-thermal``, ``split-coherent``).
+``PairRecipe.traces`` synthesizes the records, one irfft per noise (``gen_*``
+return it); ``noise_spectra`` and ``arm_spectra`` give the same records'
+spectra over a slice of bins from the same draws, so a caller that filters,
+delays or differences generated records can do so on the spectrum and
+inverse-transform each result once (``pipeline.run_pipeline`` does).
 
 Model structure for the twin pair:
 
@@ -64,7 +64,6 @@ __all__ = [
     "NoiseBudget",
     "shared_psd_shape",
     "noise_spectrum",
-    "synth_noise",
     "Arm",
     "PairRecipe",
     "twin_recipe",
@@ -176,12 +175,6 @@ def noise_spectrum(rng: np.random.Generator, n: int, fs: float,
     return z
 
 
-def synth_noise(rng: np.random.Generator, n: int, fs: float,
-                psd: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Zero-mean Gaussian noise with one-sided PSD psd(f), length n."""
-    return np.fft.irfft(noise_spectrum(rng, n, fs, psd), n)
-
-
 def _white(level: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda f: np.where(f <= NOISE_BANDWIDTH_HZ, level, 0.0)
 
@@ -246,8 +239,7 @@ class PairRecipe:
                                     f"cannot hold its mean within {self.spec.dc_tolerance:g} "
                                     "levels in float64: sigma0, excess_noise_db or the power "
                                     "ratio is too large for a full-band record")
-        n, fs = self.spec.n_samples, self.spec.sample_rate
-        records = [synth_noise(np.random.default_rng(ss), n, fs, psd) for ss, psd in self.noises]
+        records = [np.fft.irfft(x, self.spec.n_samples) for x in self.noise_spectra()]
         a, b = (Trace(samples=_mix(w, records), spec=self.spec, **arm._asdict())
                 for w, arm in zip(self.weights, self.arms))
         return TracePair(a=a, b=b)

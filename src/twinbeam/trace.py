@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,10 +106,6 @@ class Trace:
         n = len(self.samples)
         return self.samples[self.guard : n - self.guard]
 
-    def with_samples(self, samples: np.ndarray, **updates) -> "Trace":
-        """New trace sharing this trace's metadata with replaced samples."""
-        return replace(self, samples=samples, **updates)
-
 
 def validate_pair(a: Trace, b: Trace) -> None:
     """Check two traces share a sample clock and length.
@@ -146,6 +142,7 @@ class MICurve:
 
     Positive delay means arm ``a`` is retarded with respect to arm ``b``; a
     channel that delays arm ``a`` moves the peak to positive delays.
+    ``spread`` is the spread over repeats: zeros where none is known (given as ``None``).
     """
 
     delays: np.ndarray
@@ -167,16 +164,14 @@ class MICurve:
             raise InvalidParams("delay grid must be uniform")
         if np.any(mi < 0):
             raise InvalidParams("MI values must be nonnegative")
-        spread = self.spread
-        if spread is not None:
-            spread = np.asarray(spread, dtype=np.float64).copy()
-            if spread.shape != mi.shape or np.any(spread < 0):
-                raise InvalidParams("spread must match mi and be nonnegative")
-            spread.setflags(write=False)
+        spread = (np.asarray(self.spread, dtype=np.float64).copy() if self.spread is not None
+                  else np.zeros_like(mi))
+        if spread.shape != mi.shape or np.any(spread < 0):
+            raise InvalidParams("spread must match mi and be nonnegative")
         if self.n_repeats < 1:
             raise InvalidParams("n_repeats must be >= 1")
-        delays.setflags(write=False)
-        mi.setflags(write=False)
+        for x in (delays, mi, spread):
+            x.setflags(write=False)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "mi", mi)
         object.__setattr__(self, "spread", spread)

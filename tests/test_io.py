@@ -1,11 +1,13 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from twinbeam.dsp import difference_spectrum
-from twinbeam.errors import BadMagic, DataError, HeaderMismatch, InvalidParams, NonUniformTime
+from twinbeam.cli import main
+from twinbeam.errors import DataError, HeaderMismatch, InvalidParams, NonUniformTime
 from twinbeam.io import (
     load_curve,
     load_trace,
@@ -84,11 +86,16 @@ class TestTwbm:
         assert not path.exists()
         save_trace(trace, path)   # f64le keeps every level
 
-    def test_bad_magic(self, tmp_path):
+    def test_bad_magic(self, tmp_path, capsys):
+        # without the TWBM magic a file is read as CSV; binary bytes are no CSV
         path = tmp_path / "bad.twbm"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(BadMagic):
-            load_trace(path, format="twbm")
+        path.write_bytes(b"NOPE" + bytes(range(128, 256)))
+        with pytest.raises(DataError, match="not a TWBM file, nor a CSV of numbers"):
+            load_trace(path)
+        assert main(["analyze", "--trace-a", str(path), "--trace-b", str(path),
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_payload_length_mismatch(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=4)
@@ -119,8 +126,8 @@ class TestCsvTrace:
         path = tmp_path / "one.csv"
         np.savetxt(path, np.sin(np.arange(1000) * 0.01), delimiter=",")
         with pytest.raises(InvalidParams):
-            load_trace(path, format="csv")
-        tr = load_trace(path, format="csv", sample_rate=2e9)
+            load_trace(path)
+        tr = load_trace(path, sample_rate=2e9)
         assert tr.spec.sample_rate == 2e9
         assert tr.spec.n_samples == 1000
 
@@ -129,7 +136,7 @@ class TestCsvTrace:
         t = np.arange(1000) * 0.5e-9
         v = np.sin(np.arange(1000) * 0.01)
         np.savetxt(path, np.column_stack([t, v]), delimiter=",")
-        tr = load_trace(path, format="csv")
+        tr = load_trace(path)
         assert tr.spec.sample_rate == pytest.approx(2e9, rel=1e-6)
 
     def test_jittered_time_rejected(self, tmp_path):
@@ -139,7 +146,31 @@ class TestCsvTrace:
         v = rng.standard_normal(1000)
         np.savetxt(path, np.column_stack([t, v]), delimiter=",", fmt="%.18e")
         with pytest.raises(NonUniformTime):
-            load_trace(path, format="csv")
+            load_trace(path)
+
+
+def _twbm_header_without_n_samples() -> bytes:
+    hdr = json.dumps({"sample_rate_hz": 2e9, "encoding": "f64le", "label": "probe"}).encode()
+    return b"TWBM" + struct.pack("<II", 1, len(hdr)) + hdr + bytes(8 * 16)
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize("name, content, message", [
+        ("short.twbm", b"TWBM\x01\x00", "file ends inside the TWBM version"),
+        ("nolength.twbm", _twbm_header_without_n_samples(),
+         "malformed header: KeyError('n_samples')"),
+        ("letters.csv", b"x,y,z\n", "not a TWBM file, nor a CSV of numbers"),
+        ("empty.csv", b"", "nor a CSV of numbers: loadtxt: input contained no data"),
+    ], ids=["short-prefix", "no-n-samples", "letters-csv", "empty-csv"])
+    def test_is_a_data_error_naming_the_file(self, name, content, message, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_trace(path)
+        assert main(["analyze", "--trace-a", str(path), "--trace-b", str(path),
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err and "Traceback" not in err
 
 
 class TestCurveCsv:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -342,6 +343,22 @@ class TestCli:
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert f"{given} needs {missing}" in capsys.readouterr().err
 
+    def test_spectrum_refuses_a_reference_seed_with_reference_files(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+        assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
+                     "--out-b", str(b)]) == 0
+        spectrum = ["spectrum", "--trace-a", str(a), "--trace-b", str(b)]
+        outs = [tmp_path / "default.csv", tmp_path / "987.csv"]
+        assert main([*spectrum, "--out", str(outs[0])]) == 0
+        assert main([*spectrum, "--synth-ref-seed", "987", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        monkeypatch.setattr(cli, "load_trace", pytest.fail)
+        assert main([*spectrum, "--ref-a", str(a), "--ref-b", str(b), "--synth-ref-seed", "5",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "--synth-ref-seed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value", [("--sigma0-ns", "99"), ("--reference-peak", "-5")])
     def test_gaussian_fit_refuses_channel_flags(self, flag, value, tmp_path, capsys):
         from twinbeam.trace import MICurve
@@ -520,6 +537,20 @@ class TestCli:
                      *flags]) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+    def test_electronic_noise_float64_cannot_carry_exits_2_before_any_draw(
+            self, tmp_path, monkeypatch, capsys):
+        # eps * rms must stay within the 8-bit DC tolerance 2.56e-7: rms up to 1.15e9
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"digitizer": {"n_samples": 140_000}}))
+        run = ["pipeline", "--config", str(path), "--repeats", "1", "--range-ns", "20"]
+        _stub_first_draw(monkeypatch)
+        with pytest.raises(_FirstDraw):
+            main([*run, "--electronic-noise-rms", "1.1e9"])
+        for rms in ("1.2e9", "1e200"):
+            assert main([*run, "--electronic-noise-rms", rms]) == 2
+            err = capsys.readouterr().err
+            assert "channel.electronic_noise_rms" in err and "Traceback" not in err
 
     def test_wide_sigma0_on_a_short_record_draws_without_overflow(self, tmp_path):
         # a numpy overflow would raise here (filterwarnings); a curve this wide
@@ -797,6 +828,20 @@ class TestPerSeedDataflow:
             want.peak, abs=5e-5)
 
 
+class TestBenchmarkSpans:
+    def test_every_wrapped_name_exists(self):
+        # the benchmark's tracer wraps these names, which is why pipeline.py
+        # keeps its time-domain imports
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        targets = spans.targets()
+        assert targets
+        for module, attr, *_ in targets:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
 class TestReportDeterminism:
     def test_same_seed_reports_identical_but_timing(self, tmp_path):
         cfg = small_config(scenario="all", delay_range=150e-9,
@@ -809,3 +854,17 @@ class TestReportDeterminism:
             csvs.append({p.name: p.read_bytes() for p in sorted((tmp_path / run).glob("*.csv"))})
         assert texts[0] == texts[1]
         assert len(csvs[0]) == 5 and csvs[0] == csvs[1]
+
+    def test_reports_differ_only_in_timing_across_output_directories(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"digitizer": {"n_samples": 2 ** 19}}))
+        reports = []
+        for run in ("o1", "o2"):
+            assert main(["pipeline", "--config", str(path), "--scenario", "twin",
+                         "--repeats", "1", "--range-ns", "40",
+                         "--outdir", str(tmp_path / run)]) == 0
+            report = json.loads((tmp_path / run / "report.json").read_text())
+            assert "outdir" not in report["config"]
+            report.pop("timing")
+            reports.append(report)
+        assert reports[0] == reports[1]

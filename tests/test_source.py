@@ -16,7 +16,6 @@ from twinbeam.source import (
     gen_twin,
     noise_spectrum,
     split_coherent_recipe,
-    synth_noise,
     twin_recipe,
 )
 from twinbeam.trace import DigitizerSpec, SourceParams, Trace, TracePair
@@ -61,8 +60,6 @@ class TestSpectra:
             for bins in (slice(0, 7), slice(40, 90), slice(490, None)):
                 part = noise_spectrum(np.random.default_rng(3), n, 2e9, psd, bins)
                 assert np.array_equal(part, full[bins])
-            assert np.array_equal(synth_noise(np.random.default_rng(3), n, 2e9, psd),
-                                  np.fft.irfft(full, n))
 
     def test_arm_spectra_and_difference_match_the_records(self, small_spec):
         recipe = twin_recipe(SourceParams(), small_spec, seed=10)
@@ -300,7 +297,7 @@ class TestNoiseBudget:
         def draw(*args):
             raise Drawn
 
-        monkeypatch.setattr(source, "synth_noise", draw)
+        monkeypatch.setattr(source, "noise_spectrum", draw)
         with pytest.raises(Drawn):
             ok.traces()
         with pytest.raises(InvalidParams, match="arm probe of full-band rms .* sigma0"):

@@ -106,6 +106,10 @@ class TestMICurve:
         with pytest.raises(InvalidParams):
             MICurve(delays=np.array([0.0, -1e-9, -2e-9]), mi=np.array([0.1, 0.2, 0.1]))
 
+    def test_unknown_spread_is_zeros(self):
+        curve = MICurve(delays=np.array([0.0, 1e-9]), mi=np.array([0.1, 0.2]))
+        assert np.array_equal(curve.spread, [0.0, 0.0]) and not curve.spread.flags.writeable
+
     def test_spread_shape_checked(self):
         with pytest.raises(InvalidParams):
             MICurve(delays=np.array([0.0, 1e-9]), mi=np.array([0.1, 0.2]),
