@@ -2,8 +2,9 @@
 
 Stage order is fixed: optical loss, then the exponential delay kernel, then
 detector electronic noise.  The order matters mildly (the kernel low-passes
-whatever noise precedes it), so it is pinned both here and in the analytic
-predictor that calibrates the default transmission.
+whatever noise precedes it).  It is pinned here only: the analytic predictor
+that calibrates the default transmission (``design.InBandModel``) reads
+``channel_spectrum``'s chain and the same loss and electronic PSDs.
 
 The delay stage convolves the photocurrent with the discretized two-sided
 exponential density (deterministic convolution, not per-photon sampling): at

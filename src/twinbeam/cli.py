@@ -188,7 +188,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_matched_transmission(args) -> int:
     config = _run_config(args)
-    print(f"{matched_transmission(config.source, ChannelParams(), config.f_lo, config.f_hi):.4f}")
+    t = matched_transmission(config.source, ChannelParams(), config.spec, config.f_lo, config.f_hi)
+    print(f"{t:.4f}")
     return 0
 
 

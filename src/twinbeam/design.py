@@ -1,96 +1,88 @@
 """Analytic in-band predictor for the simulated delay-MI curves.
 
-Works entirely from one-sided PSDs on a frequency grid: given the source
-model (shared spectrum + independent noise), the band-pass mask, and the
-channel stages (loss with beam-splitter noise, exponential delay kernel,
-electronic noise), it predicts the correlation coefficient versus delay and
-hence the Gaussian-process MI curve.  Used to solve for the channel
-transmission whose simulated peak ratio lands on the value the analytic
-channel model assigns to a given forward-scattering efficiency.
+Reads the PSDs the records are drawn with, on the record's own band bins
+(``dsp.band_bins``): the twin pair's noises and weights (``twin_recipe``), and
+``channel_spectrum``'s arm H * (t * A + L) + E with ``channel``'s loss and
+electronic PSDs.  From the filtered arms' peak correlation it predicts the
+Gaussian-process MI, and solves for the channel transmission whose simulated
+peak ratio is the analytic channel model's for a forward-scattering efficiency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import brentq
 
-from .dsp import band_mask
+from .channel import _electronic_psd, _loss_psd, delay_taps, kernel_response
+from .dsp import band_bins, rfft_freqs
 from .errors import InvalidBand, InvalidParams
 from .model import peak_value
-from .source import DESIGN_BAND, NOISE_BANDWIDTH_HZ, NoiseBudget, shared_psd_shape
-from .trace import ChannelParams, SourceParams
+from .source import twin_recipe
+from .trace import ChannelParams, DigitizerSpec, SourceParams
 
 __all__ = ["InBandModel", "predicted_peak_ratio", "matched_transmission"]
 
-_GRID_F_MAX = 12e6
-_GRID_N = 60001
 
-
-def _kernel_gain(f: np.ndarray, sigma: float) -> np.ndarray:
-    """Magnitude response of the two-sided exponential delay kernel."""
-    return 1.0 / (1.0 + (2.0 * np.pi * f * sigma) ** 2)
-
-
-@dataclass
 class InBandModel:
-    """Predicted filtered-trace statistics for one (source, channel, band)."""
+    """Band-passed statistics of a twin pair on ``spec``'s record and of its channel arm.
 
-    source: SourceParams
-    f_lo: float
-    f_hi: float
+    Each arm's PSD and the cross-PSD are the recipe's noise PSDs mixed by its
+    weights, times the squared band mask.  The channel's |H| is computed once,
+    here; any transmission is then one pass over the band's bins.  Refuses a
+    band in which the pair's correlation, and so its Gaussian MI, is zero.
+    """
 
-    def __post_init__(self):
-        if not (0.0 < self.f_lo < self.f_hi <= _GRID_F_MAX):
-            raise InvalidBand(
-                f"band [{self.f_lo / 1e6:g}, {self.f_hi / 1e6:g}] MHz lies outside the "
-                f"design model's 0-{_GRID_F_MAX / 1e6:g} MHz grid"
-            )
-        self.f = np.linspace(0.0, _GRID_F_MAX, _GRID_N)
-        self.df = self.f[1] - self.f[0]
-        self.h2 = band_mask(self.f, self.f_lo, self.f_hi) ** 2
-        budget = NoiseBudget.from_source(self.source)
-        self.shot = 0.5 * (budget.shot_variance_a + budget.shot_variance_b)
-        self.nu = 10.0 ** (-self.source.squeezing_db / 10.0) * self.shot
-        self.s_shared = budget.shared_scale * shared_psd_shape(self.f, self.source.sigma0)
-        # filtered variance of the reference arm (and of an unobstructed arm)
-        self.var_b = float(np.sum((self.s_shared + self.nu) * self.h2) * self.df)
+    def __init__(self, source: SourceParams, chan: ChannelParams, spec: DigitizerSpec,
+                 f_lo: float, f_hi: float):
+        n, fs = spec.n_samples, spec.sample_rate
+        bins, mask = band_bins(n, fs, f_lo, f_hi)
+        self.f = rfft_freqs(n, fs, bins)
+        self.h2 = mask * mask
+        pair = twin_recipe(source, spec, 0)
+        noises = np.array([psd(self.f) for _, psd in pair.noises]) * self.h2
+        wa, wb = map(np.asarray, pair.weights)
+        self.psd_a, self.psd_b, self.cross = ((x * y) @ noises for x, y in
+                                              ((wa, wa), (wb, wb), (wa, wb)))
+        self.shot_a = pair.arms[0].shot_psd
+        self.gain = (np.abs(kernel_response(chan, fs, n, bins)) if delay_taps(chan, fs, n)[2]
+                     else 1.0)
+        electronic = _electronic_psd(chan.electronic_noise_rms, spec)
+        self.var_e = float(np.sum(electronic(self.f) * self.h2)) if electronic else 0.0
+        self.var_b = float(np.sum(self.psd_b))
+        # both arms carry the shared noise, so a positive cross-PSD makes every variance positive
+        if not (np.sum(self.cross) > 0 and _mi_gauss(self.unobstructed_rho()) > 0):
+            raise InvalidBand(f"band [{f_lo / 1e6:g}, {f_hi / 1e6:g}] MHz carries no correlation "
+                              f"of the twin pair on a {n}-sample record")
 
     def unobstructed_rho(self) -> float:
         """Correlation of the unobstructed pair at zero delay after the band-pass."""
-        return float(np.sum(self.s_shared * self.h2) * self.df / self.var_b)
+        return float(np.sum(self.cross) / np.sqrt(np.sum(self.psd_a) * self.var_b))
 
-    def channel_rho_peak(self, chan: ChannelParams, transmission: float) -> float:
+    def channel_rho_peak(self, transmission: float) -> float:
         """Peak correlation of (channel arm, reference arm) after filtering."""
-        if not 0.0 < transmission <= 1.0:
-            raise InvalidParams("transmission must be in (0, 1]")
         t = transmission
-        gain = _kernel_gain(self.f, chan.sigma)
-        e_psd = chan.electronic_noise_rms ** 2 / NOISE_BANDWIDTH_HZ
-        var_a = float(
-            np.sum(
-                ((t * t * (self.s_shared + self.nu) + t * (1.0 - t) * self.shot)
-                 * gain ** 2 + e_psd) * self.h2
-            ) * self.df
-        )
-        cov = float(np.sum(t * self.s_shared * gain * self.h2) * self.df)
-        return cov / np.sqrt(var_a * self.var_b)
+        loss = _loss_psd(t, self.shot_a)
+        arm = t * t * self.psd_a + (loss(self.f) * self.h2 if loss else 0.0)
+        var_a = float(np.sum(self.gain ** 2 * arm)) + self.var_e
+        return float(t * np.sum(self.gain * self.cross) / np.sqrt(var_a * self.var_b))
+
+    def peak_ratio(self, transmission: float) -> float:
+        """Predicted (channel MI peak) / (unobstructed MI peak)."""
+        return _mi_gauss(self.channel_rho_peak(transmission)) / _mi_gauss(self.unobstructed_rho())
 
 
 def _mi_gauss(rho: float) -> float:
     return -0.5 * np.log2(max(1e-300, 1.0 - rho * rho))
 
 
-def predicted_peak_ratio(source: SourceParams, chan: ChannelParams,
-                         transmission: float, f_lo: float, f_hi: float) -> float:
-    """Predicted (channel MI peak) / (unobstructed MI peak)."""
-    m = InBandModel(source, f_lo, f_hi)
-    return _mi_gauss(m.channel_rho_peak(chan, transmission)) / _mi_gauss(m.unobstructed_rho())
+def predicted_peak_ratio(source: SourceParams, chan: ChannelParams, spec: DigitizerSpec,
+                         f_lo: float, f_hi: float) -> float:
+    """``InBandModel.peak_ratio`` at ``chan``'s transmission."""
+    return InBandModel(source, chan, spec, f_lo, f_hi).peak_ratio(chan.power_transmission)
 
 
-def matched_transmission(source: SourceParams, chan: ChannelParams,
-                         f_lo: float = DESIGN_BAND[0], f_hi: float = DESIGN_BAND[1]) -> float:
+def matched_transmission(source: SourceParams, chan: ChannelParams, spec: DigitizerSpec,
+                         f_lo: float, f_hi: float) -> float:
     """Transmission whose predicted MI peak ratio equals the analytic model's.
 
     The analytic channel model predicts a normalized peak of
@@ -101,16 +93,8 @@ def matched_transmission(source: SourceParams, chan: ChannelParams,
     parameter) from the measured optical throughput.
     """
     target = peak_value(chan.eta, source.sigma0, chan.sigma)
-    m = InBandModel(source, f_lo, f_hi)
-    mi0 = _mi_gauss(m.unobstructed_rho())
-
-    def err(t):
-        return _mi_gauss(m.channel_rho_peak(chan, t)) / mi0 - target
-
-    lo, hi = 1e-3, 1.0
-    if err(hi) < 0:
-        raise InvalidParams(
-            "source too noisy: even lossless transmission cannot reach the "
-            "target peak ratio"
-        )
-    return float(brentq(err, lo, hi, xtol=1e-9))
+    m = InBandModel(source, chan, spec, f_lo, f_hi)
+    if m.peak_ratio(1.0) < target:
+        raise InvalidParams("source too noisy: even lossless transmission cannot reach the "
+                            "target peak ratio")
+    return float(brentq(lambda t: m.peak_ratio(t) - target, 1e-3, 1.0, xtol=1e-9))

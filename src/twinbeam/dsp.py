@@ -31,6 +31,7 @@ __all__ = [
     "FILTER_PAD",
     "band_mask",
     "check_band",
+    "rfft_freqs",
     "bandpass",
     "band_bins",
     "band_record",
@@ -75,6 +76,11 @@ def check_band(f_lo: float, f_hi: float, fs: float) -> None:
         raise InvalidBand("band narrower than twice the transition width")
 
 
+def rfft_freqs(n: int, fs: float, bins: slice) -> np.ndarray:
+    """``rfftfreq(n, 1 / fs)[bins]`` for a unit-step slice, computed on those bins only."""
+    return np.arange(*bins.indices(n // 2 + 1)[:2]) * (1.0 / (n * (1.0 / fs)))
+
+
 def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     """Zero-phase band-pass of a trace to [f_lo, f_hi].
 
@@ -102,7 +108,7 @@ def band_bins(n: int, fs: float, f_lo: float, f_hi: float) -> tuple[slice, np.nd
     """The rfft bins of an n-sample record that [f_lo, f_hi] covers, and ``band_mask`` on them."""
     check_band(f_lo, f_hi, fs)
     bins = slice(int(np.floor(f_lo * n / fs)), int(np.ceil(f_hi * n / fs)) + 1)
-    return bins, band_mask(sfft.rfftfreq(n, d=1.0 / fs)[bins], f_lo, f_hi)
+    return bins, band_mask(rfft_freqs(n, fs, bins), f_lo, f_hi)
 
 
 def band_record(spectrum: np.ndarray, bins: slice, n: int) -> np.ndarray:

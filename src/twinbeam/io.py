@@ -15,7 +15,8 @@ TWBM container layout (little-endian throughout):
 
 CSV traces hold one column (value) or two (time, value); the time column is
 validated uniform and then discarded in favor of the declared sample rate.
-A malformed file of either kind is a ``DataError`` naming the file.
+A malformed file of either kind, or one whose values a type refuses (a NaN
+sample, a guard past mid-record), is a ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import csv
 import json
 import struct
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +49,15 @@ TWBM_MAGIC = b"TWBM"
 TWBM_VERSION = 1
 
 _ENCODINGS = {"u8": np.uint8, "f64le": "<f8"}
+
+
+@contextmanager
+def _values_of(path):
+    """Turn a type's InvalidParams, raised on values read from ``path``, into a DataError."""
+    try:
+        yield
+    except InvalidParams as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
@@ -113,20 +124,27 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
     if sample_rate is not None and abs(fs - sample_rate) > 1e-6 * sample_rate:
         raise NonUniformTime(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
-    kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=bit_depth),
-              label=header.get("label", "trace"), shot_psd=header.get("shot_psd"), guard=guard)
-    if encoding == "u8":
-        return Trace.from_raw(values, **kw)
-    return Trace(samples=values, mean_level=mean_level, **kw)
+    with _values_of(path):
+        kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=bit_depth),
+                  label=header.get("label", "trace"), shot_psd=header.get("shot_psd"),
+                  guard=guard)
+        if encoding == "u8":
+            return Trace.from_raw(values, **kw)
+        return Trace(samples=values, mean_level=mean_level, **kw)
 
 
-def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
+def _csv_numbers(path, refusal: str, skiprows: int = 0) -> np.ndarray:
+    """The rows of numbers in a CSV file; a file holding none, or anything else, is a DataError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)   # numpy's warning of a file with no data
         try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+            return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skiprows)
         except (UserWarning, ValueError) as exc:   # a UnicodeDecodeError is a ValueError
-            raise DataError(f"{path}: not a TWBM file, nor a CSV of numbers: {exc}") from exc
+            raise DataError(f"{path}: {refusal}: {exc}") from exc
+
+
+def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
+    data = _csv_numbers(path, "not a TWBM file, nor a CSV of numbers")
     if data.shape[1] == 1:
         values = data[:, 0]
         if sample_rate is None:
@@ -147,8 +165,9 @@ def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
             )
     else:
         raise DataError(f"{path}: expected 1 or 2 CSV columns, found {data.shape[1]}")
-    return Trace.from_raw(values, DigitizerSpec(sample_rate=fs, n_samples=len(values)),
-                          label=Path(path).stem)
+    with _values_of(path):
+        return Trace.from_raw(values, DigitizerSpec(sample_rate=fs, n_samples=len(values)),
+                              label=Path(path).stem)
 
 
 def load_trace(path, sample_rate: Optional[float] = None) -> Trace:
@@ -177,13 +196,14 @@ def save_curve(curve: MICurve, path) -> None:
 
 def load_curve(path) -> MICurve:
     """Read an MI curve CSV written by save_curve (or compatible)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _csv_numbers(path, "not a curve CSV of numbers", skiprows=1)
     if data.shape[1] < 2:
         raise DataError(f"{path}: curve CSV needs delay_ns and mi columns")
     delays = data[:, 0] * 1e-9
     mi = data[:, 1]
     spread = data[:, 2] if data.shape[1] > 2 else None
-    return MICurve(delays=delays, mi=np.maximum(mi, 0.0), spread=spread)
+    with _values_of(path):
+        return MICurve(delays=delays, mi=np.maximum(mi, 0.0), spread=spread)
 
 
 def save_spectrum(est: SpectrumEstimate, path) -> None:

@@ -57,7 +57,7 @@ def default_channel(config: RunConfig) -> ChannelParams:
     if config.channel is not None:
         return config.channel
     base = ChannelParams()
-    t = matched_transmission(config.source, base, config.f_lo, config.f_hi)
+    t = matched_transmission(config.source, base, config.spec, config.f_lo, config.f_hi)
     return replace(base, power_transmission=t)
 
 

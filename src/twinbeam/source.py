@@ -26,9 +26,9 @@ Model structure for the twin pair:
 * the shared PSD amplitude is set by the per-beam excess noise (dB above
   shot, band-averaged over DESIGN_BAND, 1.5-3.5 MHz).
 
-``NoiseBudget.from_source`` works out these levels (each arm's shot PSD and
-the shared PSD amplitude) once; ``twin_recipe`` synthesizes that budget and
-``design.InBandModel`` predicts the filtered statistics from it.
+``twin_recipe`` works out these levels (each arm's shot PSD and the shared
+PSD amplitude) once, as its noises' PSDs; ``design.InBandModel`` predicts
+the filtered statistics from those same PSDs.
 
 The shared PSD is a Gaussian of correlation scale sigma0 * sqrt(2) (so the
 raw delay-MI curve tracks a Gaussian of scale sigma0) with a smooth notch at
@@ -54,6 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .dsp import rfft_freqs
 from .errors import InvalidParams
 from .trace import DigitizerSpec, SourceParams, Trace, TracePair
 
@@ -61,7 +62,6 @@ __all__ = [
     "NOISE_BANDWIDTH_HZ",
     "SHOT_RMS_LEVELS",
     "DESIGN_BAND",
-    "NoiseBudget",
     "shared_psd_shape",
     "noise_spectrum",
     "Arm",
@@ -114,42 +114,26 @@ def _mean_level_b(params: SourceParams) -> float:
     return MEAN_LEVEL_A * params.mean_power_b / params.mean_power_a
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Shot PSDs per arm (level^2/Hz) and the amplitude of the shared PSD.
-
-    ``shared_scale`` multiplies ``shared_psd_shape`` so that each arm's excess
-    over the mean shot PSD averages ``excess_noise_db`` over DESIGN_BAND.
-    ``gen_twin`` synthesizes this budget and ``design`` predicts from it.
+def _shared_scale(params: SourceParams, shot_a: float, shot_b: float) -> float:
+    """Factor on ``shared_psd_shape`` giving each arm an excess over the mean shot PSD
+    that averages ``excess_noise_db`` over DESIGN_BAND; refuses an excess at or below
+    the squeezing floor, and a sigma0 whose shared spectrum underflows over the band.
     """
-
-    shot_variance_a: float
-    shot_variance_b: float
-    shared_scale: float
-
-    def __post_init__(self):
-        if self.shot_variance_a < 0 or self.shot_variance_b < 0 or self.shared_scale < 0:
-            raise InvalidParams("noise levels must be nonnegative")
-
-    @classmethod
-    def from_source(cls, params: SourceParams) -> "NoiseBudget":
-        shot_a, shot_b = _shot_psds(params)
-        x_lin = 10.0 ** (params.excess_noise_db / 10.0)
-        s_lin = 10.0 ** (-params.squeezing_db / 10.0)
-        shape_mean = float(shared_psd_shape(_BAND_GRID, params.sigma0).mean())
-        if x_lin <= s_lin:
-            raise InvalidParams(
-                "excess_noise_db too small: per-arm noise would fall below the "
-                "independent (squeezing) noise floor"
-            )
-        excess = (x_lin - s_lin) * (0.5 * (shot_a + shot_b))
-        if not (shape_mean > 0 and math.isfinite(excess / shape_mean)):
-            raise InvalidParams(
-                f"sigma0 {params.sigma0 * 1e9:g} ns is too wide: its shared spectrum "
-                "underflows over the design band"
-            )
-        return cls(shot_variance_a=shot_a, shot_variance_b=shot_b,
-                   shared_scale=excess / shape_mean)
+    x_lin = 10.0 ** (params.excess_noise_db / 10.0)
+    s_lin = 10.0 ** (-params.squeezing_db / 10.0)
+    if x_lin <= s_lin:
+        raise InvalidParams(
+            "excess_noise_db too small: per-arm noise would fall below the "
+            "independent (squeezing) noise floor"
+        )
+    shape_mean = float(shared_psd_shape(_BAND_GRID, params.sigma0).mean())
+    excess = (x_lin - s_lin) * (0.5 * (shot_a + shot_b))
+    if not (shape_mean > 0 and math.isfinite(excess / shape_mean)):
+        raise InvalidParams(
+            f"sigma0 {params.sigma0 * 1e9:g} ns is too wide: its shared spectrum "
+            "underflows over the design band"
+        )
+    return excess / shape_mean
 
 
 def noise_spectrum(rng: np.random.Generator, n: int, fs: float,
@@ -170,7 +154,7 @@ def noise_spectrum(rng: np.random.Generator, n: int, fs: float,
         z[0] = 0.0  # zero-mean record
     if n % 2 == 0 and stop == m:
         z[-1] = np.sqrt(2.0) * z[-1].real
-    z *= np.sqrt(np.maximum(psd(np.fft.rfftfreq(n, d=1.0 / fs)[bins]), 0.0) * fs * n / 2.0)
+    z *= np.sqrt(np.maximum(psd(rfft_freqs(n, fs, bins)), 0.0) * fs * n / 2.0)
     z /= np.sqrt(2.0)
     return z
 
@@ -253,34 +237,35 @@ def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRec
     rms, so ``Trace``'s DC-removal tolerance needs eps * rms inside it, for an
     arm excess_noise_db above its shot level over DESIGN_BAND.  Each bin's
     scale psd * fs * n / 2 must stay finite at the shared PSD's peak, at most
-    ``shared_scale``, which grows without bound with sigma0.  ``traces``
-    applies the rms bound over all frequencies, where the shared spectrum
-    carries at most shared_scale / (4 sqrt(pi) sigma0).
+    its scale, which grows without bound with sigma0.  ``traces`` applies the
+    rms bound over all frequencies, where the shared spectrum carries at most
+    scale / (4 sqrt(pi) sigma0).
     """
-    budget = NoiseBudget.from_source(params)
+    shot_a, shot_b = _shot_psds(params)
+    scale = _shared_scale(params, shot_a, shot_b)
     rms = math.sqrt(10.0 ** (params.excess_noise_db / 10.0) * (DESIGN_BAND[1] - DESIGN_BAND[0])
-                    * max(budget.shot_variance_a, budget.shot_variance_b))
+                    * max(shot_a, shot_b))
     if np.finfo(np.float64).eps * rms > spec.dc_tolerance:
         raise InvalidParams(f"excess_noise_db {params.excess_noise_db:g} dB is too high: an arm "
                             f"of rms {rms:.3g} levels over the design band cannot hold its mean "
                             f"within {spec.dc_tolerance:g} levels in float64")
-    if not math.isfinite(budget.shared_scale * spec.sample_rate * spec.n_samples / 2.0):
+    if not math.isfinite(scale * spec.sample_rate * spec.n_samples / 2.0):
         raise InvalidParams(f"sigma0 {params.sigma0 * 1e9:g} ns is too wide for a "
                             f"{spec.n_samples}-sample record: its shared spectrum's per-bin "
                             "scale overflows float64")
     s_lin = 10.0 ** (-params.squeezing_db / 10.0)
-    shared_var = budget.shared_scale / (4.0 * math.sqrt(math.pi) * params.sigma0)
+    shared_var = scale / (4.0 * math.sqrt(math.pi) * params.sigma0)
     shared, own_a, own_b = np.random.SeedSequence(seed).spawn(3)
     return PairRecipe(
         spec=spec,
-        noises=((shared, lambda f: budget.shared_scale * shared_psd_shape(f, params.sigma0)),
-                (own_a, _white(s_lin * budget.shot_variance_a)),
-                (own_b, _white(s_lin * budget.shot_variance_b))),
+        noises=((shared, lambda f: scale * shared_psd_shape(f, params.sigma0)),
+                (own_a, _white(s_lin * shot_a)),
+                (own_b, _white(s_lin * shot_b))),
         weights=((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
-        arms=(Arm("probe", MEAN_LEVEL_A, budget.shot_variance_a),
-              Arm("conjugate", _mean_level_b(params), budget.shot_variance_b)),
-        arm_rms=tuple(math.sqrt(shared_var + s_lin * shot * NOISE_BANDWIDTH_HZ) for shot in
-                      (budget.shot_variance_a, budget.shot_variance_b)))
+        arms=(Arm("probe", MEAN_LEVEL_A, shot_a),
+              Arm("conjugate", _mean_level_b(params), shot_b)),
+        arm_rms=tuple(math.sqrt(shared_var + s_lin * shot * NOISE_BANDWIDTH_HZ)
+                      for shot in (shot_a, shot_b)))
 
 
 def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:

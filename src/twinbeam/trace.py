@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -35,8 +36,9 @@ class DigitizerSpec:
             raise InvalidParams(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if not (self.n_samples > 0):
             raise InvalidParams(f"n_samples must be > 0, got {self.n_samples}")
-        if 2 ** self.bit_depth < 2:
-            raise InvalidParams(f"bit_depth must give >= 2 levels, got {self.bit_depth}")
+        if not 1 <= self.bit_depth < sys.float_info.max_exp:
+            raise InvalidParams(f"digitizer.bit_depth {self.bit_depth} is out of range: its "
+                                "2**bit_depth levels must be at least 2 and a float64")
 
     @property
     def duration(self) -> float:
@@ -83,6 +85,8 @@ class Trace:
         if not samples.flags.owndata:
             samples = samples.copy()
         mean = float(samples.mean())
+        if not math.isfinite(mean):   # a NaN or inf sample makes the mean so
+            raise InvalidParams(f"trace samples must be finite, but their mean is {mean}")
         tol = self.spec.dc_tolerance
         if abs(mean) > tol:
             raise InvalidParams(
@@ -99,7 +103,8 @@ class Trace:
         """Build a trace from a raw (not DC-removed) record."""
         raw = np.asarray(raw, dtype=np.float64)
         mean = float(raw.mean())
-        return cls(samples=raw - mean, spec=spec, mean_level=kw.pop("mean_level", mean), **kw)
+        samples = raw - mean if math.isfinite(mean) else raw   # which the constructor refuses
+        return cls(samples=samples, spec=spec, mean_level=kw.pop("mean_level", mean), **kw)
 
     def valid(self) -> np.ndarray:
         """Samples with the guard regions stripped."""
@@ -155,6 +160,8 @@ class MICurve:
         mi = np.asarray(self.mi, dtype=np.float64).copy()
         if delays.ndim != 1 or delays.shape != mi.shape:
             raise InvalidParams("delays and mi must be 1-d arrays of equal length")
+        if not (np.isfinite(delays).all() and np.isfinite(mi).all()):
+            raise InvalidParams("delays and mi must be finite")
         if len(delays) < 2:
             raise InvalidParams("curve needs at least two points")
         steps = np.diff(delays)
@@ -166,8 +173,8 @@ class MICurve:
             raise InvalidParams("MI values must be nonnegative")
         spread = (np.asarray(self.spread, dtype=np.float64).copy() if self.spread is not None
                   else np.zeros_like(mi))
-        if spread.shape != mi.shape or np.any(spread < 0):
-            raise InvalidParams("spread must match mi and be nonnegative")
+        if spread.shape != mi.shape or not np.all((spread >= 0) & (spread < np.inf)):
+            raise InvalidParams("spread must match mi, and be finite and nonnegative")
         if self.n_repeats < 1:
             raise InvalidParams("n_repeats must be >= 1")
         for x in (delays, mi, spread):

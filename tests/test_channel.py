@@ -16,7 +16,7 @@ from twinbeam.channel import (
 )
 from twinbeam.design import InBandModel, matched_transmission, predicted_peak_ratio
 from twinbeam.dsp import bandpass, welch_psd
-from twinbeam.errors import InvalidParams, InvalidTransmission, KernelTooWide
+from twinbeam.errors import InvalidBand, InvalidParams, InvalidTransmission, KernelTooWide
 from twinbeam.mi import mi_delay_scan
 from twinbeam.model import peak_value
 from twinbeam.pipeline import scatterer_only_channel
@@ -301,10 +301,11 @@ class TestMatchedTransmission:
     def test_solves_to_model_peak_ratio(self):
         source = SourceParams()
         chan = ChannelParams()
-        t = matched_transmission(source, chan)
+        t = matched_transmission(source, chan, DigitizerSpec(), F_LO, F_HI)
         assert 0.2 < t < 0.9
         target = peak_value(chan.eta, source.sigma0, chan.sigma)
-        got = predicted_peak_ratio(source, chan, t, F_LO, F_HI)
+        got = predicted_peak_ratio(source, replace(chan, power_transmission=t), DigitizerSpec(),
+                                   F_LO, F_HI)
         assert got == pytest.approx(target, abs=1e-6)
 
     def test_measured_14_percent_floors_the_peak(self):
@@ -312,7 +313,14 @@ class TestMatchedTransmission:
         # far below the channel model's 0.475: the two knobs are distinct
         source = SourceParams()
         chan = ChannelParams()
-        assert predicted_peak_ratio(source, chan, 0.14, F_LO, F_HI) < 0.25
+        assert chan.power_transmission == 0.14
+        assert predicted_peak_ratio(source, chan, DigitizerSpec(), F_LO, F_HI) < 0.25
+
+    def test_band_without_correlation_refused(self):
+        # past the shared spectrum, and past the noise bandwidth, the pair is uncorrelated
+        for band in ((100e6, 110e6), (400e6, 500e6)):
+            with pytest.raises(InvalidBand, match="carries no correlation"):
+                InBandModel(SourceParams(), ChannelParams(), DigitizerSpec(), *band)
 
 
 def _peak_xcorr(a, b, max_lag):
@@ -324,17 +332,22 @@ def _peak_xcorr(a, b, max_lag):
 
 
 class TestDesignAgreesWithTraces:
-    """The in-band predictor and the trace generator share one noise budget."""
+    """The in-band predictor reads the noises the traces are drawn from."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_predicted_rho_matches_measured(self, mid_spec, seed):
-        source, chan = SourceParams(), ChannelParams()
-        model = InBandModel(source, F_LO, F_HI)
-        t = matched_transmission(source, chan)
+    # arm b at 1.5 mW has a shot PSD far from arm a's, so a model that mixed
+    # the two arms' shot noise would miss the channel arm's correlation
+    @pytest.mark.parametrize("source, seed", [
+        *((SourceParams(), seed) for seed in (1, 2, 3)),
+        *((SourceParams(mean_power_b=1.5e-3), seed) for seed in (1, 2, 3)),
+    ], ids=["1", "2", "3", "power-b-1.5mW-1", "power-b-1.5mW-2", "power-b-1.5mW-3"])
+    def test_predicted_rho_matches_measured(self, mid_spec, source, seed):
+        chan = ChannelParams()
+        model = InBandModel(source, chan, mid_spec, F_LO, F_HI)
+        t = matched_transmission(source, chan, mid_spec, F_LO, F_HI)
         pair = gen_twin(source, mid_spec, seed)
         fa, fb = bandpass(pair.a, F_LO, F_HI), bandpass(pair.b, F_LO, F_HI)
         assert _peak_xcorr(fa, fb, 0) == pytest.approx(model.unobstructed_rho(), abs=0.02)
 
         arm = apply_channel(pair, replace(chan, power_transmission=t), seed + 10_000).a
         measured = _peak_xcorr(bandpass(arm, F_LO, F_HI), fb, 150)   # lags up to 75 ns
-        assert measured == pytest.approx(model.channel_rho_peak(chan, t), abs=0.04)
+        assert measured == pytest.approx(model.channel_rho_peak(t), abs=0.04)

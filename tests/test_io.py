@@ -173,6 +173,54 @@ class TestMalformedFile:
         assert str(path) in err and message in err and "Traceback" not in err
 
 
+def _twbm_of_zeros(**header) -> bytes:
+    hdr = json.dumps({"sample_rate_hz": 2e9, "n_samples": 100, "encoding": "f64le",
+                      "label": "probe", **header}).encode()
+    return b"TWBM" + struct.pack("<II", 1, len(hdr)) + hdr + bytes(8 * 100)
+
+
+def _csv_with_a_nan() -> bytes:
+    values = np.random.default_rng(3).standard_normal(2000)
+    values[17] = np.nan
+    return "\n".join(f"{i * 0.5e-9!r},{float(v)!r}" for i, v in enumerate(values)).encode()
+
+
+class TestValuesBreakingAType:
+    """A file whose values parse but break a type's invariant is a data error naming it."""
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("nan.csv", _csv_with_a_nan(), "trace samples must be finite"),
+        ("guard.twbm", _twbm_of_zeros(guard=60), "guard 60 out of range for trace"),
+        ("depth.twbm", _twbm_of_zeros(bit_depth=3000), "digitizer.bit_depth 3000 is out of range"),
+    ], ids=["nan-sample", "guard-past-half", "bit-depth-overflow"])
+    def test_trace_file(self, name, content, message, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_trace(path)
+        assert main(["analyze", "--trace-a", str(path), "--trace-b", str(path),
+                     "--range-ns", "5", "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "delays and mi must be finite"),
+        ("abc", "not a curve CSV of numbers"),
+    ], ids=["nan-mi", "letters"])
+    def test_curve_file(self, value, message, tmp_path, capsys):
+        d = np.arange(-100, 101) * 0.5e-9
+        path = tmp_path / "c.csv"
+        save_curve(MICurve(delays=d, mi=np.exp(-0.5 * (d / 20e-9) ** 2)), path)
+        lines = path.read_text().splitlines()
+        lines[40] = lines[40].split(",")[0] + f",{value},0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_curve(path)
+        assert main(["fit", "--curve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err and "Traceback" not in err
+
+
 class TestCurveCsv:
     def test_round_trip(self, tmp_path):
         delays = (np.arange(-100, 101)) * 0.5e-9

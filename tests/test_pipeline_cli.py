@@ -586,11 +586,30 @@ class TestCli:
         assert out.strip() == "[]"
 
     @pytest.mark.parametrize("command", ["matched-transmission", "pipeline"])
-    def test_band_past_design_grid_exits_2_before_any_trace(self, command, monkeypatch,
-                                                            capsys):
+    def test_band_past_nyquist_exits_2_before_drawing(self, command, monkeypatch, capsys):
         monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
-        assert main([command, "--band-mhz", "20:30"]) == 2
-        assert "band [20, 30] MHz" in capsys.readouterr().err
+        assert main([command, "--band-mhz", "900:1100"]) == 2
+        assert "band [9e+08, 1.1e+09] Hz must satisfy" in capsys.readouterr().err
+
+    def test_band_past_12_mhz_is_matched(self, capsys):
+        # the design works on the record's own band bins, up to Nyquist
+        assert main(["matched-transmission", "--band-mhz", "20:30"]) == 0
+        assert capsys.readouterr().out.strip() == "0.6462"
+
+    def test_default_transmission_reads_the_drawn_noises(self, capsys):
+        # the loss noise is drawn at arm a's shot PSD, and the design reads it there
+        assert main(["matched-transmission"]) == 0
+        assert capsys.readouterr().out.strip() == "0.5289"
+        short = small_config(scenario="twin-channel")
+        assert default_channel(short).power_transmission == pytest.approx(0.528905, abs=1e-6)
+
+    def test_bit_depth_float64_cannot_hold_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"digitizer": {"bit_depth": 2000, "n_samples": 140000},
+                                   "repeats": 1, "range_ns": 20}))
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "digitizer.bit_depth 2000 is out of range" in err and "Traceback" not in err
 
     def test_simulate_split_coherent_from_shot_limited_source(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"

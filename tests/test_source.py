@@ -10,7 +10,6 @@ from twinbeam.mi import mi_delay_scan
 from twinbeam.source import (
     NOISE_BANDWIDTH_HZ,
     SHOT_RMS_LEVELS,
-    NoiseBudget,
     gen_split_coherent,
     gen_split_thermal,
     gen_twin,
@@ -258,18 +257,23 @@ class TestQuantize:
 
 class TestNoiseBudget:
     def test_from_source(self):
-        b = NoiseBudget.from_source(SourceParams())
-        assert b.shot_variance_a == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
-        assert b.shot_variance_b == pytest.approx(b.shot_variance_a * 5.3 / 5.9)
-        assert b.shared_scale > 0
+        pair = twin_recipe(SourceParams(), DigitizerSpec(), seed=1)
+        shot_a, shot_b = (arm.shot_psd for arm in pair.arms)
+        assert shot_a == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
+        assert shot_b == pytest.approx(shot_a * 5.3 / 5.9)
+        shared = pair.noises[0][1]
+        assert shared(np.array([F_LO]))[0] > 0
 
     def test_sigma0_whose_shared_spectrum_underflows(self):
-        # 2800 ns leaves a finite shared level; wider, the band mean is
-        # subnormal (its scale overflows) or zero
-        assert np.isfinite(NoiseBudget.from_source(SourceParams(sigma0=2800e-9)).shared_scale)
+        # 2800 ns leaves a finite shared level, which only the record's per-bin
+        # scale refuses; wider, the band mean is subnormal (its scale overflows) or zero
+        spec = DigitizerSpec(n_samples=4_000_000)
+        with pytest.raises(InvalidParams, match="too wide for a 4000000-sample record"):
+            twin_recipe(SourceParams(sigma0=2800e-9), spec, seed=1)
         for sigma0 in (2850e-9, 3000e-9, 1.0):
-            with pytest.raises(InvalidParams, match="sigma0 .* ns is too wide"):
-                NoiseBudget.from_source(SourceParams(sigma0=sigma0))
+            with pytest.raises(InvalidParams, match="sigma0 .* ns is too wide: its shared "
+                                                    "spectrum underflows"):
+                twin_recipe(SourceParams(sigma0=sigma0), spec, seed=1)
 
     def test_twin_records_float64_cannot_carry(self):
         # the shared PSD's per-bin scale overflows past 2767 ns on 4e6 samples;
@@ -302,12 +306,6 @@ class TestNoiseBudget:
             ok.traces()
         with pytest.raises(InvalidParams, match="arm probe of full-band rms .* sigma0"):
             bad.traces()
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            NoiseBudget(shot_variance_a=-1.0, shot_variance_b=1.0, shared_scale=0.0)
-        with pytest.raises(InvalidParams):
-            NoiseBudget(shot_variance_a=1.0, shot_variance_b=1.0, shared_scale=-1.0)
 
 
 class TestDynamicRange:

@@ -37,6 +37,13 @@ class TestDigitizerSpec:
         with pytest.raises(InvalidParams):
             DigitizerSpec(**kw)
 
+    def test_bit_depth_float64_cannot_hold(self):
+        # dc_tolerance is 1e-9 * 2**bit_depth, a float64 up to 2**1023
+        assert DigitizerSpec(bit_depth=1023).dc_tolerance > 0
+        for bit_depth in (1024, 3000):
+            with pytest.raises(InvalidParams, match="digitizer.bit_depth .* is out of range"):
+                DigitizerSpec(bit_depth=bit_depth)
+
 
 class TestTrace:
     def test_length_must_match_spec(self):
@@ -48,6 +55,13 @@ class TestTrace:
         spec = DigitizerSpec(n_samples=100)
         with pytest.raises(InvalidParams):
             Trace(samples=np.full(100, 3.0), spec=spec)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused(self, value):
+        raw = np.arange(16.0)
+        raw[3] = value
+        with pytest.raises(InvalidParams, match="trace samples must be finite"):
+            Trace.from_raw(raw, DigitizerSpec(n_samples=16))
 
     def test_from_raw_removes_mean(self):
         raw = np.arange(100.0) + 50.0
@@ -109,6 +123,15 @@ class TestMICurve:
     def test_unknown_spread_is_zeros(self):
         curve = MICurve(delays=np.array([0.0, 1e-9]), mi=np.array([0.1, 0.2]))
         assert np.array_equal(curve.spread, [0.0, 0.0]) and not curve.spread.flags.writeable
+
+    @pytest.mark.parametrize("field", ["delays", "mi", "spread"])
+    def test_rejects_non_finite(self, field):
+        kw = dict(delays=np.array([0.0, 1e-9, 2e-9]), mi=np.array([0.1, 0.5, 0.2]),
+                  spread=np.zeros(3))
+        kw[field] = kw[field].copy()
+        kw[field][2] = np.nan
+        with pytest.raises(InvalidParams, match="finite"):
+            MICurve(**kw)
 
     def test_spread_shape_checked(self):
         with pytest.raises(InvalidParams):
