@@ -25,13 +25,13 @@ import numpy as np
 
 from .config import RunConfig, SCENARIO_CHOICES, check_seed, read_json
 from .design import matched_transmission
-from .dsp import FILTER_PAD, bandpass, check_segment, difference_spectrum
+from .dsp import FILTER_PAD, bandpass, check_segment, difference_spectrum, squeezing_spectrum
 from .errors import ConfigError, DataError, FitError, TwinbeamError
 from .io import load_curve, load_trace, save_curve, save_spectrum, save_trace
 from .mi import mi_delay_scan, normalize_curve, scan_window
 from .model import G_closed, G_numeric, fit_channel, fit_gaussian
 from .pipeline import run_pipeline
-from .source import RECIPES, gen_split_coherent
+from .source import RECIPES, shot_noise_reference
 from .trace import ChannelParams, SourceParams, TracePair
 
 
@@ -81,7 +81,7 @@ def _run_config(args) -> RunConfig:
 
 def _cmd_simulate(args) -> int:
     config = _run_config(args)
-    pair = RECIPES[args.generator](config.source, config.spec, config.seed).traces()
+    pair = RECIPES[args.generator](config.source, config.spec).traces(config.seed)
     save_trace(pair.a, args.out_a, encoding=args.encoding)
     save_trace(pair.b, args.out_b, encoding=args.encoding)
     print(f"wrote {args.out_a} and {args.out_b} ({args.generator}, seed {config.seed})")
@@ -112,18 +112,19 @@ def _cmd_spectrum(args) -> int:
     if (args.ref_a is None) != (args.ref_b is None):
         given, missing = ("--ref-a", "--ref-b") if args.ref_b is None else ("--ref-b", "--ref-a")
         raise ConfigError(f"{given} needs {missing}: the reference is a pair of files")
-    if args.ref_a is not None and args.synth_ref_seed is not None:
-        raise ConfigError("--synth-ref-seed seeds the synthetic reference, which "
-                          "--ref-a and --ref-b replace")
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
     config = _run_config(args)
     check_segment(config.segment_length, pair.a.spec.n_samples)
     if args.ref_a is not None:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
+        est = difference_spectrum(pair, ref, segment_length=config.segment_length)
     else:
-        seed = 987 if args.synth_ref_seed is None else args.synth_ref_seed
-        ref = gen_split_coherent(config.source, pair.a.spec, check_seed(seed, "--synth-ref-seed"))
-    est = difference_spectrum(pair, ref, segment_length=config.segment_length)
+        for trace, path in ((pair.a, args.trace_a), (pair.b, args.trace_b)):
+            if trace.shot_psd is None:
+                raise ConfigError(f"{path} carries no shot_psd: give --ref-a and --ref-b")
+        reference = shot_noise_reference(pair.a.spec, (pair.a.shot_psd, pair.b.shot_psd), 987)
+        est = squeezing_spectrum(pair.a.samples - pair.b.samples, reference,
+                                 pair.a.spec.sample_rate, config.segment_length)
     save_spectrum(est, args.out)
     print(f"wrote {args.out}: in-band mean "
           f"{est.in_band_mean_db(config.f_lo, config.f_hi):+.2f} dB "
@@ -132,20 +133,21 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    has_sigma0 = hasattr(args, "source.sigma0_ns")
     if args.mode == "gaussian":
-        for flag, value in (("--sigma0-ns", args.sigma0_ns),
-                            ("--reference-peak", args.reference_peak)):
-            if value is not None:
+        for flag, given in (("--sigma0-ns", has_sigma0),
+                            ("--reference-peak", args.reference_peak is not None)):
+            if given:
                 raise ConfigError(f"{flag} applies only to --mode channel")
     curve = load_curve(args.curve)
     if args.mode == "gaussian":
         out = fit_gaussian(curve).to_report()
     else:
-        if args.sigma0_ns is None:
+        if not has_sigma0:
             raise ConfigError("--sigma0-ns is required for channel fits")
         if args.reference_peak is not None:
             curve = normalize_curve(curve, args.reference_peak)
-        out = fit_channel(curve, args.sigma0_ns * 1e-9).to_report()
+        out = fit_channel(curve, _run_config(args).source.sigma0).to_report()
     print(json.dumps(out, indent=2))
     return 0
 
@@ -220,10 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="difference spectrum vs shot-noise reference")
     p.add_argument("--trace-a", required=True)
     p.add_argument("--trace-b", required=True)
-    p.add_argument("--ref-a", default=None)
+    p.add_argument("--ref-a", default=None, help="reference pair; else one is drawn at the "
+                   "traces' own shot PSDs, which a CSV trace lacks")
     p.add_argument("--ref-b", default=None)
-    p.add_argument("--synth-ref-seed", type=int, default=None,
-                   help="seed of the synthetic reference drawn without ref files (987)")
     _add_run_args(p, "--segment", "--band-mhz")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a curve CSV")
     p.add_argument("--curve", required=True)
     p.add_argument("--mode", choices=("gaussian", "channel"), default="gaussian")
-    p.add_argument("--sigma0-ns", type=float, default=None)
+    _add_run_args(p, "--sigma0-ns")
     p.add_argument("--reference-peak", type=float, default=None,
                    help="normalize the curve by this peak before the channel fit")
     p.set_defaults(func=_cmd_fit)

@@ -170,8 +170,6 @@ class RunConfig:
             raise ConfigError("repeats must be >= 1")
         if not (0 < self.f_lo < self.f_hi):
             raise ConfigError("band must satisfy 0 < f_lo < f_hi")
-        if self.n_bins < 2:
-            raise ConfigError("n_bins must be >= 2")
 
     def to_dict(self) -> dict:
         """JSON form; a None channel or outdir is left out."""

@@ -38,8 +38,8 @@ class InBandModel:
         bins, mask = band_bins(n, fs, f_lo, f_hi)
         self.f = rfft_freqs(n, fs, bins)
         self.h2 = mask * mask
-        pair = twin_recipe(source, spec, 0)
-        noises = np.array([psd(self.f) for _, psd in pair.noises]) * self.h2
+        pair = twin_recipe(source, spec)
+        noises = np.array([psd(self.f) for psd in pair.noises]) * self.h2
         wa, wb = map(np.asarray, pair.weights)
         self.psd_a, self.psd_b, self.cross = ((x * y) @ noises for x, y in
                                               ((wa, wa), (wb, wb), (wa, wb)))

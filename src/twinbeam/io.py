@@ -111,6 +111,8 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         bit_depth = int(header.get("bit_depth", 8))
         guard = int(header.get("guard", 0))
         mean_level = float(header.get("mean_level", 0.0))
+        shot_psd = header.get("shot_psd")
+        shot_psd = None if shot_psd is None else float(shot_psd)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise HeaderMismatch(f"{path}: malformed header: {exc!r}") from exc
     if encoding not in _ENCODINGS:
@@ -126,7 +128,7 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
     with _values_of(path):
         kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=bit_depth),
-                  label=header.get("label", "trace"), shot_psd=header.get("shot_psd"),
+                  label=header.get("label", "trace"), shot_psd=shot_psd,
                   guard=guard)
         if encoding == "u8":
             return Trace.from_raw(values, **kw)

@@ -464,12 +464,14 @@ def scan_window(spec: DigitizerSpec, step: float, range_: float, n_bins: int,
     guard at every shift, outside the histogram: it leaves
     max(guard_a, guard_b + largest shift) samples on each side and must hold
     ``MIN_SAMPLES_PER_BIN`` samples per bin.  Raises InvalidParams unless
-    the step and range are finite, StepNotSampleAligned unless the step is a
-    whole number of sample periods, InvalidParams unless the range covers
-    at least one step and at most a quarter of the record, and
-    RecordTooShort, naming the shortest record that passes, if the window is
-    too short.
+    there are at least 2 bins and the step and range are finite,
+    StepNotSampleAligned unless the step is a whole number of sample periods,
+    InvalidParams unless the range covers at least one step and at most a
+    quarter of the record, and RecordTooShort, naming the shortest record
+    that passes, if the window is too short.
     """
+    if n_bins < 2:
+        raise InvalidParams(f"n_bins must be >= 2, got {n_bins}")
     for name, value in (("step", step), ("range", range_)):
         if not math.isfinite(value):
             raise InvalidParams(f"delay {name} must be finite, got {value:g} s")

@@ -276,11 +276,15 @@ def fit_channel(curve: MICurve, sigma0: float) -> FitResult:
              the outermost crossings, with a warning on side structure.
     Stage 3: eta from the peak height through the closed-form peak value.
 
-    The curve must be normalized so the unobstructed reference peaks at 1.
+    The curve must be normalized so the unobstructed reference peaks at 1;
+    one whose refined peak exceeds 1 is refused before any fitting.
     """
     if not sigma0 > 0:
         raise InvalidParams("sigma0 must be > 0")
     tau0_hat, peak_hat = _refined_peak(curve)
+    if peak_hat > 1.0:
+        raise InvalidParams(f"the curve peaks at {peak_hat:.6g}, above 1: it is not normalized to "
+                            "the unobstructed peak (normalize_curve, fit's --reference-peak)")
 
     width = _half_level_width(curve.delays, curve.mi, 0.5 * peak_hat)
     floor = GAUSSIAN_FWHM_FACTOR * sigma0

@@ -24,12 +24,11 @@ from . import io as tbio
 from .channel import channel_guard, channel_spectrum
 from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
-from .dsp import (FILTER_PAD, SpectrumEstimate, band_bins, band_record, check_segment,
-                  squeezing_spectrum)
+from .dsp import FILTER_PAD, band_bins, band_record, check_segment, squeezing_spectrum
 from .errors import RecordTooShort, TwinbeamError
 from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve, scan_window
 from .model import fit_channel, fit_gaussian
-from .source import RECIPES, split_coherent_recipe, twin_recipe
+from .source import RECIPES, shot_noise_reference, twin_recipe
 from .trace import ChannelParams, MICurve, Trace, TracePair
 
 # The time-domain stages, which run_pipeline replaces by spectra; the
@@ -95,13 +94,6 @@ def _scan(config: RunConfig, a: Trace, b: Trace) -> MICurve:
                          range_=config.delay_range, n_bins=config.n_bins)
 
 
-def _spectrum(config: RunConfig, difference: np.ndarray) -> SpectrumEstimate:
-    """Squeezing spectrum of a twin pair's difference record against a coherent reference."""
-    ref = split_coherent_recipe(config.source, config.spec, config.seed + 90_000)
-    return squeezing_spectrum(difference, ref.difference(ref.noise_spectra()),
-                              config.spec.sample_rate, config.segment_length)
-
-
 def _curve_stats(curve: MICurve, peak_bits: float) -> dict:
     """Report entry of an averaged curve normalized to the unobstructed peak."""
     try:
@@ -117,17 +109,18 @@ def _curve_stats(curve: MICurve, peak_bits: float) -> dict:
 def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     """Execute the configured scenario end to end and return the report.
 
-    One pass over the seeds makes every curve a seed contributes, each
-    appended to its curve's list; the lists are averaged in report order.  A
-    seed's twin pair gives the unobstructed curve and, when the scenario has
-    one, the channel curve: the channel acts on arm a only (its noises drawn
-    at seed + 10 000), so both curves are scanned against the same
-    band-passed arm b.  Each split curve draws its own pair
-    (``source.RECIPES``) at seed + 20 000 (thermal) or seed + 30 000
-    (coherent).  The first seed's twin noises are drawn on every rfft bin,
-    not only the band's: its raw difference record gives the squeezing
-    spectrum, so the spectrum needs no pair of its own beyond the coherent
-    reference.
+    Each pair's recipe is built once; one pass over the seeds then draws
+    every curve a seed contributes, each appended to its curve's list; the
+    lists are averaged in report order.  A seed's twin pair gives the
+    unobstructed curve and, when the scenario has one, the channel curve:
+    the channel acts on arm a only (its noises drawn at seed + 10 000), so
+    both curves are scanned against the same band-passed arm b.  Each split
+    curve draws its own pair (``source.RECIPES``) at seed + 20 000 (thermal)
+    or seed + 30 000 (coherent).  The first seed's twin noises are drawn on
+    every rfft bin, not only the band's: its raw difference record gives the
+    squeezing spectrum, so the spectrum needs no pair of its own beyond the
+    shot-noise reference at the twin arms' shot PSDs, drawn at the base
+    seed + 90 000.
 
     Generated records are periodic, so no record is made only to be
     filtered: each scanned arm is formed as its spectrum over the band's rfft
@@ -150,9 +143,10 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     bins = band[0]
     check_segment(config.segment_length, n)
     seeds = [config.seed + r for r in range(config.repeats)]
-    # the twin recipes check the source on this record before a channel is matched to it
-    pairs = [twin_recipe(config.source, config.spec, seed) for seed in seeds]
+    # the twin recipe checks the source on this record before a channel is matched to it
+    pair = twin_recipe(config.source, config.spec)
     channel_name, split_names, gaussian_fit = SCENARIOS[config.scenario]
+    splits = {name: RECIPES[name](config.source, config.spec) for name in split_names}
     channel = _CHANNELS[channel_name](config) if channel_name else None
     # arm a's guard: the band-pass's or, on a channel arm, the kernel's if larger
     guard_a = max(FILTER_PAD, channel_guard(channel, config.spec) if channel else 0)
@@ -178,16 +172,19 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         report["channel_params"] = replace(config, channel=channel).to_dict()["channel"]
 
     runs = {name: [] for name in ("twin-unobstructed", channel_name, *split_names) if name}
-    for seed, pair in zip(seeds, pairs):
+    for seed in seeds:
         if seed == seeds[0]:
-            spectra = pair.noise_spectra()
+            spectra = pair.noise_spectra(seed)
             difference = pair.difference(spectra)
-            # free the full spectra before _spectrum draws the reference pair
+            # free the full spectra before the shot-noise reference is drawn
             spectra = [x[bins].copy() for x in spectra]
-            est = _spectrum(config, difference)
+            shots = [arm.shot_psd for arm in pair.arms]
+            est = squeezing_spectrum(
+                difference, shot_noise_reference(config.spec, shots, config.seed + 90_000), fs,
+                config.segment_length)
             del difference
         else:
-            spectra = pair.noise_spectra(bins)
+            spectra = pair.noise_spectra(seed, bins)
         a, b = pair.arm_spectra(spectra)
         fb = _record(config, band, b)
         runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
@@ -195,9 +192,8 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
             arm = channel_spectrum(pair, a, bins, channel, seed + 10_000)
             runs[channel_name].append(_scan(config, _record(config, band, arm, guard_a), fb))
         del fb   # no scanned arm stays while the next pair's arms are made
-        for name in split_names:
-            split = RECIPES[name](config.source, config.spec, seed + _SPLIT_SEED_OFFSETS[name])
-            arms = split.arm_spectra(split.noise_spectra(bins))
+        for name, split in splits.items():
+            arms = split.arm_spectra(split.noise_spectra(seed + _SPLIT_SEED_OFFSETS[name], bins))
             runs[name].append(_scan(config, *(_record(config, band, x) for x in arms)))
 
     curves = {name: average_curves(run) for name, run in runs.items()}

@@ -7,14 +7,14 @@ and the PSD is exact by construction.  Every generated record is therefore
 periodic: it is the inverse rfft of its spectrum on the record's own grid.
 
 ``noise_spectrum`` draws every generated noise, here and in ``channel``.  A
-``PairRecipe`` names a pair's independent noises (each drawn from its own
-seed) and each arm's weights on them; ``RECIPES`` names the recipe of each
-generator (``twin``, ``split-thermal``, ``split-coherent``).
-``PairRecipe.traces`` synthesizes the records, one irfft per noise (``gen_*``
-return it); ``noise_spectra`` and ``arm_spectra`` give the same records'
-spectra over a slice of bins from the same draws, so a caller that filters,
-delays or differences generated records can do so on the spectrum and
-inverse-transform each result once (``pipeline.run_pipeline`` does).
+``PairRecipe`` is a pair's noise model, built once and drawn per seed: its
+independent noises' PSDs and each arm's weights on them; ``RECIPES`` names
+the recipe of each generator (``twin``, ``split-thermal``, ``split-coherent``).
+``PairRecipe.traces`` synthesizes a seed's records, one irfft per noise
+(``gen_*`` return it); ``noise_spectra`` and ``arm_spectra`` give the same
+records' spectra over a slice of bins from the same draws, so a caller that
+filters, delays or differences generated records can do so on the spectrum
+and inverse-transform each result once (``pipeline.run_pipeline`` does).
 
 Model structure for the twin pair:
 
@@ -70,6 +70,7 @@ __all__ = [
     "split_thermal_recipe",
     "split_coherent_recipe",
     "RECIPES",
+    "shot_noise_reference",
     "gen_twin",
     "gen_split_thermal",
     "gen_split_coherent",
@@ -178,17 +179,17 @@ class Arm(NamedTuple):
 
 @dataclass(frozen=True)
 class PairRecipe:
-    """A generated pair before synthesis.
+    """A generated pair's noise model, drawn per seed.
 
-    ``noises`` are independent Gaussian noises as (seed, one-sided PSD); each
-    is drawn from its own seed by ``noise_spectrum``.  Arm a is the sum of
-    the noises weighted by ``weights[0]``, arm b by ``weights[1]``.
+    ``noises`` are the one-sided PSDs of independent Gaussian noises; a seed
+    draws the i-th from child i of ``SeedSequence(seed)``.  Arm a is the sum
+    of the noises weighted by ``weights[0]``, arm b by ``weights[1]``.
     ``arm_rms`` bounds each arm's rms over all frequencies (levels): the root
     of its PSD's integral, which ``traces`` checks before it draws.
     """
 
     spec: DigitizerSpec
-    noises: tuple[tuple[np.random.SeedSequence, Callable[[np.ndarray], np.ndarray]], ...]
+    noises: tuple[Callable[[np.ndarray], np.ndarray], ...]
     weights: tuple[tuple[float, ...], tuple[float, ...]]
     arms: tuple[Arm, Arm]
     arm_rms: tuple[float, float]
@@ -197,11 +198,11 @@ class PairRecipe:
         if NOISE_BANDWIDTH_HZ > 0.5 * self.spec.sample_rate:
             raise InvalidParams("noise bandwidth exceeds Nyquist")
 
-    def noise_spectra(self, bins: slice = slice(None)) -> list[np.ndarray]:
-        """Each noise's rfft over ``bins``: every normal of the pair drawn once."""
+    def noise_spectra(self, seed: int, bins: slice = slice(None)) -> list[np.ndarray]:
+        """Each noise's rfft over ``bins`` at ``seed``: every normal of the pair drawn once."""
         n, fs = self.spec.n_samples, self.spec.sample_rate
-        return [noise_spectrum(np.random.default_rng(ss), n, fs, psd, bins)
-                for ss, psd in self.noises]
+        return [noise_spectrum(np.random.default_rng(ss), n, fs, psd, bins) for ss, psd
+                in zip(np.random.SeedSequence(seed).spawn(len(self.noises)), self.noises)]
 
     def arm_spectra(self, spectra: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Arms a and b as spectra, from ``noise_spectra`` over any bins."""
@@ -215,21 +216,21 @@ class PairRecipe:
         wa, wb = self.weights
         return np.fft.irfft(_mix([x - y for x, y in zip(wa, wb)], spectra), self.spec.n_samples)
 
-    def traces(self) -> TracePair:
-        """The pair's records, one irfft per noise; see ``twin_recipe`` for the check."""
+    def traces(self, seed: int) -> TracePair:
+        """The records ``seed`` draws, one irfft per noise; see ``twin_recipe`` for the check."""
         for arm, rms in zip(self.arms, self.arm_rms):
             if not np.finfo(np.float64).eps * rms <= self.spec.dc_tolerance:
                 raise InvalidParams(f"arm {arm.label} of full-band rms up to {rms:.3g} levels "
                                     f"cannot hold its mean within {self.spec.dc_tolerance:g} "
                                     "levels in float64: sigma0, excess_noise_db or the power "
                                     "ratio is too large for a full-band record")
-        records = [np.fft.irfft(x, self.spec.n_samples) for x in self.noise_spectra()]
+        records = [np.fft.irfft(x, self.spec.n_samples) for x in self.noise_spectra(seed)]
         a, b = (Trace(samples=_mix(w, records), spec=self.spec, **arm._asdict())
                 for w, arm in zip(self.weights, self.arms))
         return TracePair(a=a, b=b)
 
 
-def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
+def twin_recipe(params: SourceParams, spec: DigitizerSpec) -> PairRecipe:
     """Quantum-correlated twin pair (probe / conjugate); see ``gen_twin``.
 
     Refuses a source whose band-passed records float64 cannot carry on
@@ -255,12 +256,10 @@ def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRec
                             "scale overflows float64")
     s_lin = 10.0 ** (-params.squeezing_db / 10.0)
     shared_var = scale / (4.0 * math.sqrt(math.pi) * params.sigma0)
-    shared, own_a, own_b = np.random.SeedSequence(seed).spawn(3)
     return PairRecipe(
         spec=spec,
-        noises=((shared, lambda f: scale * shared_psd_shape(f, params.sigma0)),
-                (own_a, _white(s_lin * shot_a)),
-                (own_b, _white(s_lin * shot_b))),
+        noises=(lambda f: scale * shared_psd_shape(f, params.sigma0),
+                _white(s_lin * shot_a), _white(s_lin * shot_b)),
         weights=((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
         arms=(Arm("probe", MEAN_LEVEL_A, shot_a),
               Arm("conjugate", _mean_level_b(params), shot_b)),
@@ -268,7 +267,7 @@ def twin_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRec
                       for shot in (shot_a, shot_b)))
 
 
-def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
+def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec) -> PairRecipe:
     """Conjugate beam split 50/50; see ``gen_split_thermal``."""
     _, shot_full = _shot_psds(params)
     x_lin = 10.0 ** (THERMAL_EXCESS_DB / 10.0)
@@ -276,12 +275,9 @@ def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -
     amp = (x_lin - 1.0) * shot_full / float(lorentz(_BAND_GRID).mean())
     shot_half = 0.5 * shot_full  # shot PSD at half the optical power
     mean_half = 0.5 * _mean_level_b(params)
-    thermal, q1, q2 = np.random.SeedSequence(seed).spawn(3)
     return PairRecipe(
         spec=spec,
-        noises=((thermal, lambda f: amp * lorentz(f)),
-                (q1, _white(shot_half)),
-                (q2, _white(shot_half))),
+        noises=(lambda f: amp * lorentz(f), _white(shot_half), _white(shot_half)),
         weights=((0.5, 1.0, 0.0), (0.5, 0.0, 1.0)),
         arms=(Arm("conjugate-split-1", mean_half, shot_half),
               Arm("conjugate-split-2", mean_half, shot_half)),
@@ -289,25 +285,36 @@ def split_thermal_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -
                            + shot_half * NOISE_BANDWIDTH_HZ),) * 2)
 
 
-def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec, seed: int) -> PairRecipe:
+def split_coherent_recipe(params: SourceParams, spec: DigitizerSpec) -> PairRecipe:
     """Two independent shot-noise-limited arms; see ``gen_split_coherent``.
 
     A coherent pair has no shared spectrum, so any source is accepted.
     """
     shot_a, shot_b = _shot_psds(params)
-    own_a, own_b = np.random.SeedSequence(seed).spawn(2)
-    return PairRecipe(
-        spec=spec,
-        noises=((own_a, _white(shot_a)), (own_b, _white(shot_b))),
-        weights=((1.0, 0.0), (0.0, 1.0)),
-        arms=(Arm("coherent-A", MEAN_LEVEL_A, shot_a),
-              Arm("coherent-B", _mean_level_b(params), shot_b)),
-        arm_rms=(math.sqrt(shot_a * NOISE_BANDWIDTH_HZ), math.sqrt(shot_b * NOISE_BANDWIDTH_HZ)))
+    return _coherent_pair(spec, Arm("coherent-A", MEAN_LEVEL_A, shot_a),
+                          Arm("coherent-B", _mean_level_b(params), shot_b))
 
 
-# Recipe of each generated pair by name, called as (params, spec, seed).
+def _coherent_pair(spec: DigitizerSpec, *arms: Arm) -> PairRecipe:
+    """One independent white noise per arm, at the arm's shot PSD."""
+    return PairRecipe(spec=spec, noises=tuple(_white(arm.shot_psd) for arm in arms),
+                      weights=((1.0, 0.0), (0.0, 1.0)), arms=arms,
+                      arm_rms=tuple(math.sqrt(arm.shot_psd * NOISE_BANDWIDTH_HZ) for arm in arms))
+
+
+# Recipe of each generated pair by name, called as (params, spec).
 RECIPES = {"twin": twin_recipe, "split-thermal": split_thermal_recipe,
            "split-coherent": split_coherent_recipe}
+
+
+def shot_noise_reference(spec: DigitizerSpec, shot_psds, seed: int) -> np.ndarray:
+    """A pair's shot-noise level: the a - b record of a coherent pair at its arms' shot PSDs.
+
+    ``split_coherent_recipe``'s two white noises at ``shot_psds``, drawn from
+    ``seed``, with one irfft of their difference.
+    """
+    ref = _coherent_pair(spec, *(Arm("shot-noise reference", 0.0, shot) for shot in shot_psds))
+    return ref.difference(ref.noise_spectra(seed))
 
 
 def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
@@ -318,7 +325,7 @@ def gen_twin(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
     excess_noise_db above its shot level in band, and the delay-MI envelope
     follows a Gaussian of scale sigma0.
     """
-    return twin_recipe(params, spec, seed).traces()
+    return twin_recipe(params, spec).traces(seed)
 
 
 def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
@@ -330,9 +337,9 @@ def gen_split_thermal(params: SourceParams, spec: DigitizerSpec, seed: int) -> T
     noise at its own (halved) power.  With zero thermal excess this
     degenerates to the split-coherent case.
     """
-    return split_thermal_recipe(params, spec, seed).traces()
+    return split_thermal_recipe(params, spec).traces(seed)
 
 
 def gen_split_coherent(params: SourceParams, spec: DigitizerSpec, seed: int) -> TracePair:
     """Two independent shot-noise-limited traces at the configured powers."""
-    return split_coherent_recipe(params, spec, seed).traces()
+    return split_coherent_recipe(params, spec).traces(seed)

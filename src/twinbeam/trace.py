@@ -95,6 +95,8 @@ class Trace:
             )
         if self.guard < 0 or 2 * self.guard >= len(samples):
             raise InvalidParams(f"guard {self.guard} out of range for trace")
+        if self.shot_psd is not None and not 0.0 < self.shot_psd < math.inf:
+            raise InvalidParams(f"shot_psd must be finite and > 0, got {self.shot_psd}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 

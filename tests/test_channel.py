@@ -201,13 +201,13 @@ class TestKernelResponse:
         assert np.abs(y - apply_is_delay(x, params).samples).max() < 1e-12
 
     def test_channel_spectrum_checks_like_apply_channel(self, small_spec):
-        recipe = twin_recipe(SourceParams(), small_spec, seed=9)
+        recipe = twin_recipe(SourceParams(), small_spec)
         arm = np.zeros(3, dtype=complex)
         wide = replace(ChannelParams(), sigma=small_spec.duration)
         with pytest.raises(KernelTooWide):
             channel_spectrum(recipe, arm, slice(10, 13), wide, seed=1)
         with pytest.raises(KernelTooWide):
-            apply_channel(recipe.traces(), wide, seed=1)
+            apply_channel(recipe.traces(9), wide, seed=1)
 
 
 class TestElectronicNoise:

@@ -154,6 +154,12 @@ def _twbm_header_without_n_samples() -> bytes:
     return b"TWBM" + struct.pack("<II", 1, len(hdr)) + hdr + bytes(8 * 16)
 
 
+def _twbm_of_zeros(**header) -> bytes:
+    hdr = json.dumps({"sample_rate_hz": 2e9, "n_samples": 100, "encoding": "f64le",
+                      "label": "probe", **header}).encode()
+    return b"TWBM" + struct.pack("<II", 1, len(hdr)) + hdr + bytes(8 * 100)
+
+
 class TestMalformedFile:
     @pytest.mark.parametrize("name, content, message", [
         ("short.twbm", b"TWBM\x01\x00", "file ends inside the TWBM version"),
@@ -161,7 +167,8 @@ class TestMalformedFile:
          "malformed header: KeyError('n_samples')"),
         ("letters.csv", b"x,y,z\n", "not a TWBM file, nor a CSV of numbers"),
         ("empty.csv", b"", "nor a CSV of numbers: loadtxt: input contained no data"),
-    ], ids=["short-prefix", "no-n-samples", "letters-csv", "empty-csv"])
+        ("shot.twbm", _twbm_of_zeros(shot_psd="x"), "malformed header: ValueError("),
+    ], ids=["short-prefix", "no-n-samples", "letters-csv", "empty-csv", "shot-psd-text"])
     def test_is_a_data_error_naming_the_file(self, name, content, message, tmp_path, capsys):
         path = tmp_path / name
         path.write_bytes(content)
@@ -171,12 +178,6 @@ class TestMalformedFile:
                      "--out", str(tmp_path / "c.csv")]) == 3
         err = capsys.readouterr().err
         assert str(path) in err and message in err and "Traceback" not in err
-
-
-def _twbm_of_zeros(**header) -> bytes:
-    hdr = json.dumps({"sample_rate_hz": 2e9, "n_samples": 100, "encoding": "f64le",
-                      "label": "probe", **header}).encode()
-    return b"TWBM" + struct.pack("<II", 1, len(hdr)) + hdr + bytes(8 * 100)
 
 
 def _csv_with_a_nan() -> bytes:
@@ -192,7 +193,8 @@ class TestValuesBreakingAType:
         ("nan.csv", _csv_with_a_nan(), "trace samples must be finite"),
         ("guard.twbm", _twbm_of_zeros(guard=60), "guard 60 out of range for trace"),
         ("depth.twbm", _twbm_of_zeros(bit_depth=3000), "digitizer.bit_depth 3000 is out of range"),
-    ], ids=["nan-sample", "guard-past-half", "bit-depth-overflow"])
+        ("shot.twbm", _twbm_of_zeros(shot_psd=-1.0), "shot_psd must be finite and > 0, got -1.0"),
+    ], ids=["nan-sample", "guard-past-half", "bit-depth-overflow", "negative-shot-psd"])
     def test_trace_file(self, name, content, message, tmp_path, capsys):
         path = tmp_path / name
         path.write_bytes(content)

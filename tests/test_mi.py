@@ -8,6 +8,7 @@ from twinbeam.errors import (
     DegenerateRange,
     EmptyHistogram,
     GridMismatch,
+    InvalidParams,
     NonpositiveReference,
     NoPeak,
     StepNotSampleAligned,
@@ -191,6 +192,13 @@ class TestDelayScan:
         x, y = gaussian_pair(0.5, 2 ** 14, seed=10)
         with pytest.raises(StepNotSampleAligned):
             mi_delay_scan(_scan_pair(x, y), step=0.75e-9, range_=10e-9)
+
+    @pytest.mark.parametrize("n_bins", [1, 0, -3])
+    def test_fewer_than_two_bins_refused(self, n_bins):
+        # one bin used to give an all-zero curve, 0 and -3 numpy errors
+        x, y = gaussian_pair(0.5, 2 ** 16, seed=10)
+        with pytest.raises(InvalidParams, match=f"n_bins must be >= 2, got {n_bins}"):
+            mi_delay_scan(_scan_pair(x, y), range_=5e-9, n_bins=n_bins)
 
     def test_matches_public_estimator(self):
         # the fused kernel must agree with histogram2d + mi_from_hist

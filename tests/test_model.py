@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twinbeam.errors import BracketFailure, NoPeak
+import twinbeam.model as model
+from twinbeam.errors import BracketFailure, InvalidParams, NoPeak
 from twinbeam.model import (
     GAUSSIAN_FWHM_FACTOR,
     G_closed,
@@ -200,6 +201,13 @@ class TestFitChannel:
         assert fit.tau0 == pytest.approx(PAPER["tau0"], rel=1e-3)
         assert fit.sigma == pytest.approx(PAPER["sigma"], rel=1e-3)
         assert fit.eta == pytest.approx(PAPER["eta"], rel=1e-3)
+
+    def test_curve_not_normalized_refused_before_fitting(self, monkeypatch):
+        d = np.arange(-600, 601) * 0.5e-9
+        curve = _curve_from(d, 2.5 * G_closed(d, **PAPER))
+        monkeypatch.setattr(model, "_half_level_width", pytest.fail)   # stage 2
+        with pytest.raises(InvalidParams, match="not normalized to the unobstructed peak"):
+            fit_channel(curve, PAPER["sigma0"])
 
     def test_round_trip_random_tuples(self):
         d = np.arange(-600, 601) * 0.5e-9

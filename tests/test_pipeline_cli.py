@@ -15,14 +15,14 @@ import twinbeam.pipeline as pipeline
 import twinbeam.source as source
 from twinbeam.channel import apply_channel, delay_taps
 from twinbeam.cli import main
-from twinbeam.config import RunConfig
+from twinbeam.config import SCENARIOS, RunConfig
 from twinbeam.errors import ConfigError, RecordTooShort
 from twinbeam.io import load_trace, save_curve
 from twinbeam.pipeline import default_channel, run_pipeline, scatterer_only_channel
 from twinbeam.dsp import FILTER_PAD, bandpass
 from twinbeam.mi import mi_delay_scan
 from twinbeam.source import gen_split_coherent, gen_split_thermal, gen_twin
-from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, Trace, TracePair
+from twinbeam.trace import ChannelParams, DigitizerSpec, MICurve, SourceParams, Trace, TracePair
 
 
 def small_config(**kw):
@@ -285,6 +285,7 @@ FLAG_CASES = [
     (["analyze", "--trace-a", "a", "--trace-b", "b", "--out", "c.csv",
       "--sample-rate-gsps", "4"], {"digitizer": {"sample_rate_gsps": 4.0}}),
     (["matched-transmission", "--band-mhz", "1.2:3.8"], {"band_mhz": [1.2, 3.8]}),
+    (["fit", "--curve", "c.csv", "--sigma0-ns", "1.1"], {"source": {"sigma0_ns": 1.1}}),
 ]
 
 
@@ -343,21 +344,29 @@ class TestCli:
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert f"{given} needs {missing}" in capsys.readouterr().err
 
-    def test_spectrum_refuses_a_reference_seed_with_reference_files(self, tmp_path,
-                                                                    monkeypatch, capsys):
+    def test_spectrum_reference_is_drawn_at_the_pairs_own_shot_psds(self, tmp_path, capsys):
+        # a reference at the default powers read this pair at -8.20 dB
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
-        assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
-                     "--out-b", str(b)]) == 0
-        spectrum = ["spectrum", "--trace-a", str(a), "--trace-b", str(b)]
-        outs = [tmp_path / "default.csv", tmp_path / "987.csv"]
-        assert main([*spectrum, "--out", str(outs[0])]) == 0
-        assert main([*spectrum, "--synth-ref-seed", "987", "--out", str(outs[1])]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        monkeypatch.setattr(cli, "load_trace", pytest.fail)
-        assert main([*spectrum, "--ref-a", str(a), "--ref-b", str(b), "--synth-ref-seed", "5",
+        assert main(["simulate", "--seed", "3", "--n-samples", str(2 ** 20),
+                     "--power-b-mw", "2.65", "--out-a", str(a), "--out-b", str(b)]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", "--trace-a", str(a), "--trace-b", str(b),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        db = float(capsys.readouterr().out.split("in-band mean ")[1].split(" dB")[0])
+        assert db == pytest.approx(-7.0, abs=0.5)
+
+    def test_spectrum_of_a_csv_pair_needs_reference_files(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(6)
+        times = np.arange(70_000) * 0.5e-9
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            np.savetxt(path, np.column_stack([times, rng.standard_normal(70_000)]),
+                       delimiter=",")
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["spectrum", "--trace-a", str(paths[0]), "--trace-b", str(paths[1]),
                      "--out", str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
-        assert "--synth-ref-seed" in err and "Traceback" not in err
+        assert f"{paths[0]} carries no shot_psd" in err and "--ref-a and --ref-b" in err
 
     @pytest.mark.parametrize("flag, value", [("--sigma0-ns", "99"), ("--reference-peak", "-5")])
     def test_gaussian_fit_refuses_channel_flags(self, flag, value, tmp_path, capsys):
@@ -437,6 +446,33 @@ class TestCli:
         save_curve(MICurve(delays=d, mi=np.exp(-0.5 * (d / 10e-9) ** 2)), curve)
         assert main(["fit", "--curve", str(curve), "--mode", "channel",
                      "--sigma0-ns", "32.1"]) == 4
+
+    def test_fit_refuses_a_curve_not_normalized(self, tmp_path, capsys):
+        from twinbeam.model import G_closed
+
+        d = np.arange(-600, 601) * 0.5e-9
+        curve = tmp_path / "c.csv"
+        save_curve(MICurve(delays=d, mi=2.5 * G_closed(d, 0.598, 32.7e-9, 19.7e-9, 32.1e-9)),
+                   curve)
+        assert main(["fit", "--curve", str(curve), "--mode", "channel",
+                     "--sigma0-ns", "32.1"]) == 2
+        err = capsys.readouterr().err
+        assert "not normalized" in err and "--reference-peak" in err
+
+    @pytest.mark.parametrize("command", ["pipeline", "analyze"])
+    def test_one_bin_exits_2_before_any_draw_or_filter(self, command, tmp_path, monkeypatch,
+                                                      capsys):
+        argv = ["pipeline", "--scenario", "twin", "--repeats", "1"]
+        if command == "analyze":
+            a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
+            assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
+                         "--out-b", str(b)]) == 0
+            argv = ["analyze", "--trace-a", str(a), "--trace-b", str(b), "--band-mhz",
+                    "1.5:3.5", "--range-ns", "5", "--out", str(tmp_path / "c.csv")]
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        monkeypatch.setattr(cli, "bandpass", pytest.fail)
+        assert main([*argv, "--bins", "1"]) == 2
+        assert "n_bins must be >= 2, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, d", FLAG_CASES, ids=[f"{a[0]} {a[-2]}" for a, _ in FLAG_CASES])
     def test_flag_equals_json_key(self, argv, d):
@@ -560,21 +596,10 @@ class TestCli:
         assert main(["pipeline", "--config", str(path), "--repeats", "1", "--range-ns", "20",
                      "--sigma0-ns", "2000"]) in (0, 4)
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--synth-ref-seed", "-1"],
-        ["oracle-check", "--seed", "-1", "--tuples", "1", "--points", "11"],
-    ])
-    def test_negative_seed_exits_2(self, argv, tmp_path, monkeypatch, capsys):
-        if argv[0] == "spectrum":
-            a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
-            assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
-                         "--out-b", str(b)]) == 0
-            argv = [*argv, "--trace-a", str(a), "--trace-b", str(b),
-                    "--out", str(tmp_path / "s.csv")]
-        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
-        assert main(argv) == 2
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["oracle-check", "--seed", "-1", "--tuples", "1", "--points", "11"]) == 2
         err = capsys.readouterr().err
-        assert f"{argv[1]} must be >= 0, got -1" in err and "Traceback" not in err
+        assert "--seed must be >= 0, got -1" in err and "Traceback" not in err
 
     def test_import_loads_no_scipy_signal(self):
         code = ("import sys, twinbeam, twinbeam.cli; "
@@ -799,10 +824,23 @@ class TestPerSeedDataflow:
             records.append(_digest(out))
             return out
 
+        # each recipe built once per run, before the first draw: (name, draws so far)
+        built = []
+
+        def counting(name, recipe):
+            def build(*args):
+                built.append((name, len(draws)))
+                return recipe(*args)
+            return build
+
+        monkeypatch.setattr(pipeline, "twin_recipe", counting("twin", pipeline.twin_recipe))
+        for name in ("split-thermal", "split-coherent"):
+            monkeypatch.setitem(source.RECIPES, name, counting(name, source.RECIPES[name]))
         monkeypatch.setattr(source, "noise_spectrum", counting_draw)
         monkeypatch.setattr(pipeline, "band_record", counting_record)
         scanned = _scanned_pairs(monkeypatch)
         run_pipeline(cfg)
+        assert built == [("twin", 0), *((name, 0) for name in SCENARIOS[cfg.scenario][1])]
 
         seeds = [cfg.seed + r for r in range(cfg.repeats)]
         assert len(set(draws)) == len(draws)
@@ -847,18 +885,33 @@ class TestPerSeedDataflow:
             want.peak, abs=5e-5)
 
 
+def _load_spans():
+    """The benchmark's tracer module, perfbench/spans.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestBenchmarkSpans:
     def test_every_wrapped_name_exists(self):
         # the benchmark's tracer wraps these names, which is why pipeline.py
         # keeps its time-domain imports
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
-        targets = spans.targets()
+        targets = _load_spans().targets()
         assert targets
         for module, attr, *_ in targets:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_generator_repeat_keys_bind_their_calls(self):
+        # the tracer binds each generator call to its signature, by name
+        spans = _load_spans()
+        gens = [(layer, key) for _, _, layer, key, _ in spans.targets()
+                if layer.startswith("source.gen_")]
+        assert len(gens) == 3
+        args = (SourceParams(), DigitizerSpec(n_samples=2 ** 12), 7)
+        for layer, key in gens:
+            assert key(*args) != key(*args[:2], 8), layer
 
 
 class TestReportDeterminism:

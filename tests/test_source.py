@@ -14,6 +14,7 @@ from twinbeam.source import (
     gen_split_thermal,
     gen_twin,
     noise_spectrum,
+    shot_noise_reference,
     split_coherent_recipe,
     twin_recipe,
 )
@@ -61,9 +62,9 @@ class TestSpectra:
                 assert np.array_equal(part, full[bins])
 
     def test_arm_spectra_and_difference_match_the_records(self, small_spec):
-        recipe = twin_recipe(SourceParams(), small_spec, seed=10)
-        pair = recipe.traces()
-        spectra = recipe.noise_spectra()
+        recipe = twin_recipe(SourceParams(), small_spec)
+        pair = recipe.traces(10)
+        spectra = recipe.noise_spectra(10)
         a, b = recipe.arm_spectra(spectra)
         scale = pair.a.samples.std()
         for arm, trace in ((a, pair.a), (b, pair.b)):
@@ -72,13 +73,22 @@ class TestSpectra:
         diff = pair.a.samples - pair.b.samples
         assert np.abs(recipe.difference(spectra) - diff).max() < 1e-12 * scale
 
+    def test_shot_noise_reference_is_the_coherent_pairs_difference(self, small_spec):
+        coherent = split_coherent_recipe(SourceParams(mean_power_b=2.65e-3), small_spec)
+        shots = tuple(arm.shot_psd for arm in coherent.arms)
+        reference = shot_noise_reference(small_spec, shots, 4)
+        assert np.array_equal(reference, coherent.difference(coherent.noise_spectra(4)))
+        pair = coherent.traces(4)
+        diff = pair.a.samples - pair.b.samples
+        assert np.abs(reference - diff).max() < 1e-12 * diff.std()
+
     def test_coherent_pair_accepts_a_shot_limited_source(self, small_spec):
         quiet = SourceParams(squeezing_db=0.0, excess_noise_db=0.0)
         with pytest.raises(InvalidParams):
             gen_twin(quiet, small_spec, seed=1)
         pair = gen_split_coherent(quiet, small_spec, seed=1)
         assert pair.a.shot_psd == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
-        assert np.array_equal(split_coherent_recipe(quiet, small_spec, 1).traces().b.samples,
+        assert np.array_equal(split_coherent_recipe(quiet, small_spec).traces(1).b.samples,
                               pair.b.samples)
 
 
@@ -213,7 +223,7 @@ class TestSplitThermal:
         assert peaks.std(ddof=1) < 0.35 * peaks.mean()
 
 
-class TestQuantize:
+class TestU8Encoding:
     """The digitizer's level grid, onto which ``save_trace``'s u8 encoding rounds."""
 
     @staticmethod
@@ -255,13 +265,13 @@ class TestQuantize:
         assert 10 * np.log10(ratio) == pytest.approx(-params.squeezing_db, abs=0.5)
 
 
-class TestNoiseBudget:
+class TestTwinRecipeBounds:
     def test_from_source(self):
-        pair = twin_recipe(SourceParams(), DigitizerSpec(), seed=1)
+        pair = twin_recipe(SourceParams(), DigitizerSpec())
         shot_a, shot_b = (arm.shot_psd for arm in pair.arms)
         assert shot_a == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
         assert shot_b == pytest.approx(shot_a * 5.3 / 5.9)
-        shared = pair.noises[0][1]
+        shared = pair.noises[0]
         assert shared(np.array([F_LO]))[0] > 0
 
     def test_sigma0_whose_shared_spectrum_underflows(self):
@@ -269,11 +279,11 @@ class TestNoiseBudget:
         # scale refuses; wider, the band mean is subnormal (its scale overflows) or zero
         spec = DigitizerSpec(n_samples=4_000_000)
         with pytest.raises(InvalidParams, match="too wide for a 4000000-sample record"):
-            twin_recipe(SourceParams(sigma0=2800e-9), spec, seed=1)
+            twin_recipe(SourceParams(sigma0=2800e-9), spec)
         for sigma0 in (2850e-9, 3000e-9, 1.0):
             with pytest.raises(InvalidParams, match="sigma0 .* ns is too wide: its shared "
                                                     "spectrum underflows"):
-                twin_recipe(SourceParams(sigma0=sigma0), spec, seed=1)
+                twin_recipe(SourceParams(sigma0=sigma0), spec)
 
     def test_twin_records_float64_cannot_carry(self):
         # the shared PSD's per-bin scale overflows past 2767 ns on 4e6 samples;
@@ -284,16 +294,16 @@ class TestNoiseBudget:
                               (SourceParams(excess_noise_db=182.0),
                                SourceParams(excess_noise_db=183.0),
                                "excess_noise_db 183 dB is too high")):
-            twin_recipe(ok, spec, seed=1)
+            twin_recipe(ok, spec)
             with pytest.raises(InvalidParams, match=name):
-                twin_recipe(bad, spec, seed=1)
+                twin_recipe(bad, spec)
 
     def test_full_band_records_float64_cannot_carry(self, monkeypatch):
         # the bound is the integral of each arm's PSD: 5.8e8 levels at 650 ns,
         # 1.2e10 at 700 ns, against eps * rms <= 2.56e-7 (rms 1.15e9)
         spec = DigitizerSpec(n_samples=4_000_000)
-        ok = twin_recipe(SourceParams(sigma0=650e-9), spec, seed=1)
-        bad = twin_recipe(SourceParams(sigma0=700e-9), spec, seed=1)
+        ok = twin_recipe(SourceParams(sigma0=650e-9), spec)
+        bad = twin_recipe(SourceParams(sigma0=700e-9), spec)
         assert ok.arm_rms[0] == pytest.approx(5.78e8, rel=0.01)
         class Drawn(Exception):
             pass
@@ -303,9 +313,9 @@ class TestNoiseBudget:
 
         monkeypatch.setattr(source, "noise_spectrum", draw)
         with pytest.raises(Drawn):
-            ok.traces()
+            ok.traces(1)
         with pytest.raises(InvalidParams, match="arm probe of full-band rms .* sigma0"):
-            bad.traces()
+            bad.traces(1)
 
 
 class TestDynamicRange:
