@@ -23,7 +23,6 @@ from .trace import (
     SourceParams,
     Trace,
     TracePair,
-    validate_pair,
 )
 from .source import gen_split_coherent, gen_split_thermal, gen_twin
 from .channel import apply_channel, apply_electronic_noise, apply_is_delay, apply_loss
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams", "DigitizerSpec", "FitResult", "MICurve", "SourceParams",
-    "Trace", "TracePair", "validate_pair",
+    "Trace", "TracePair",
     "gen_split_coherent", "gen_split_thermal", "gen_twin",
     "apply_channel", "apply_electronic_noise", "apply_is_delay", "apply_loss",
     "SpectrumEstimate", "bandpass", "difference_spectrum",

@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import InvalidParams, InvalidTransmission, KernelTooWide
+from .errors import InvalidParams
 from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, _white
 from .trace import ChannelParams, DigitizerSpec, Trace, TracePair
 
@@ -51,7 +51,7 @@ KERNEL_TRUNCATION_SIGMAS = 12.0
 def _loss_psd(transmission: float, shot_psd):
     """PSD of the vacuum noise a beam splitter of this transmission adds; None at t = 1."""
     if not (0.0 < transmission <= 1.0):
-        raise InvalidTransmission(f"transmission must be in (0, 1], got {transmission}")
+        raise InvalidParams(f"transmission must be in (0, 1], got {transmission}")
     if transmission == 1.0:
         return None
     if shot_psd is None:
@@ -97,7 +97,7 @@ def delay_taps(params: ChannelParams, sample_rate: float, n: int):
     """
     span = abs(params.tau0) + KERNEL_TRUNCATION_SIGMAS * params.sigma
     if span * sample_rate > 0.25 * n:
-        raise KernelTooWide(
+        raise InvalidParams(
             f"kernel span {span:g} s is comparable to the trace duration "
             f"{n / sample_rate:g} s"
         )

@@ -133,20 +133,24 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    has_sigma0 = hasattr(args, "source.sigma0_ns")
+    has_sigma0, ref = hasattr(args, "source.sigma0_ns"), args.reference_peak
     if args.mode == "gaussian":
-        for flag, given in (("--sigma0-ns", has_sigma0),
-                            ("--reference-peak", args.reference_peak is not None)):
+        for flag, given in (("--sigma0-ns", has_sigma0), ("--reference-peak", ref is not None)):
             if given:
                 raise ConfigError(f"{flag} applies only to --mode channel")
+    if ref is not None and not (math.isfinite(ref) and ref > 0):
+        raise ConfigError(f"--reference-peak must be finite and > 0, got {ref:g}")
     curve = load_curve(args.curve)
     if args.mode == "gaussian":
         out = fit_gaussian(curve).to_report()
     else:
         if not has_sigma0:
             raise ConfigError("--sigma0-ns is required for channel fits")
-        if args.reference_peak is not None:
-            curve = normalize_curve(curve, args.reference_peak)
+        if ref is not None:
+            if not math.isfinite(curve.peak / ref):
+                raise ConfigError(f"--reference-peak {ref:g} is too small: the curve's peak "
+                                  f"{curve.peak:g} divided by it is not finite")
+            curve = normalize_curve(curve, ref)
         out = fit_channel(curve, _run_config(args).source.sigma0).to_report()
     print(json.dumps(out, indent=2))
     return 0

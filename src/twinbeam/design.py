@@ -15,12 +15,12 @@ from scipy.optimize import brentq
 
 from .channel import _electronic_psd, _loss_psd, delay_taps, kernel_response
 from .dsp import band_bins, rfft_freqs
-from .errors import InvalidBand, InvalidParams
+from .errors import InvalidParams
 from .model import peak_value
 from .source import twin_recipe
 from .trace import ChannelParams, DigitizerSpec, SourceParams
 
-__all__ = ["InBandModel", "predicted_peak_ratio", "matched_transmission"]
+__all__ = ["InBandModel", "matched_transmission"]
 
 
 class InBandModel:
@@ -51,8 +51,8 @@ class InBandModel:
         self.var_b = float(np.sum(self.psd_b))
         # both arms carry the shared noise, so a positive cross-PSD makes every variance positive
         if not (np.sum(self.cross) > 0 and _mi_gauss(self.unobstructed_rho()) > 0):
-            raise InvalidBand(f"band [{f_lo / 1e6:g}, {f_hi / 1e6:g}] MHz carries no correlation "
-                              f"of the twin pair on a {n}-sample record")
+            raise InvalidParams(f"band [{f_lo / 1e6:g}, {f_hi / 1e6:g}] MHz carries no correlation "
+                                f"of the twin pair on a {n}-sample record")
 
     def unobstructed_rho(self) -> float:
         """Correlation of the unobstructed pair at zero delay after the band-pass."""
@@ -73,12 +73,6 @@ class InBandModel:
 
 def _mi_gauss(rho: float) -> float:
     return -0.5 * np.log2(max(1e-300, 1.0 - rho * rho))
-
-
-def predicted_peak_ratio(source: SourceParams, chan: ChannelParams, spec: DigitizerSpec,
-                         f_lo: float, f_hi: float) -> float:
-    """``InBandModel.peak_ratio`` at ``chan``'s transmission."""
-    return InBandModel(source, chan, spec, f_lo, f_hi).peak_ratio(chan.power_transmission)
 
 
 def matched_transmission(source: SourceParams, chan: ChannelParams, spec: DigitizerSpec,

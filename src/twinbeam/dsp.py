@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import InvalidBand, InvalidParams
+from .errors import InvalidParams
 from .trace import Trace, TracePair
 
 __all__ = [
@@ -67,13 +67,13 @@ def band_mask(freqs: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
 
 
 def check_band(f_lo: float, f_hi: float, fs: float) -> None:
-    """Raise InvalidBand unless [f_lo, f_hi] Hz is a band ``bandpass`` can pass."""
+    """Raise InvalidParams unless [f_lo, f_hi] Hz is a band ``bandpass`` can pass."""
     if not (0.0 < f_lo < f_hi < 0.5 * fs):
-        raise InvalidBand(
+        raise InvalidParams(
             f"band [{f_lo:g}, {f_hi:g}] Hz must satisfy 0 < f_lo < f_hi < {0.5 * fs:g}"
         )
     if f_hi - f_lo <= 2.0 * TRANSITION_WIDTH_HZ:
-        raise InvalidBand("band narrower than twice the transition width")
+        raise InvalidParams("band narrower than twice the transition width")
 
 
 def rfft_freqs(n: int, fs: float, bins: slice) -> np.ndarray:

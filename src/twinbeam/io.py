@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, HeaderMismatch, InvalidParams, NonUniformTime
+from .errors import DataError, InvalidParams
 from .trace import DigitizerSpec, MICurve, Trace
 from .dsp import SpectrumEstimate
 
@@ -95,14 +95,14 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
     with open(path, "rb") as fh:
         prefix = fh.read(12)
         if len(prefix) < 12:
-            raise HeaderMismatch(f"{path}: file ends inside the TWBM version and header length")
+            raise DataError(f"{path}: file ends inside the TWBM version and header length")
         version, hdr_len = struct.unpack("<4xII", prefix)
         if version != TWBM_VERSION:
-            raise HeaderMismatch(f"{path}: unsupported TWBM version {version}")
+            raise DataError(f"{path}: unsupported TWBM version {version}")
         try:
             header = json.loads(fh.read(hdr_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HeaderMismatch(f"{path}: unreadable header: {exc}") from exc
+            raise DataError(f"{path}: unreadable header: {exc}") from exc
         payload = fh.read()
     try:
         encoding = header.get("encoding")
@@ -114,17 +114,17 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         shot_psd = header.get("shot_psd")
         shot_psd = None if shot_psd is None else float(shot_psd)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise HeaderMismatch(f"{path}: malformed header: {exc!r}") from exc
+        raise DataError(f"{path}: malformed header: {exc!r}") from exc
     if encoding not in _ENCODINGS:
-        raise HeaderMismatch(f"{path}: unknown encoding {encoding!r}")
+        raise DataError(f"{path}: unknown encoding {encoding!r}")
     itemsize = 1 if encoding == "u8" else 8
     if len(payload) != n * itemsize:
-        raise HeaderMismatch(
+        raise DataError(
             f"{path}: header declares {n} samples ({n * itemsize} bytes), "
             f"payload holds {len(payload)}"
         )
     if sample_rate is not None and abs(fs - sample_rate) > 1e-6 * sample_rate:
-        raise NonUniformTime(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
+        raise DataError(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
     with _values_of(path):
         kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=bit_depth),
@@ -156,13 +156,13 @@ def _load_csv_trace(path, sample_rate: Optional[float]) -> Trace:
         times, values = data[:, 0], data[:, 1]
         dt = np.diff(times)
         if len(dt) == 0 or dt[0] <= 0:
-            raise NonUniformTime(f"{path}: time column is not increasing")
+            raise DataError(f"{path}: time column is not increasing")
         period = float(np.median(dt))
         if np.max(np.abs(dt - period)) > 1e-6 * period:
-            raise NonUniformTime(f"{path}: time stamps jitter beyond 1e-6 relative")
+            raise DataError(f"{path}: time stamps jitter beyond 1e-6 relative")
         fs = 1.0 / period
         if sample_rate is not None and abs(fs - sample_rate) > 1e-6 * sample_rate:
-            raise NonUniformTime(
+            raise DataError(
                 f"{path}: time column implies {fs:g} S/s, metadata says {sample_rate:g}"
             )
     else:

@@ -55,16 +55,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    EmptyHistogram,
-    GridMismatch,
-    InvalidParams,
-    NonpositiveReference,
-    NoPeak,
-    RecordTooShort,
-    StepNotSampleAligned,
-)
+from .errors import DataError, FitError, InvalidParams, RecordTooShort
 from .trace import DigitizerSpec, MICurve, Trace, TracePair
 
 __all__ = [
@@ -132,7 +123,7 @@ def _bin_indices(v: np.ndarray, n_bins: int, dtype) -> tuple[np.ndarray, np.ndar
     lo = float(v.min())
     hi = float(v.max())
     if not hi > lo:
-        raise DegenerateRange("trace has zero dynamic range; cannot bin")
+        raise DataError("trace has zero dynamic range; cannot bin")
     scale = n_bins / (hi - lo)
     idx = np.empty(len(v), dtype=dtype)
     buf = np.empty(min(len(v), _BIN_BLOCK))
@@ -156,7 +147,7 @@ def histogram2d(a, b, n_bins_a: int = N_BINS, n_bins_b: int = N_BINS) -> JointHi
     if len(va) != len(vb):
         raise InvalidParams(f"records differ in length: {len(va)} vs {len(vb)}")
     if len(va) == 0:
-        raise EmptyHistogram("no samples to histogram")
+        raise DataError("no samples to histogram")
     cell = np.min_scalar_type(n_bins_a * n_bins_b - 1)
     ia, edges_a = _bin_indices(va, n_bins_a, cell)
     ib, edges_b = _bin_indices(vb, n_bins_b, cell)
@@ -184,7 +175,7 @@ def mi_from_hist(h: JointHistogram) -> float:
     counts = h.counts
     total = h.total
     if total <= 0:
-        raise EmptyHistogram("histogram holds no samples")
+        raise DataError("histogram holds no samples")
     row = counts.sum(axis=1)
     col = counts.sum(axis=0)
     ii, jj = np.nonzero(counts)
@@ -206,7 +197,7 @@ def miller_madow_correction(h: JointHistogram) -> float:
     """
     total = h.total
     if total <= 0:
-        raise EmptyHistogram("histogram holds no samples")
+        raise DataError("histogram holds no samples")
     k_joint = int(np.count_nonzero(h.counts))
     k_a = int(np.count_nonzero(h.counts.sum(axis=1)))
     k_b = int(np.count_nonzero(h.counts.sum(axis=0)))
@@ -464,11 +455,10 @@ def scan_window(spec: DigitizerSpec, step: float, range_: float, n_bins: int,
     guard at every shift, outside the histogram: it leaves
     max(guard_a, guard_b + largest shift) samples on each side and must hold
     ``MIN_SAMPLES_PER_BIN`` samples per bin.  Raises InvalidParams unless
-    there are at least 2 bins and the step and range are finite,
-    StepNotSampleAligned unless the step is a whole number of sample periods,
-    InvalidParams unless the range covers at least one step and at most a
-    quarter of the record, and RecordTooShort, naming the shortest record
-    that passes, if the window is too short.
+    there are at least 2 bins, the step and range are finite, the step is a
+    whole number of sample periods and the range covers at least one step and
+    at most a quarter of the record, and RecordTooShort, naming the shortest
+    record that passes, if the window is too short.
     """
     if n_bins < 2:
         raise InvalidParams(f"n_bins must be >= 2, got {n_bins}")
@@ -478,7 +468,7 @@ def scan_window(spec: DigitizerSpec, step: float, range_: float, n_bins: int,
     ratio = step * spec.sample_rate
     step_samples = int(round(ratio))
     if step_samples < 1 or abs(ratio - step_samples) > 1e-6:
-        raise StepNotSampleAligned(
+        raise InvalidParams(
             f"step {step:g} s is not an integer multiple of the sample period "
             f"{1.0 / spec.sample_rate:g} s"
         )
@@ -534,7 +524,7 @@ def average_curves(curves: Sequence[MICurve]) -> MICurve:
     ref = curves[0]
     for c in curves[1:]:
         if len(c.delays) != len(ref.delays) or not np.array_equal(c.delays, ref.delays):
-            raise GridMismatch("curves are on different delay grids")
+            raise DataError("curves are on different delay grids")
     stack = np.vstack([c.mi for c in curves])
     mean = stack.mean(axis=0)
     if len(curves) > 1:
@@ -552,7 +542,7 @@ def average_curves(curves: Sequence[MICurve]) -> MICurve:
 def normalize_curve(curve: MICurve, reference_peak: float) -> MICurve:
     """Divide MI and spread by a reference peak height."""
     if not reference_peak > 0:
-        raise NonpositiveReference(f"reference peak must be > 0, got {reference_peak}")
+        raise FitError(f"reference peak must be > 0, got {reference_peak}")
     return MICurve(
         delays=curve.delays.copy(),
         mi=curve.mi / reference_peak,
@@ -572,7 +562,7 @@ def fwhm(curve: MICurve) -> float:
     m = curve.mi
     i_pk = int(np.argmax(m))
     if i_pk == 0 or i_pk == len(m) - 1:
-        raise NoPeak("curve maximum lies on the delay-range edge")
+        raise FitError("curve maximum lies on the delay-range edge")
     return _half_level_width(curve.delays, m, 0.5 * m[i_pk])
 
 
@@ -584,7 +574,7 @@ def _half_level_width(d: np.ndarray, m: np.ndarray, half: float) -> float:
     """
     above = m >= half
     if above[0] or above[-1]:
-        raise NoPeak("half level is not crossed inside the delay range")
+        raise FitError("half level is not crossed inside the delay range")
     n_crossings = int(np.count_nonzero(np.diff(above.astype(np.int8)) != 0))
     if n_crossings > 2:
         warnings.warn(

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 from scipy.special import erfcx
 
-from .errors import BracketFailure, FitDiverged, InvalidParams, NoPeak, QuadratureNonConvergence
+from .errors import FitError, InvalidParams, TwinbeamError
 from .mi import _half_level_width
 from .trace import FitResult, MICurve
 
@@ -174,7 +174,7 @@ def G_numeric(t, eta: float, tau0: float, sigma: float, sigma0: float):
         finer = _quad_panels(t_arr[bad], tau0, sigma, sigma0, 192)
         still_bad = np.abs(finer - cur[bad]) >= _QUAD_ABS_TOL
         if np.any(still_bad):
-            raise QuadratureNonConvergence(
+            raise TwinbeamError(
                 f"quadrature did not reach {_QUAD_ABS_TOL:g} at "
                 f"t={t_arr[bad][still_bad][0]:g}"
             )
@@ -223,7 +223,7 @@ def fit_gaussian(curve: MICurve) -> GaussianFit:
     d, m = curve.delays, curve.mi
     i_pk = int(np.argmax(m))
     if i_pk == 0 or i_pk == len(m) - 1:
-        raise NoPeak("curve maximum lies on the delay-range edge")
+        raise FitError("curve maximum lies on the delay-range edge")
     # Width guess from the half-maximum crossing nearest the peak.
     above = m >= 0.5 * m[i_pk]
     width0 = max(curve.step, np.count_nonzero(above) * curve.step / GAUSSIAN_FWHM_FACTOR)
@@ -241,10 +241,10 @@ def fit_gaussian(curve: MICurve) -> GaussianFit:
         max_nfev=2000,
     )
     if not res.success and res.status <= 0:
-        raise FitDiverged(f"gaussian fit failed: {res.message}")
+        raise FitError(f"gaussian fit failed: {res.message}")
     amp, center, s0 = res.x
     if amp <= 0 or s0 <= 0:
-        raise FitDiverged("gaussian fit converged to a non-physical optimum")
+        raise FitError("gaussian fit converged to a non-physical optimum")
     rms = float(np.sqrt(np.mean(res.fun ** 2)))
     return GaussianFit(sigma0=float(abs(s0)), peak=float(amp), center=float(center),
                        residual_rms=rms)
@@ -255,7 +255,7 @@ def _refined_peak(curve: MICurve) -> tuple[float, float]:
     m, d = curve.mi, curve.delays
     i = int(np.argmax(m))
     if i == 0 or i == len(m) - 1:
-        raise NoPeak("curve maximum lies on the delay-range edge")
+        raise FitError("curve maximum lies on the delay-range edge")
     y0, y1, y2 = m[i - 1], m[i], m[i + 1]
     denom = y0 - 2.0 * y1 + y2
     if denom >= 0:  # flat or non-concave sample triplet
@@ -289,7 +289,7 @@ def fit_channel(curve: MICurve, sigma0: float) -> FitResult:
     width = _half_level_width(curve.delays, curve.mi, 0.5 * peak_hat)
     floor = GAUSSIAN_FWHM_FACTOR * sigma0
     if width < floor * (1.0 - 1e-3):
-        raise BracketFailure(
+        raise FitError(
             f"measured width {width * 1e9:.2f} ns lies below the zero-spread "
             f"floor {floor * 1e9:.2f} ns for sigma0 = {sigma0 * 1e9:.2f} ns"
         )
@@ -306,7 +306,7 @@ def fit_channel(curve: MICurve, sigma0: float) -> FitResult:
         while width_err(sig_hi) < 0:
             sig_hi *= 2.0
             if sig_hi > 1e4 * sigma0:
-                raise BracketFailure("could not bracket sigma for the measured width")
+                raise FitError("could not bracket sigma for the measured width")
         sigma_hat = brentq(width_err, sig_lo, sig_hi,
                            xtol=1e-16 + 1e-13 * sigma0, rtol=8.9e-16)
 

@@ -77,8 +77,10 @@ _CHANNELS = {
     "scatterer-only": lambda config: scatterer_only_channel(),
 }
 
-# Seed offset of each split pair (source.RECIPES) from its twin seed.
-_SPLIT_SEED_OFFSETS = {"split-thermal": 20_000, "split-coherent": 30_000}
+# Seed of each draw but the twin pair's, as an offset from its repeat's seed: the
+# channel's noises, each split pair (source.RECIPES), the first repeat's shot-noise reference.
+_SEED_OFFSETS = {"channel": 10_000, "split-thermal": 20_000, "split-coherent": 30_000,
+                 "reference": 90_000}
 
 
 def _record(config: RunConfig, band: tuple[slice, np.ndarray], spectrum: np.ndarray,
@@ -113,14 +115,13 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     every curve a seed contributes, each appended to its curve's list; the
     lists are averaged in report order.  A seed's twin pair gives the
     unobstructed curve and, when the scenario has one, the channel curve:
-    the channel acts on arm a only (its noises drawn at seed + 10 000), so
-    both curves are scanned against the same band-passed arm b.  Each split
-    curve draws its own pair (``source.RECIPES``) at seed + 20 000 (thermal)
-    or seed + 30 000 (coherent).  The first seed's twin noises are drawn on
-    every rfft bin, not only the band's: its raw difference record gives the
+    the channel acts on arm a only, so both curves are scanned against the
+    same band-passed arm b.  Each split curve draws its own pair
+    (``source.RECIPES``).  The first seed's twin noises are drawn on every
+    rfft bin, not only the band's: its raw difference record gives the
     squeezing spectrum, so the spectrum needs no pair of its own beyond the
-    shot-noise reference at the twin arms' shot PSDs, drawn at the base
-    seed + 90 000.
+    shot-noise reference at the twin arms' shot PSDs.  Every draw but the
+    twin pair's is seeded at its offset in ``_SEED_OFFSETS``.
 
     Generated records are periodic, so no record is made only to be
     filtered: each scanned arm is formed as its spectrum over the band's rfft
@@ -179,9 +180,8 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
             # free the full spectra before the shot-noise reference is drawn
             spectra = [x[bins].copy() for x in spectra]
             shots = [arm.shot_psd for arm in pair.arms]
-            est = squeezing_spectrum(
-                difference, shot_noise_reference(config.spec, shots, config.seed + 90_000), fs,
-                config.segment_length)
+            est = squeezing_spectrum(difference, shot_noise_reference(
+                config.spec, shots, seed + _SEED_OFFSETS["reference"]), fs, config.segment_length)
             del difference
         else:
             spectra = pair.noise_spectra(seed, bins)
@@ -189,11 +189,11 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         fb = _record(config, band, b)
         runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
         if channel is not None:
-            arm = channel_spectrum(pair, a, bins, channel, seed + 10_000)
+            arm = channel_spectrum(pair, a, bins, channel, seed + _SEED_OFFSETS["channel"])
             runs[channel_name].append(_scan(config, _record(config, band, arm, guard_a), fb))
         del fb   # no scanned arm stays while the next pair's arms are made
         for name, split in splits.items():
-            arms = split.arm_spectra(split.noise_spectra(seed + _SPLIT_SEED_OFFSETS[name], bins))
+            arms = split.arm_spectra(split.noise_spectra(seed + _SEED_OFFSETS[name], bins))
             runs[name].append(_scan(config, *(_record(config, band, x) for x in arms)))
 
     curves = {name: average_curves(run) for name, run in runs.items()}

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, MismatchedClock, MismatchedLength
+from .errors import DataError, InvalidParams
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Trace:
         if samples.ndim != 1:
             raise InvalidParams("trace samples must be one-dimensional")
         if len(samples) != self.spec.n_samples:
-            raise MismatchedLength(
+            raise DataError(
                 f"trace has {len(samples)} samples, spec declares {self.spec.n_samples}"
             )
         # Take ownership: views are copied, owned arrays are frozen in place.
@@ -114,21 +114,6 @@ class Trace:
         return self.samples[self.guard : n - self.guard]
 
 
-def validate_pair(a: Trace, b: Trace) -> None:
-    """Check two traces share a sample clock and length.
-
-    Raises MismatchedClock or MismatchedLength; returns None when compatible.
-    """
-    if a.spec.sample_rate != b.spec.sample_rate:
-        raise MismatchedClock(
-            f"sample rates differ: {a.spec.sample_rate:g} vs {b.spec.sample_rate:g}"
-        )
-    if a.spec.n_samples != b.spec.n_samples or len(a.samples) != len(b.samples):
-        raise MismatchedLength(
-            f"lengths differ: {a.spec.n_samples} vs {b.spec.n_samples}"
-        )
-
-
 @dataclass(frozen=True)
 class TracePair:
     """Two time-aligned traces sharing one sample clock."""
@@ -137,10 +122,15 @@ class TracePair:
     b: Trace
 
     def __post_init__(self):
-        validate_pair(self.a, self.b)
-
-    def swapped(self) -> "TracePair":
-        return TracePair(a=self.b, b=self.a)
+        a, b = self.a, self.b
+        if a.spec.sample_rate != b.spec.sample_rate:
+            raise DataError(
+                f"sample rates differ: {a.spec.sample_rate:g} vs {b.spec.sample_rate:g}"
+            )
+        if a.spec.n_samples != b.spec.n_samples or len(a.samples) != len(b.samples):
+            raise DataError(
+                f"lengths differ: {a.spec.n_samples} vs {b.spec.n_samples}"
+            )
 
 
 @dataclass(frozen=True)

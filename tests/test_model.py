@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import twinbeam.model as model
-from twinbeam.errors import BracketFailure, InvalidParams, NoPeak
+from twinbeam.errors import FitError, InvalidParams
 from twinbeam.model import (
     GAUSSIAN_FWHM_FACTOR,
     G_closed,
@@ -189,7 +189,7 @@ class TestFitGaussian:
     def test_edge_peak_rejected(self):
         d = np.arange(0, 100) * 0.5e-9
         m = np.linspace(0, 1, 100)
-        with pytest.raises(NoPeak):
+        with pytest.raises(FitError, match="curve maximum lies on the delay-range edge"):
             fit_gaussian(_curve_from(d, m))
 
 
@@ -232,7 +232,7 @@ class TestFitChannel:
     def test_width_below_floor_raises(self):
         d = np.arange(-600, 601) * 0.5e-9
         m = 0.8 * gaussian_g(d, 25e-9)  # narrower than the sigma0 floor
-        with pytest.raises(BracketFailure):
+        with pytest.raises(FitError, match="lies below the zero-spread floor"):
             fit_channel(_curve_from(d, m), 32.1e-9)
 
     def test_side_lobe_at_half_height_warns(self):

@@ -437,7 +437,7 @@ class TestCli:
         assert main(["fit", "--curve", str(curve), "--mode", "channel"]) == 2
 
     def test_fit_failure_exit_code(self, tmp_path):
-        # curve narrower than the zero-spread floor: BracketFailure -> 4
+        # curve narrower than the zero-spread floor: FitError -> 4
         d = np.arange(-100, 101) * 0.5e-9
         from twinbeam.io import save_curve
         from twinbeam.trace import MICurve
@@ -458,6 +458,18 @@ class TestCli:
                      "--sigma0-ns", "32.1"]) == 2
         err = capsys.readouterr().err
         assert "not normalized" in err and "--reference-peak" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e-320"])
+    def test_fit_refuses_a_reference_peak_that_voids_it(self, value, tmp_path, capsys):
+        from twinbeam.model import G_closed
+
+        d = np.arange(-600, 601) * 0.5e-9
+        curve = tmp_path / "c.csv"
+        save_curve(MICurve(delays=d, mi=G_closed(d, 0.598, 32.7e-9, 19.7e-9, 32.1e-9)), curve)
+        assert main(["fit", "--curve", str(curve), "--mode", "channel", "--sigma0-ns", "32.1",
+                     f"--reference-peak={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --reference-peak") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["pipeline", "analyze"])
     def test_one_bin_exits_2_before_any_draw_or_filter(self, command, tmp_path, monkeypatch,
