@@ -28,7 +28,7 @@ from scipy import fft as sfft
 
 from .errors import InvalidParams
 from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, _white
-from .trace import ChannelParams, DigitizerSpec, Trace, TracePair
+from .trace import DC_TOLERANCE, ChannelParams, DigitizerSpec, Trace, TracePair, holds_mean
 
 __all__ = [
     "KERNEL_TRUNCATION_SIGMAS",
@@ -68,8 +68,8 @@ def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
     psd = _loss_psd(transmission, trace.shot_psd)
     if psd is None:
         return trace
-    n, fs = trace.spec.n_samples, trace.spec.sample_rate
-    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), n, fs, psd), n)
+    n = trace.spec.n_samples
+    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), trace.spec, psd), n)
     return replace(trace, samples=transmission * trace.samples + noise,
                    mean_level=transmission * trace.mean_level,
                    shot_psd=transmission * trace.shot_psd)
@@ -150,19 +150,17 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
 def _electronic_psd(rms: float, spec: DigitizerSpec):
     """PSD of detector noise of total rms ``rms`` (levels); None at zero rms.
 
-    Refuses an rms whose arm on ``spec``'s record float64 cannot carry: its
-    mean, known to about eps * rms, must lie within ``Trace``'s DC-removal
-    tolerance, and each bin's scale psd * fs * n / 2 must stay finite.
+    Refuses an rms whose arm cannot hold its mean, or whose bin scale
+    overflows, on ``spec``'s record.
     """
     if rms < 0:
         raise InvalidParams(f"rms must be >= 0, got {rms}")
     if rms == 0:
         return None
     psd = rms * rms / NOISE_BANDWIDTH_HZ
-    if not (np.finfo(np.float64).eps * rms <= spec.dc_tolerance
-            and np.isfinite(psd * spec.sample_rate * spec.n_samples / 2.0)):
+    if not (holds_mean(rms) and np.isfinite(spec.bin_scale(psd))):
         raise InvalidParams(f"channel.electronic_noise_rms {rms:g} levels is too large: an arm "
-                            f"holding it cannot keep its mean within {spec.dc_tolerance:g} "
+                            f"holding it cannot keep its mean within {DC_TOLERANCE:g} "
                             f"levels in float64 on a {spec.n_samples}-sample record")
     return _white(psd)
 
@@ -172,8 +170,8 @@ def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
     psd = _electronic_psd(rms, trace.spec)
     if psd is None:
         return trace
-    n, fs = trace.spec.n_samples, trace.spec.sample_rate
-    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), n, fs, psd), n)
+    n = trace.spec.n_samples
+    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), trace.spec, psd), n)
     return replace(trace, samples=trace.samples + noise)
 
 
@@ -223,10 +221,10 @@ def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
     t = params.power_transmission
     loss = _loss_psd(t, pair.arms[0].shot_psd)
     if loss is not None:
-        arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), n, fs, loss, bins)
+        arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), pair.spec, loss, bins)
     if delay_taps(params, fs, n)[2]:
         arm = kernel_response(params, fs, n, bins) * arm
     electronic = _electronic_psd(params.electronic_noise_rms, pair.spec)
     if electronic is not None:
-        arm = arm + noise_spectrum(np.random.default_rng(ss[1]), n, fs, electronic, bins)
+        arm = arm + noise_spectrum(np.random.default_rng(ss[1]), pair.spec, electronic, bins)
     return arm

@@ -87,7 +87,6 @@ _CHANNEL = (
 _DIGITIZER = (
     ("sample_rate_gsps", "sample_rate", _GSPS),
     ("n_samples", "n_samples", _INT),
-    ("bit_depth", "bit_depth", _INT),
 )
 
 

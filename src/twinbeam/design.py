@@ -84,11 +84,16 @@ def matched_transmission(source: SourceParams, chan: ChannelParams, spec: Digiti
     in-band near-invertible LTI stage, so the peak reduction must come from
     the loss stage's beam-splitter noise.  This solves for the transmission
     that reproduces the model's peak, decoupling eta (an MI-amplitude
-    parameter) from the measured optical throughput.
+    parameter) from the measured optical throughput.  It is sought on [0.001, 1].
     """
     target = peak_value(chan.eta, source.sigma0, chan.sigma)
     m = InBandModel(source, chan, spec, f_lo, f_hi)
     if m.peak_ratio(1.0) < target:
         raise InvalidParams("source too noisy: even lossless transmission cannot reach the "
                             "target peak ratio")
+    least = m.peak_ratio(1e-3)
+    if least > target:
+        raise InvalidParams(f"sigma0 {source.sigma0 * 1e9:g} ns is too narrow: even transmission "
+                            f"0.001 keeps a peak ratio of {least:.3g}, above the target "
+                            f"{target:.3g}")
     return float(brentq(lambda t: m.peak_ratio(t) - target, 1e-3, 1.0, xtol=1e-9))

@@ -7,11 +7,11 @@ TWBM container layout (little-endian throughout):
     bytes 8-11   header length H, uint32
     bytes 12-    UTF-8 JSON header of H bytes:
                  {sample_rate_hz, n_samples, encoding, label,
-                  mean_level, bit_depth?, guard?, shot_psd?}
-                 (other keys, such as the full_scale and noise_bandwidth_hz
-                 of earlier files, are ignored)
-    then         raw payload; encoding "u8" stores the record as raw levels
-                 (mean included), "f64le" stores the zero-mean fluctuation.
+                  mean_level, guard?, shot_psd?}
+                 (other keys, such as the full_scale, bit_depth and
+                 noise_bandwidth_hz of earlier files, are ignored)
+    then         raw payload; encoding "u8" stores raw 8-bit levels (mean
+                 included), "f64le" stores the zero-mean fluctuation.
 
 CSV traces hold one column (value) or two (time, value); the time column is
 validated uniform and then discarded in favor of the declared sample rate.
@@ -61,26 +61,22 @@ def _values_of(path):
 
 
 def save_trace(trace: Trace, path, encoding: str = "f64le") -> None:
-    """Write a trace as a TWBM container; "u8" clips the rounded levels to the spec's range."""
+    """Write a trace as a TWBM container; "u8" clips the rounded levels to 0-255."""
     if encoding not in _ENCODINGS:
         raise InvalidParams(f"unknown encoding {encoding!r}; use one of {sorted(_ENCODINGS)}")
-    if encoding == "u8" and trace.spec.bit_depth > 8:
-        raise InvalidParams(f"encoding 'u8' holds 8 bits, but the trace's bit_depth "
-                            f"is {trace.spec.bit_depth}")
     header = {
         "sample_rate_hz": trace.spec.sample_rate,
         "n_samples": trace.spec.n_samples,
         "encoding": encoding,
         "label": trace.label,
         "mean_level": trace.mean_level,
-        "bit_depth": trace.spec.bit_depth,
         "guard": trace.guard,
         "shot_psd": trace.shot_psd,
     }
     hdr = json.dumps(header).encode("utf-8")
     if encoding == "u8":
         raw = trace.samples + trace.mean_level
-        payload = np.clip(np.rint(raw), 0, trace.spec.n_levels - 1).astype(np.uint8).tobytes()
+        payload = np.clip(np.rint(raw), 0, 255).astype(np.uint8).tobytes()
     else:
         payload = trace.samples.astype("<f8").tobytes()
     with open(path, "wb") as fh:
@@ -108,7 +104,6 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         encoding = header.get("encoding")
         n = int(header["n_samples"])
         fs = float(header["sample_rate_hz"])
-        bit_depth = int(header.get("bit_depth", 8))
         guard = int(header.get("guard", 0))
         mean_level = float(header.get("mean_level", 0.0))
         shot_psd = header.get("shot_psd")
@@ -127,9 +122,8 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         raise DataError(f"{path}: header says {fs:g} S/s, metadata says {sample_rate:g}")
     values = np.frombuffer(payload, dtype=_ENCODINGS[encoding]).astype(np.float64)
     with _values_of(path):
-        kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n, bit_depth=bit_depth),
-                  label=header.get("label", "trace"), shot_psd=shot_psd,
-                  guard=guard)
+        kw = dict(spec=DigitizerSpec(sample_rate=fs, n_samples=n), guard=guard,
+                  label=header.get("label", "trace"), shot_psd=shot_psd)
         if encoding == "u8":
             return Trace.from_raw(values, **kw)
         return Trace(samples=values, mean_level=mean_level, **kw)

@@ -559,11 +559,15 @@ def fwhm(curve: MICurve) -> float:
     half level more than twice (side structure), the outermost pair is used
     and a warning is emitted.
     """
-    m = curve.mi
-    i_pk = int(np.argmax(m))
-    if i_pk == 0 or i_pk == len(m) - 1:
+    return _half_level_width(curve.delays, curve.mi, 0.5 * curve.mi[_interior_peak(curve.mi)])
+
+
+def _interior_peak(m: np.ndarray) -> int:
+    """Index of the maximum of ``m``, refused on the delay-range edge."""
+    i = int(np.argmax(m))
+    if i == 0 or i == len(m) - 1:
         raise FitError("curve maximum lies on the delay-range edge")
-    return _half_level_width(curve.delays, m, 0.5 * m[i_pk])
+    return i
 
 
 def _half_level_width(d: np.ndarray, m: np.ndarray, half: float) -> float:

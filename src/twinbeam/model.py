@@ -21,7 +21,7 @@ from scipy.optimize import brentq, least_squares
 from scipy.special import erfcx
 
 from .errors import FitError, InvalidParams, TwinbeamError
-from .mi import _half_level_width
+from .mi import _half_level_width, _interior_peak
 from .trace import FitResult, MICurve
 
 __all__ = [
@@ -221,9 +221,7 @@ class GaussianFit:
 def fit_gaussian(curve: MICurve) -> GaussianFit:
     """Least-squares fit of amplitude * g(t - center) to a delay curve."""
     d, m = curve.delays, curve.mi
-    i_pk = int(np.argmax(m))
-    if i_pk == 0 or i_pk == len(m) - 1:
-        raise FitError("curve maximum lies on the delay-range edge")
+    i_pk = _interior_peak(m)
     # Width guess from the half-maximum crossing nearest the peak.
     above = m >= 0.5 * m[i_pk]
     width0 = max(curve.step, np.count_nonzero(above) * curve.step / GAUSSIAN_FWHM_FACTOR)
@@ -253,9 +251,7 @@ def fit_gaussian(curve: MICurve) -> GaussianFit:
 def _refined_peak(curve: MICurve) -> tuple[float, float]:
     """Sub-grid peak (delay, value) by quadratic interpolation through 3 points."""
     m, d = curve.mi, curve.delays
-    i = int(np.argmax(m))
-    if i == 0 or i == len(m) - 1:
-        raise FitError("curve maximum lies on the delay-range edge")
+    i = _interior_peak(m)
     y0, y1, y2 = m[i - 1], m[i], m[i + 1]
     denom = y0 - 2.0 * y1 + y2
     if denom >= 0:  # flat or non-concave sample triplet

@@ -40,7 +40,7 @@ from .source import gen_split_coherent, gen_split_thermal, gen_twin  # noqa: F40
 __all__ = ["REPORT_SCHEMA_VERSION", "default_channel", "scatterer_only_channel",
            "run_pipeline"]
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def default_channel(config: RunConfig) -> ChannelParams:

@@ -56,7 +56,7 @@ import numpy as np
 
 from .dsp import rfft_freqs
 from .errors import InvalidParams
-from .trace import DigitizerSpec, SourceParams, Trace, TracePair
+from .trace import DC_TOLERANCE, DigitizerSpec, SourceParams, Trace, TracePair, holds_mean
 
 __all__ = [
     "NOISE_BANDWIDTH_HZ",
@@ -120,8 +120,7 @@ def _shared_scale(params: SourceParams, shot_a: float, shot_b: float) -> float:
     that averages ``excess_noise_db`` over DESIGN_BAND; refuses an excess at or below
     the squeezing floor, and a sigma0 whose shared spectrum underflows over the band.
     """
-    x_lin = 10.0 ** (params.excess_noise_db / 10.0)
-    s_lin = 10.0 ** (-params.squeezing_db / 10.0)
+    x_lin, s_lin = params.excess_ratio, params.squeezing_ratio
     if x_lin <= s_lin:
         raise InvalidParams(
             "excess_noise_db too small: per-arm noise would fall below the "
@@ -137,15 +136,16 @@ def _shared_scale(params: SourceParams, shot_a: float, shot_b: float) -> float:
     return excess / shape_mean
 
 
-def noise_spectrum(rng: np.random.Generator, n: int, fs: float,
+def noise_spectrum(rng: np.random.Generator, spec: DigitizerSpec,
                    psd: Callable[[np.ndarray], np.ndarray],
                    bins: slice = slice(None)) -> np.ndarray:
-    """rfft bins ``bins`` of zero-mean Gaussian noise with one-sided PSD psd(f), length n.
+    """rfft bins ``bins`` of zero-mean Gaussian noise of one-sided PSD psd(f) on ``spec``'s record.
 
     Every bin's deviate is drawn whichever bins are returned, so a slice
     equals the same slice of the full spectrum and leaves ``rng`` in the same
     state.  ``bins`` is a slice with unit step.
     """
+    n = spec.n_samples
     m = n // 2 + 1
     start, stop, _ = bins.indices(m)
     re, im = rng.standard_normal(m), rng.standard_normal(m)
@@ -155,7 +155,7 @@ def noise_spectrum(rng: np.random.Generator, n: int, fs: float,
         z[0] = 0.0  # zero-mean record
     if n % 2 == 0 and stop == m:
         z[-1] = np.sqrt(2.0) * z[-1].real
-    z *= np.sqrt(np.maximum(psd(rfft_freqs(n, fs, bins)), 0.0) * fs * n / 2.0)
+    z *= np.sqrt(spec.bin_scale(np.maximum(psd(rfft_freqs(n, spec.sample_rate, bins)), 0.0)))
     z /= np.sqrt(2.0)
     return z
 
@@ -200,8 +200,7 @@ class PairRecipe:
 
     def noise_spectra(self, seed: int, bins: slice = slice(None)) -> list[np.ndarray]:
         """Each noise's rfft over ``bins`` at ``seed``: every normal of the pair drawn once."""
-        n, fs = self.spec.n_samples, self.spec.sample_rate
-        return [noise_spectrum(np.random.default_rng(ss), n, fs, psd, bins) for ss, psd
+        return [noise_spectrum(np.random.default_rng(ss), self.spec, psd, bins) for ss, psd
                 in zip(np.random.SeedSequence(seed).spawn(len(self.noises)), self.noises)]
 
     def arm_spectra(self, spectra: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +218,9 @@ class PairRecipe:
     def traces(self, seed: int) -> TracePair:
         """The records ``seed`` draws, one irfft per noise; see ``twin_recipe`` for the check."""
         for arm, rms in zip(self.arms, self.arm_rms):
-            if not np.finfo(np.float64).eps * rms <= self.spec.dc_tolerance:
+            if not holds_mean(rms):
                 raise InvalidParams(f"arm {arm.label} of full-band rms up to {rms:.3g} levels "
-                                    f"cannot hold its mean within {self.spec.dc_tolerance:g} "
+                                    f"cannot hold its mean within {DC_TOLERANCE:g} "
                                     "levels in float64: sigma0, excess_noise_db or the power "
                                     "ratio is too large for a full-band record")
         records = [np.fft.irfft(x, self.spec.n_samples) for x in self.noise_spectra(seed)]
@@ -234,27 +233,24 @@ def twin_recipe(params: SourceParams, spec: DigitizerSpec) -> PairRecipe:
     """Quantum-correlated twin pair (probe / conjugate); see ``gen_twin``.
 
     Refuses a source whose band-passed records float64 cannot carry on
-    ``spec``'s record.  A record's mean is known only to about eps times its
-    rms, so ``Trace``'s DC-removal tolerance needs eps * rms inside it, for an
-    arm excess_noise_db above its shot level over DESIGN_BAND.  Each bin's
-    scale psd * fs * n / 2 must stay finite at the shared PSD's peak, at most
-    its scale, which grows without bound with sigma0.  ``traces`` applies the
-    rms bound over all frequencies, where the shared spectrum carries at most
-    scale / (4 sqrt(pi) sigma0).
+    ``spec``'s record: an arm excess_noise_db above its shot level over
+    DESIGN_BAND must hold its mean, and the shared PSD's bin scale must stay
+    finite at its peak, at most ``scale``, which grows without bound with
+    sigma0.  ``traces`` applies the rms bound over all frequencies, where the
+    shared spectrum carries at most scale / (4 sqrt(pi) sigma0).
     """
     shot_a, shot_b = _shot_psds(params)
     scale = _shared_scale(params, shot_a, shot_b)
-    rms = math.sqrt(10.0 ** (params.excess_noise_db / 10.0) * (DESIGN_BAND[1] - DESIGN_BAND[0])
-                    * max(shot_a, shot_b))
-    if np.finfo(np.float64).eps * rms > spec.dc_tolerance:
+    rms = math.sqrt(params.excess_ratio * (DESIGN_BAND[1] - DESIGN_BAND[0]) * max(shot_a, shot_b))
+    if not holds_mean(rms):
         raise InvalidParams(f"excess_noise_db {params.excess_noise_db:g} dB is too high: an arm "
                             f"of rms {rms:.3g} levels over the design band cannot hold its mean "
-                            f"within {spec.dc_tolerance:g} levels in float64")
-    if not math.isfinite(scale * spec.sample_rate * spec.n_samples / 2.0):
+                            f"within {DC_TOLERANCE:g} levels in float64")
+    if not math.isfinite(spec.bin_scale(scale)):
         raise InvalidParams(f"sigma0 {params.sigma0 * 1e9:g} ns is too wide for a "
                             f"{spec.n_samples}-sample record: its shared spectrum's per-bin "
                             "scale overflows float64")
-    s_lin = 10.0 ** (-params.squeezing_db / 10.0)
+    s_lin = params.squeezing_ratio
     shared_var = scale / (4.0 * math.sqrt(math.pi) * params.sigma0)
     return PairRecipe(
         spec=spec,

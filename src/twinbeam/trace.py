@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -23,35 +22,38 @@ import numpy as np
 from .errors import DataError, InvalidParams
 
 
+# Largest mean (levels) a ``Trace`` accepts as DC-free: 1e-9 of an 8-bit record's 256 levels.
+DC_TOLERANCE = 1e-9 * 256
+
+
+def holds_mean(rms: float) -> bool:
+    """Whether float64, which knows a record's mean to eps * rms, holds it within DC_TOLERANCE."""
+    return np.finfo(np.float64).eps * rms <= DC_TOLERANCE
+
+
 @dataclass(frozen=True)
 class DigitizerSpec:
     """Acquisition metadata of one oscilloscope channel."""
 
     sample_rate: float = 2.0e9     # samples / second
     n_samples: int = 4_000_000
-    bit_depth: int = 8             # 2**bit_depth levels
 
     def __post_init__(self):
         if not (0 < self.sample_rate < math.inf):
             raise InvalidParams(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if not (self.n_samples > 0):
             raise InvalidParams(f"n_samples must be > 0, got {self.n_samples}")
-        if not 1 <= self.bit_depth < sys.float_info.max_exp:
-            raise InvalidParams(f"digitizer.bit_depth {self.bit_depth} is out of range: its "
-                                "2**bit_depth levels must be at least 2 and a float64")
 
     @property
     def duration(self) -> float:
         return self.n_samples / self.sample_rate
 
-    @property
-    def n_levels(self) -> int:
-        return 2 ** self.bit_depth
-
-    @property
-    def dc_tolerance(self) -> float:
-        """Largest mean (levels) a ``Trace`` of this spec accepts as DC-free."""
-        return 1e-9 * self.n_levels
+    def bin_scale(self, psd):
+        """An rfft bin's scale psd * fs * n / 2 at one-sided PSD ``psd``; scales arrays in place."""
+        psd *= self.sample_rate
+        psd *= self.n_samples
+        psd /= 2.0
+        return psd
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,9 @@ class Trace:
         mean = float(samples.mean())
         if not math.isfinite(mean):   # a NaN or inf sample makes the mean so
             raise InvalidParams(f"trace samples must be finite, but their mean is {mean}")
-        tol = self.spec.dc_tolerance
-        if abs(mean) > tol:
-            raise InvalidParams(
-                f"trace mean {mean:g} exceeds DC-removal tolerance {tol:g}; "
-                "subtract the mean (see Trace.from_raw)"
-            )
+        if abs(mean) > DC_TOLERANCE:
+            raise InvalidParams(f"trace mean {mean:g} exceeds DC-removal tolerance "
+                                f"{DC_TOLERANCE:g}; subtract the mean (see Trace.from_raw)")
         if self.guard < 0 or 2 * self.guard >= len(samples):
             raise InvalidParams(f"guard {self.guard} out of range for trace")
         if self.shot_psd is not None and not 0.0 < self.shot_psd < math.inf:
@@ -214,14 +213,14 @@ class SourceParams:
 
     def __post_init__(self):
         _refuse_non_finite(self)
-        try:   # the power ratio the noise budget forms
-            10.0 ** (self.excess_noise_db / 10.0)
+        try:
+            self.excess_ratio
         except OverflowError:
             raise InvalidParams(f"excess_noise_db {self.excess_noise_db} dB overflows "
                                 "as a power ratio") from None
         if self.squeezing_db < 0:
             raise InvalidParams(f"squeezing_db must be >= 0, got {self.squeezing_db}")
-        if 10.0 ** (-self.squeezing_db / 10.0) == 0.0:   # the noise budget's power ratio
+        if self.squeezing_ratio == 0.0:
             raise InvalidParams(f"squeezing_db {self.squeezing_db} dB underflows "
                                 "as a power ratio")
         if not (self.sigma0 > 0):
@@ -230,6 +229,14 @@ class SourceParams:
             raise InvalidParams("mean powers must be > 0")
         if self.excess_noise_db < 0:
             raise InvalidParams("excess_noise_db must be >= 0")
+
+    @property
+    def excess_ratio(self) -> float:   # per-beam noise over shot noise, as a power ratio
+        return 10.0 ** (self.excess_noise_db / 10.0)
+
+    @property
+    def squeezing_ratio(self) -> float:   # independent per-arm noise over shot noise
+        return 10.0 ** (-self.squeezing_db / 10.0)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from twinbeam.dsp import bandpass, welch_psd
 from twinbeam.errors import InvalidParams
 from twinbeam.mi import mi_delay_scan
 from twinbeam.model import peak_value
-from twinbeam.pipeline import scatterer_only_channel
+from twinbeam.pipeline import _SEED_OFFSETS, scatterer_only_channel
 from twinbeam.source import NOISE_BANDWIDTH_HZ, gen_twin, twin_recipe
 from twinbeam.trace import ChannelParams, DigitizerSpec, SourceParams, TracePair
 
@@ -348,6 +348,7 @@ class TestDesignAgreesWithTraces:
         fa, fb = bandpass(pair.a, F_LO, F_HI), bandpass(pair.b, F_LO, F_HI)
         assert _peak_xcorr(fa, fb, 0) == pytest.approx(model.unobstructed_rho(), abs=0.02)
 
-        arm = apply_channel(pair, replace(chan, power_transmission=t), seed + 10_000).a
+        arm = apply_channel(pair, replace(chan, power_transmission=t),
+                            seed + _SEED_OFFSETS["channel"]).a
         measured = _peak_xcorr(bandpass(arm, F_LO, F_HI), fb, 150)   # lags up to 75 ns
         assert measured == pytest.approx(model.channel_rho_peak(t), abs=0.04)

@@ -34,6 +34,14 @@ class TestTwbm:
         assert back.shot_psd == pair.a.shot_psd
         assert back.guard == pair.a.guard
 
+    def test_header_keys(self, tmp_path, small_spec):
+        path = tmp_path / "a.twbm"
+        save_trace(gen_twin(SourceParams(), small_spec, seed=1).a, path, encoding="u8")
+        raw = path.read_bytes()
+        (hdr_len,) = struct.unpack("<I", raw[8:12])
+        assert list(json.loads(raw[12:12 + hdr_len])) == [
+            "sample_rate_hz", "n_samples", "encoding", "label", "mean_level", "guard", "shot_psd"]
+
     def test_u8_round_trip_bit_identical(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=2)
         path, again = tmp_path / "q.twbm", tmp_path / "again.twbm"
@@ -54,13 +62,14 @@ class TestTwbm:
         assert len(raw) == small_spec.n_samples
 
     def test_u8_clips_to_the_spec_levels(self, tmp_path):
-        spec = DigitizerSpec(n_samples=64, bit_depth=4)
-        samples = np.linspace(-12.0, 12.0, 64)
+        # raw levels run from -72.5 to 327.5: the ends clip to 0 and 255, not wrap
+        spec = DigitizerSpec(n_samples=64)
+        samples = np.linspace(-200.0, 200.0, 64)
         path = tmp_path / "q.twbm"
-        save_trace(Trace(samples=samples, spec=spec, mean_level=7.5), path, encoding="u8")
+        save_trace(Trace(samples=samples, spec=spec, mean_level=127.5), path, encoding="u8")
         levels = np.frombuffer(twbm_payload(path), dtype=np.uint8)
-        assert levels.max() == 15 and levels.min() == 0
-        assert np.array_equal(levels, np.clip(np.rint(samples + 7.5), 0, 15))
+        assert levels.max() == 255 and levels.min() == 0
+        assert np.array_equal(levels, np.clip(np.rint(samples + 127.5), 0, 255))
 
     def test_loads_a_header_with_earlier_keys(self, tmp_path, small_spec):
         # a header with keys the loader does not read, as earlier files carry
@@ -76,15 +85,6 @@ class TestTwbm:
         back = load_trace(path)
         assert np.array_equal(back.samples, pair.a.samples)
         assert back.spec == small_spec and back.shot_psd == pair.a.shot_psd
-
-    def test_u8_refuses_more_than_8_bits(self, tmp_path):
-        spec = DigitizerSpec(n_samples=64, bit_depth=12)
-        trace = Trace(samples=np.zeros(64), spec=spec, mean_level=2048.0)
-        path = tmp_path / "q.twbm"
-        with pytest.raises(InvalidParams, match="bit_depth is 12"):
-            save_trace(trace, path, encoding="u8")
-        assert not path.exists()
-        save_trace(trace, path)   # f64le keeps every level
 
     def test_bad_magic(self, tmp_path, capsys):
         # without the TWBM magic a file is read as CSV; binary bytes are no CSV
@@ -192,9 +192,8 @@ class TestValuesBreakingAType:
     @pytest.mark.parametrize("name, content, message", [
         ("nan.csv", _csv_with_a_nan(), "trace samples must be finite"),
         ("guard.twbm", _twbm_of_zeros(guard=60), "guard 60 out of range for trace"),
-        ("depth.twbm", _twbm_of_zeros(bit_depth=3000), "digitizer.bit_depth 3000 is out of range"),
         ("shot.twbm", _twbm_of_zeros(shot_psd=-1.0), "shot_psd must be finite and > 0, got -1.0"),
-    ], ids=["nan-sample", "guard-past-half", "bit-depth-overflow", "negative-shot-psd"])
+    ], ids=["nan-sample", "guard-past-half", "negative-shot-psd"])
     def test_trace_file(self, name, content, message, tmp_path, capsys):
         path = tmp_path / name
         path.write_bytes(content)

@@ -65,7 +65,7 @@ GOLDEN_DEFAULT_DICT = {
         "mean_power_a_mw": 5.8999999999999995,
         "mean_power_b_mw": 5.3,
     },
-    "digitizer": {"sample_rate_gsps": 2.0, "n_samples": 4000000, "bit_depth": 8},
+    "digitizer": {"sample_rate_gsps": 2.0, "n_samples": 4000000},
 }
 
 
@@ -161,7 +161,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("d, key", [
         ({"seed": 2.5}, "seed"),
-        ({"digitizer": {"bit_depth": 1.5}}, "bit_depth"),
+        ({"repeats": 1.5}, "repeats"),
         ({"digitizer": {"n_samples": True}}, "n_samples"),
     ])
     def test_non_integral_integer_keys_rejected(self, d, key):
@@ -202,7 +202,7 @@ class TestDefaultChannel:
 class TestRunPipeline:
     def test_twin_scenario_report(self, tmp_path):
         report = run_pipeline(small_config(), outdir=tmp_path)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert set(report["timing"]) == {"elapsed_s"}
         stats = report["scenarios"]["twin-unobstructed"]
         assert stats["peak_norm"] == pytest.approx(1.0)
@@ -640,13 +640,27 @@ class TestCli:
         short = small_config(scenario="twin-channel")
         assert default_channel(short).power_transmission == pytest.approx(0.528905, abs=1e-6)
 
-    def test_bit_depth_float64_cannot_hold_exits_2(self, tmp_path, capsys):
+    def test_bit_depth_is_an_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"digitizer": {"bit_depth": 2000, "n_samples": 140000},
-                                   "repeats": 1, "range_ns": 20}))
+        cfg.write_text(json.dumps({"digitizer": {"bit_depth": 8}}))
         assert main(["pipeline", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "digitizer.bit_depth 2000 is out of range" in err and "Traceback" not in err
+        assert "unknown digitizer key(s): bit_depth" in err and "Traceback" not in err
+
+    def test_narrow_sigma0_is_refused_by_matched_transmission(self, capsys):
+        # the target peak ratio lies below even transmission 0.001's
+        assert main(["matched-transmission", "--sigma0-ns", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert ("sigma0 0.02 ns is too narrow: even transmission 0.001 keeps a peak ratio "
+                "of 0.000881, above the target 0.00076") in err and "Traceback" not in err
+        assert main(["matched-transmission", "--sigma0-ns", "0.03"]) == 0
+        assert capsys.readouterr().out.strip() == "0.0013"
+
+    def test_narrow_sigma0_pipeline_exits_2_before_drawing(self, monkeypatch, capsys):
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["pipeline", "--sigma0-ns", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "sigma0 0.01 ns is too narrow" in err and "Traceback" not in err
 
     def test_simulate_split_coherent_from_shot_limited_source(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
@@ -796,11 +810,12 @@ class TestSpectralArms:
         if cfg.scenario in ("twin-channel", "scatterer-only"):
             chan = (default_channel(cfg) if cfg.scenario == "twin-channel"
                     else scatterer_only_channel())
-            want += [apply_channel(twin, chan, cfg.seed + 10_000).a, twin.b]
+            want += [apply_channel(twin, chan, cfg.seed + pipeline._SEED_OFFSETS["channel"]).a,
+                     twin.b]
         else:
-            offset, gen = {"split-thermal": (20_000, gen_split_thermal),
-                           "split-coherent": (30_000, gen_split_coherent)}[cfg.scenario]
-            split = gen(cfg.source, cfg.spec, cfg.seed + offset)
+            gen = {"split-thermal": gen_split_thermal,
+                   "split-coherent": gen_split_coherent}[cfg.scenario]
+            split = gen(cfg.source, cfg.spec, cfg.seed + pipeline._SEED_OFFSETS[cfg.scenario])
             want += [split.a, split.b]
         got = [arm for pair in scanned for arm in (pair.a, pair.b)]
         assert len(got) == len(want) == 4
@@ -858,10 +873,11 @@ class TestPerSeedDataflow:
         assert len(set(draws)) == len(draws)
         assert {(s, (i,)) for s in seeds for i in range(3)} <= set(draws)
         if cfg.scenario == "all":
-            # split-thermal pairs at seed + 20 000 (3 noises), split-coherent at
-            # seed + 30 000 (2 noises)
-            split = [(s + offset, (i,)) for s in seeds
-                     for offset, k in ((20_000, 3), (30_000, 2)) for i in range(k)]
+            # each split pair at its own seed offset: split-thermal draws 3 noises,
+            # split-coherent 2
+            split = [(s + pipeline._SEED_OFFSETS[name], (i,)) for s in seeds
+                     for name, k in (("split-thermal", 3), ("split-coherent", 2))
+                     for i in range(k)]
             assert [draws.count(d) for d in split] == [1] * len(split)
         arms = {_digest(arm.samples) for pair in scanned for arm in (pair.a, pair.b)}
         assert len(set(records)) == len(records)
@@ -880,7 +896,8 @@ class TestPerSeedDataflow:
         report = run_pipeline(cfg)
 
         pair = gen_twin(cfg.source, cfg.spec, cfg.seed)
-        chan = apply_channel(pair, default_channel(cfg), cfg.seed + 10_000)
+        chan = apply_channel(pair, default_channel(cfg),
+                             cfg.seed + pipeline._SEED_OFFSETS["channel"])
         filtered = TracePair(a=bandpass(chan.a, cfg.f_lo, cfg.f_hi),
                              b=bandpass(chan.b, cfg.f_lo, cfg.f_hi))
         want = mi_delay_scan(filtered, step=cfg.delay_step, range_=cfg.delay_range,

@@ -56,9 +56,10 @@ class TestSpectra:
     def test_slice_equals_slice_of_full_spectrum(self):
         psd = lambda f: 1.0 / (1.0 + f / 1e6)
         for n in (1000, 1001):
-            full = noise_spectrum(np.random.default_rng(3), n, 2e9, psd)
+            spec = DigitizerSpec(sample_rate=2e9, n_samples=n)
+            full = noise_spectrum(np.random.default_rng(3), spec, psd)
             for bins in (slice(0, 7), slice(40, 90), slice(490, None)):
-                part = noise_spectrum(np.random.default_rng(3), n, 2e9, psd, bins)
+                part = noise_spectrum(np.random.default_rng(3), spec, psd, bins)
                 assert np.array_equal(part, full[bins])
 
     def test_arm_spectra_and_difference_match_the_records(self, small_spec):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from twinbeam.trace import (
     SourceParams,
     Trace,
     TracePair,
+    holds_mean,
 )
 
 from conftest import make_trace
@@ -21,14 +24,14 @@ class TestDigitizerSpec:
         assert spec.sample_rate == 2.0e9
         assert spec.n_samples == 4_000_000
         assert spec.duration == pytest.approx(2e-3)
-        assert spec.n_levels == 256
+        assert [f.name for f in dataclasses.fields(DigitizerSpec)] == ["sample_rate", "n_samples"]
 
     @pytest.mark.parametrize("kw", [
         {"sample_rate": 0.0},
         {"sample_rate": -1.0},
         {"n_samples": 0},
-        {"bit_depth": 0},
-        {"bit_depth": -1},
+        {"n_samples": -1},
+        {"sample_rate": -float("inf")},
         {"sample_rate": float("inf")},
         {"sample_rate": float("nan")},
     ])
@@ -36,12 +39,12 @@ class TestDigitizerSpec:
         with pytest.raises(InvalidParams):
             DigitizerSpec(**kw)
 
-    def test_bit_depth_float64_cannot_hold(self):
-        # dc_tolerance is 1e-9 * 2**bit_depth, a float64 up to 2**1023
-        assert DigitizerSpec(bit_depth=1023).dc_tolerance > 0
-        for bit_depth in (1024, 3000):
-            with pytest.raises(InvalidParams, match="digitizer.bit_depth .* is out of range"):
-                DigitizerSpec(bit_depth=bit_depth)
+    def test_bin_scale_is_psd_times_fs_times_n_over_2(self):
+        spec = DigitizerSpec(n_samples=1000)
+        assert spec.bin_scale(3.0) == 3.0 * 2e9 * 1000 / 2.0
+        psd = np.array([1.0, 2.0])
+        assert spec.bin_scale(psd) is psd   # an array is scaled in place
+        assert psd.tolist() == [1e12, 2e12]
 
 
 class TestTrace:
@@ -54,6 +57,16 @@ class TestTrace:
         spec = DigitizerSpec(n_samples=100)
         with pytest.raises(InvalidParams):
             Trace(samples=np.full(100, 3.0), spec=spec)
+
+    def test_dc_tolerance_is_a_billionth_of_256_levels(self):
+        spec = DigitizerSpec(n_samples=4)
+        Trace(samples=np.full(4, 2.56e-7), spec=spec)
+        with pytest.raises(InvalidParams, match="exceeds DC-removal tolerance 2.56e-07"):
+            Trace(samples=np.full(4, 2.57e-7), spec=spec)
+
+    def test_holds_mean_at_eps_times_rms(self):
+        eps = np.finfo(np.float64).eps
+        assert holds_mean(2.56e-7 / eps) and not holds_mean(2.57e-7 / eps)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_refused(self, value):
