@@ -25,7 +25,7 @@ from .trace import (
     TracePair,
 )
 from .source import gen_split_coherent, gen_split_thermal, gen_twin
-from .channel import apply_channel, apply_electronic_noise, apply_is_delay, apply_loss
+from .channel import apply_channel, apply_is_delay
 from .dsp import SpectrumEstimate, bandpass, difference_spectrum
 from .mi import (
     JointHistogram,
@@ -57,7 +57,7 @@ __all__ = [
     "ChannelParams", "DigitizerSpec", "FitResult", "MICurve", "SourceParams",
     "Trace", "TracePair",
     "gen_split_coherent", "gen_split_thermal", "gen_twin",
-    "apply_channel", "apply_electronic_noise", "apply_is_delay", "apply_loss",
+    "apply_channel", "apply_is_delay",
     "SpectrumEstimate", "bandpass", "difference_spectrum",
     "JointHistogram", "average_curves", "fwhm", "histogram2d", "mi_delay_scan",
     "mi_from_hist", "miller_madow_correction", "normalize_curve",

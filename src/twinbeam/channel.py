@@ -1,33 +1,34 @@
 """Scatterer + integrating-sphere channel applied to the probe arm.
 
-Stage order is fixed: optical loss, then the exponential delay kernel, then
-detector electronic noise.  The order matters mildly (the kernel low-passes
-whatever noise precedes it).  It is pinned here only: the analytic predictor
-that calibrates the default transmission (``design.InBandModel``) reads
-``channel_spectrum``'s chain and the same loss and electronic PSDs.
+One chain, on arm a's rfft: H * (t * A + L) + E (``channel_spectrum``).  The
+stage order is fixed: optical loss (transmission t and its vacuum noise L),
+then the exponential delay kernel H, then detector electronic noise E.  The
+order matters mildly (the kernel low-passes the loss noise).  It is pinned
+here only: the analytic predictor that calibrates the default transmission
+(``design.InBandModel``) reads the same chain and the same loss and
+electronic PSDs.
 
 The delay stage convolves the photocurrent with the discretized two-sided
 exponential density (deterministic convolution, not per-photon sampling): at
 these fluxes the photocurrent is the ensemble average over photon delays.
-
-Two forms of the same chain.  ``apply_channel`` works on time records of any
-origin: the convolution extends the record by reflection.  Generated records
-are periodic (``source``), so ``channel_spectrum`` works on arm a's rfft
-instead: H * (t * A + L) + E, where H is the DFT of ``discretize_kernel``'s
-taps placed circularly (``kernel_response``) and L and E are the loss and
-electronic noises drawn from the same seeds as ``apply_channel``'s.  The two
-differ only near the record ends, inside the guard the delay adds.
+Generated records are periodic (``source``), so the convolution is circular:
+H is the DFT of ``discretize_kernel``'s taps placed circularly
+(``kernel_response``), and the samples it wraps round a record's ends lie in
+the guard the delay adds.  ``run_pipeline`` runs the chain over the band's
+bins; ``apply_channel`` runs it over a record's whole rfft, and
+``apply_is_delay`` is the delay alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 from scipy import fft as sfft
 
 from .errors import InvalidParams
-from .source import NOISE_BANDWIDTH_HZ, PairRecipe, noise_spectrum, _white
+from .source import NOISE_BANDWIDTH_HZ, noise_spectrum, _white
 from .trace import DC_TOLERANCE, ChannelParams, DigitizerSpec, Trace, TracePair, holds_mean
 
 __all__ = [
@@ -35,12 +36,10 @@ __all__ = [
     "discretize_kernel",
     "delay_taps",
     "channel_guard",
-    "apply_loss",
-    "apply_is_delay",
-    "apply_electronic_noise",
-    "apply_channel",
     "kernel_response",
+    "apply_is_delay",
     "channel_spectrum",
+    "apply_channel",
 ]
 
 # Kernel support is tau0 +/- this many sigma, renormalized after truncation
@@ -57,22 +56,6 @@ def _loss_psd(transmission: float, shot_psd):
     if shot_psd is None:
         raise InvalidParams("trace carries no shot_psd, so its loss noise is unknown")
     return _white(transmission * (1.0 - transmission) * shot_psd)
-
-
-def apply_loss(trace: Trace, transmission: float, seed) -> Trace:
-    """Beam-splitter loss: scale by t, add vacuum noise of PSD t(1-t) x shot.
-
-    The shot PSD is the trace's own bookkeeping value; the output carries the
-    scaled mean level and shot PSD of the attenuated beam.
-    """
-    psd = _loss_psd(transmission, trace.shot_psd)
-    if psd is None:
-        return trace
-    n = trace.spec.n_samples
-    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), trace.spec, psd), n)
-    return replace(trace, samples=transmission * trace.samples + noise,
-                   mean_level=transmission * trace.mean_level,
-                   shot_psd=transmission * trace.shot_psd)
 
 
 def discretize_kernel(sample_rate: float, tau0: float, sigma: float):
@@ -115,38 +98,6 @@ def channel_guard(params: ChannelParams, spec: DigitizerSpec) -> int:
     return delay_taps(params, spec.sample_rate, spec.n_samples)[2]
 
 
-def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
-    """Convolve the fluctuation with the normalized exponential delay kernel.
-
-    Output length equals input length: the trace is extended by reflection
-    for one kernel length and cropped back; the guard grows by twice the
-    kernel half-width so transients never enter downstream statistics.
-    A kernel narrower than one sample degenerates to a pure integer delay.
-    """
-    n = len(trace.samples)
-    taps, k_min, guard_extra = delay_taps(params, trace.spec.sample_rate, n)
-    if guard_extra == 0:
-        return trace
-    if len(taps) == 1:
-        # Delta-kernel limit: pure delay by k_min samples.  A circular roll
-        # preserves the zero mean exactly; the wrapped samples fall inside the
-        # enlarged guard.
-        y = np.roll(trace.samples, k_min)  # y[i] = x[i - k_min]
-        return replace(trace, samples=y, guard=trace.guard + guard_extra)
-
-    k_max = k_min + len(taps) - 1
-    lpad, rpad = max(k_max, 0), max(-k_min, 0)
-    xp = np.pad(trace.samples, (lpad, rpad), mode="reflect")
-    # y[i] = sum_j taps[j] * x[i - (k_min + j)]; with xp[m] = x[m - lpad]
-    # this is the full convolution of xp with taps, offset by lpad - k_min.
-    n_fft = sfft.next_fast_len(len(xp) + len(taps) - 1, real=True)
-    y = sfft.irfft(sfft.rfft(xp, n_fft) * sfft.rfft(taps, n_fft), n_fft)
-    y = y[lpad - k_min : lpad - k_min + n]
-    # Reflection cropping leaks a small mean; the fluctuation stays DC-free.
-    y = y - y.mean()
-    return replace(trace, samples=y, guard=trace.guard + guard_extra)
-
-
 def _electronic_psd(rms: float, spec: DigitizerSpec):
     """PSD of detector noise of total rms ``rms`` (levels); None at zero rms.
 
@@ -165,40 +116,20 @@ def _electronic_psd(rms: float, spec: DigitizerSpec):
     return _white(psd)
 
 
-def apply_electronic_noise(trace: Trace, rms: float, seed) -> Trace:
-    """Add independent Gaussian detector noise of the given total rms (levels)."""
-    psd = _electronic_psd(rms, trace.spec)
-    if psd is None:
-        return trace
-    n = trace.spec.n_samples
-    noise = np.fft.irfft(noise_spectrum(np.random.default_rng(seed), trace.spec, psd), n)
-    return replace(trace, samples=trace.samples + noise)
-
-
-def _stage_seeds(seed: int) -> list[np.random.SeedSequence]:
-    """Seeds of the loss and electronic noises."""
-    return np.random.SeedSequence(seed).spawn(2)
-
-
-def apply_channel(pair: TracePair, params: ChannelParams, seed) -> TracePair:
-    """Loss, delay smearing, and electronic noise on arm a; arm b untouched."""
-    ss = _stage_seeds(seed)
-    a = apply_loss(pair.a, params.power_transmission, seed=ss[0])
-    a = apply_is_delay(a, params)
-    a = apply_electronic_noise(a, params.electronic_noise_rms, seed=ss[1])
-    return TracePair(a=a, b=pair.b)
-
-
 def kernel_response(params: ChannelParams, sample_rate: float, n: int,
                     bins: slice = slice(None)) -> np.ndarray:
     """DFT, at rfft bins ``bins`` of an n-sample record, of the kernel's taps placed circularly.
 
-    This is the frequency response of the circular form of ``apply_is_delay``:
-    a phase ramp in the delta-kernel limit.  It costs one pass over the bins
-    per tap, so ask only for the bins in use.
+    The delay's frequency response: a phase ramp in the delta-kernel limit.
+    Horner's rule costs one pass over the bins per tap, one rfft of the
+    placed taps about n log2 n; whichever is cheaper runs.
     """
     taps, k_min, _ = delay_taps(params, sample_rate, n)
     k = np.arange(*bins.indices(n // 2 + 1))
+    if len(taps) * len(k) > n * np.log2(n):
+        x = np.zeros(n)
+        x[(k_min + np.arange(len(taps))) % n] = taps
+        return sfft.rfft(x)[bins]
     w = np.exp(-2j * np.pi * k / n)
     h = np.zeros(len(k), dtype=np.complex128)
     for tap in taps[::-1]:   # Horner: sum_j taps[j] w^j
@@ -206,25 +137,62 @@ def kernel_response(params: ChannelParams, sample_rate: float, n: int,
     return h * np.exp(-2j * np.pi * ((k * k_min) % n) / n)
 
 
-def channel_spectrum(pair: PairRecipe, arm: np.ndarray, bins: slice,
-                     params: ChannelParams, seed) -> np.ndarray:
-    """``apply_channel``'s arm a of a generated pair, as its rfft over ``bins``.
+def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
+    """Circular convolution of the fluctuation with the normalized exponential delay kernel.
 
-    ``arm`` is the rfft of the pair's arm a over ``bins``.  Returns
-    H * (t * arm + L) + E: the loss noise L and the electronic noise E come
-    from the seeds ``apply_channel`` uses, and H is ``kernel_response``.
-    Checks what ``apply_channel`` checks; ``channel_guard`` gives the guard
-    the delay adds.
+    The guard grows by ``delay_taps``' guard, which covers the samples the
+    convolution wraps round the record's ends.  A kernel narrower than one
+    sample degenerates to a pure integer delay, done exactly by a roll.
     """
-    n, fs = pair.spec.n_samples, pair.spec.sample_rate
-    ss = _stage_seeds(seed)
+    n, fs = len(trace.samples), trace.spec.sample_rate
+    taps, k_min, guard_extra = delay_taps(params, fs, n)
+    if guard_extra == 0:
+        return trace
+    if len(taps) == 1:
+        y = np.roll(trace.samples, k_min)  # y[i] = x[i - k_min]
+    else:
+        y = sfft.irfft(sfft.rfft(trace.samples) * kernel_response(params, fs, n), n)
+    return replace(trace, samples=y, guard=trace.guard + guard_extra)
+
+
+def channel_spectrum(spec: DigitizerSpec, shot_psd: Optional[float], arm: np.ndarray,
+                     bins: slice, params: ChannelParams, seed) -> np.ndarray:
+    """The channel's arm a, as its rfft over ``bins`` on ``spec``'s record.
+
+    ``arm`` is the rfft of arm a over ``bins``, and ``shot_psd`` its shot
+    PSD.  Returns H * (t * arm + L) + E: the loss noise L and the electronic
+    noise E are drawn from two children of ``SeedSequence(seed)``, and H is
+    ``kernel_response``; a stage that does nothing is skipped, so with none
+    left ``arm`` itself is returned.  ``channel_guard`` gives the guard the
+    delay adds.
+    """
+    n, fs = spec.n_samples, spec.sample_rate
+    ss = np.random.SeedSequence(seed).spawn(2)
     t = params.power_transmission
-    loss = _loss_psd(t, pair.arms[0].shot_psd)
+    loss = _loss_psd(t, shot_psd)
     if loss is not None:
-        arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), pair.spec, loss, bins)
+        arm = t * arm + noise_spectrum(np.random.default_rng(ss[0]), spec, loss, bins)
     if delay_taps(params, fs, n)[2]:
         arm = kernel_response(params, fs, n, bins) * arm
-    electronic = _electronic_psd(params.electronic_noise_rms, pair.spec)
+    electronic = _electronic_psd(params.electronic_noise_rms, spec)
     if electronic is not None:
-        arm = arm + noise_spectrum(np.random.default_rng(ss[1]), pair.spec, electronic, bins)
+        arm = arm + noise_spectrum(np.random.default_rng(ss[1]), spec, electronic, bins)
     return arm
+
+
+def apply_channel(pair: TracePair, params: ChannelParams, seed) -> TracePair:
+    """The channel on arm a of a pair, over its whole rfft; arm b untouched.
+
+    Arm a's mean level and shot PSD scale by the transmission, and its guard
+    grows by the delay's.  A channel that does nothing returns ``pair``.
+    """
+    a = pair.a
+    x = sfft.rfft(a.samples)
+    y = channel_spectrum(a.spec, a.shot_psd, x, slice(None), params, seed)
+    if y is x:
+        return pair
+    t = params.power_transmission
+    guard = delay_taps(params, a.spec.sample_rate, a.spec.n_samples)[2]
+    a = replace(a, samples=sfft.irfft(y, a.spec.n_samples), mean_level=t * a.mean_level,
+                shot_psd=None if a.shot_psd is None else t * a.shot_psd, guard=a.guard + guard)
+    return TracePair(a=a, b=pair.b)

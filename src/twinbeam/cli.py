@@ -25,7 +25,8 @@ import numpy as np
 
 from .config import RunConfig, SCENARIO_CHOICES, check_seed, read_json
 from .design import matched_transmission
-from .dsp import FILTER_PAD, bandpass, check_segment, difference_spectrum, squeezing_spectrum
+from .dsp import (FILTER_PAD, bandpass, check_segment, check_segment_band, difference_spectrum,
+                  squeezing_spectrum)
 from .errors import ConfigError, DataError, FitError, TwinbeamError
 from .io import load_curve, load_trace, save_curve, save_spectrum, save_trace
 from .mi import mi_delay_scan, normalize_curve, scan_window
@@ -115,6 +116,7 @@ def _cmd_spectrum(args) -> int:
     pair = TracePair(a=load_trace(args.trace_a), b=load_trace(args.trace_b))
     config = _run_config(args)
     check_segment(config.segment_length, pair.a.spec.n_samples)
+    check_segment_band(config.segment_length, pair.a.spec.sample_rate, config.f_lo, config.f_hi)
     if args.ref_a is not None:
         ref = TracePair(a=load_trace(args.ref_a), b=load_trace(args.ref_b))
         est = difference_spectrum(pair, ref, segment_length=config.segment_length)

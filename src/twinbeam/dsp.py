@@ -38,6 +38,8 @@ __all__ = [
     "SpectrumEstimate",
     "SEGMENT_LENGTH",
     "welch_psd",
+    "check_segment",
+    "check_segment_band",
     "squeezing_spectrum",
     "difference_spectrum",
 ]
@@ -136,7 +138,7 @@ class SpectrumEstimate:
 
     def in_band_mean_db(self, f_lo: float, f_hi: float) -> float:
         """Ratio of band-averaged powers, in dB."""
-        sel = (self.frequencies >= f_lo) & (self.frequencies <= f_hi)
+        sel = _in_band(self.frequencies, f_lo, f_hi)
         if not np.any(sel):
             raise InvalidParams("band contains no spectral bins")
         return float(10.0 * np.log10(self.psd[sel].mean() / self.reference_psd[sel].mean()))
@@ -183,6 +185,22 @@ def check_segment(segment_length: int, n_samples: int) -> None:
         raise InvalidParams("segment_length must be a power of two")
     if segment_length > n_samples:
         raise InvalidParams("segment_length exceeds the trace length")
+
+
+def check_segment_band(segment_length: int, fs: float, f_lo: float, f_hi: float) -> None:
+    """Raise InvalidParams unless a bin of the Welch segment's grid lies in [f_lo, f_hi].
+
+    The bins are the multiples of fs / segment_length up to Nyquist, which
+    ``SpectrumEstimate.in_band_mean_db`` averages over the band.
+    """
+    if not np.any(_in_band(sfft.rfftfreq(segment_length, d=1.0 / fs), f_lo, f_hi)):
+        raise InvalidParams(f"band [{f_lo / 1e6:g}, {f_hi / 1e6:g}] MHz holds no bin of a "
+                            f"{segment_length}-sample Welch segment: its bins are "
+                            f"{fs / segment_length / 1e6:g} MHz apart, up to {fs / 2e6:g} MHz")
+
+
+def _in_band(freqs: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
+    return (freqs >= f_lo) & (freqs <= f_hi)
 
 
 def squeezing_spectrum(difference: np.ndarray, reference: np.ndarray, fs: float,

@@ -24,7 +24,8 @@ from . import io as tbio
 from .channel import channel_guard, channel_spectrum
 from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
-from .dsp import FILTER_PAD, band_bins, band_record, check_segment, squeezing_spectrum
+from .dsp import (FILTER_PAD, band_bins, band_record, check_segment, check_segment_band,
+                  squeezing_spectrum)
 from .errors import RecordTooShort, TwinbeamError
 from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve, scan_window
 from .model import fit_channel, fit_gaussian
@@ -134,15 +135,17 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     difference of the arms' spectra.  With an output directory,
     writes per-scenario curve CSVs, the squeezing spectrum CSV, and
     report.json.  Every stage runs, so before the first draw ``band_bins``
-    checks the band, ``check_segment`` the Welch segment, ``twin_recipe`` the
-    source on this record, ``channel_guard`` the channel on it and
-    ``mi.scan_window`` the scan, with the guards the scanned arms carry.
+    checks the band, ``check_segment`` and ``check_segment_band`` the Welch
+    segment, ``twin_recipe`` the source on this record, ``channel_guard`` the
+    channel on it and ``mi.scan_window`` the scan, with the guards the
+    scanned arms carry.
     """
     t0 = time.time()
     n, fs = config.spec.n_samples, config.spec.sample_rate
     band = band_bins(n, fs, config.f_lo, config.f_hi)
     bins = band[0]
     check_segment(config.segment_length, n)
+    check_segment_band(config.segment_length, fs, config.f_lo, config.f_hi)
     seeds = [config.seed + r for r in range(config.repeats)]
     # the twin recipe checks the source on this record before a channel is matched to it
     pair = twin_recipe(config.source, config.spec)
@@ -189,7 +192,8 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         fb = _record(config, band, b)
         runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
         if channel is not None:
-            arm = channel_spectrum(pair, a, bins, channel, seed + _SEED_OFFSETS["channel"])
+            arm = channel_spectrum(config.spec, pair.arms[0].shot_psd, a, bins, channel,
+                                   seed + _SEED_OFFSETS["channel"])
             runs[channel_name].append(_scan(config, _record(config, band, arm, guard_a), fb))
         del fb   # no scanned arm stays while the next pair's arms are made
         for name, split in splits.items():

@@ -6,9 +6,7 @@ from scipy import signal
 
 from twinbeam.channel import (
     apply_channel,
-    apply_electronic_noise,
     apply_is_delay,
-    apply_loss,
     channel_spectrum,
     delay_taps,
     discretize_kernel,
@@ -28,27 +26,37 @@ from conftest import make_trace
 F_LO, F_HI = 1.5e6, 3.5e6
 
 
+def _stage(t=1.0, rms=0.0):
+    """Channel settings of the loss and electronic stages only: the delay adds no guard."""
+    return ChannelParams(power_transmission=t, tau0=0.0, sigma=1e-13, electronic_noise_rms=rms)
+
+
+def _channel_arm(trace, params, seed):
+    """The channel's arm a of ``trace``: ``channel_spectrum`` over its whole rfft."""
+    return apply_channel(TracePair(a=trace, b=trace), params, seed).a
+
+
 class TestApplyLoss:
     def test_unit_transmission_identity(self, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=1)
-        out = apply_loss(pair.a, 1.0, seed=2)
+        out = _channel_arm(pair.a, _stage(1.0), seed=2)
         assert out is pair.a
 
     def test_invalid_transmission(self, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=1)
         for t in (0.0, -0.5, 1.5):
             with pytest.raises(InvalidParams, match=r"transmission must be in \(0, 1\]"):
-                apply_loss(pair.a, t, seed=2)
+                _channel_arm(pair.a, _stage(t), seed=2)
 
     def test_requires_shot_psd(self, small_spec):
         tr = make_trace(np.random.default_rng(0).standard_normal(small_spec.n_samples))
         with pytest.raises(InvalidParams):
-            apply_loss(tr, 0.5, seed=3)
+            _channel_arm(tr, _stage(0.5), seed=3)
 
     def test_scaling_and_added_noise_variance(self, mid_spec):
         pair = gen_twin(SourceParams(), mid_spec, seed=4)
         t = 0.14
-        out = apply_loss(pair.a, t, seed=5)
+        out = _channel_arm(pair.a, _stage(t), seed=5)
         added = out.samples - t * pair.a.samples
         expected_var = t * (1 - t) * pair.a.shot_psd * NOISE_BANDWIDTH_HZ
         assert added.var() == pytest.approx(expected_var, rel=0.02)
@@ -65,8 +73,8 @@ class TestApplyLoss:
         ratios = []
         for seed in range(4):
             pair = gen_twin(params, spec, seed=seed)
-            la = apply_loss(pair.a, t, seed=100 + seed)
-            lb = apply_loss(pair.b, t, seed=200 + seed)
+            la = _channel_arm(pair.a, _stage(t), seed=100 + seed)
+            lb = _channel_arm(pair.b, _stage(t), seed=200 + seed)
             f, p = welch_psd(la.samples - lb.samples, spec.sample_rate, 2 ** 13)
             sel = (f >= F_LO) & (f <= F_HI)
             shot_out = la.shot_psd + lb.shot_psd  # shot at the reduced powers
@@ -153,7 +161,8 @@ class TestKernel:
 
 
 class TestDelayConvolution:
-    """``apply_is_delay`` against scipy.signal.fftconvolve on a reflected record."""
+    """``apply_is_delay`` against scipy.signal.fftconvolve on a reflected record, inside the
+    guard, where neither the wrap nor the reflection reaches."""
 
     @pytest.mark.parametrize("params", [
         ChannelParams(tau0=32.7e-9, sigma=1e-6),   # 48 002 taps
@@ -172,7 +181,7 @@ class TestDelayConvolution:
         out = apply_is_delay(x, params)
         inner = slice(out.guard, n - out.guard)
         d = out.samples[inner] - want[inner]
-        # the records differ by a constant only: the mean their ends leak
+        # the records differ by at most a constant
         assert np.abs(d - d.mean()).max() < 1e-13 * np.abs(x.samples).max()
 
 
@@ -186,7 +195,8 @@ class TestKernelResponse:
         x = np.zeros(n)
         x[(k_min + np.arange(len(taps))) % n] = taps
         want = np.fft.rfft(x)
-        # Horner's rule over ~950 taps: 2e-14 measured against the FFT
+        # every bin: one rfft of the taps; 20 bins: Horner's rule over ~950 taps,
+        # 2e-14 measured against the FFT
         assert np.abs(kernel_response(params, fs, n) - want).max() < 1e-12
         bins = slice(10, 30)
         assert np.abs(kernel_response(params, fs, n, bins) - want[bins]).max() < 1e-12
@@ -205,7 +215,8 @@ class TestKernelResponse:
         arm = np.zeros(3, dtype=complex)
         wide = replace(ChannelParams(), sigma=small_spec.duration)
         with pytest.raises(InvalidParams, match="is comparable to the trace duration"):
-            channel_spectrum(recipe, arm, slice(10, 13), wide, seed=1)
+            channel_spectrum(small_spec, recipe.arms[0].shot_psd, arm, slice(10, 13), wide,
+                             seed=1)
         with pytest.raises(InvalidParams, match="is comparable to the trace duration"):
             apply_channel(recipe.traces(9), wide, seed=1)
 
@@ -213,11 +224,11 @@ class TestKernelResponse:
 class TestElectronicNoise:
     def test_zero_rms_identity(self, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=12)
-        assert apply_electronic_noise(pair.a, 0.0, seed=13) is pair.a
+        assert _channel_arm(pair.a, _stage(rms=0.0), seed=13) is pair.a
 
     def test_rms_magnitude(self, mid_spec):
         pair = gen_twin(SourceParams(), mid_spec, seed=14)
-        out = apply_electronic_noise(pair.a, 3.0, seed=15)
+        out = _channel_arm(pair.a, _stage(rms=3.0), seed=15)
         added = out.samples - pair.a.samples
         assert np.sqrt(added.var()) == pytest.approx(3.0, rel=0.02)
 
@@ -226,7 +237,7 @@ class TestElectronicNoise:
         fb = bandpass(pair.b, F_LO, F_HI)
         peaks = []
         for rms in (0.0, 2.0, 6.0):
-            na = apply_electronic_noise(pair.a, rms, seed=17)
+            na = _channel_arm(pair.a, _stage(rms=rms), seed=17)
             fa = bandpass(na, F_LO, F_HI)
             peaks.append(mi_delay_scan(TracePair(a=fa, b=fb), range_=10e-9).peak)
         assert peaks[0] > peaks[1] > peaks[2]
@@ -241,7 +252,7 @@ class TestElectronicNoise:
         other = gen_twin(SourceParams(), mid_spec, seed=73)
         big = 100.0 * float(np.sqrt(pair.a.samples.var()))
 
-        na = apply_electronic_noise(pair.a, big, seed=71)
+        na = _channel_arm(pair.a, _stage(rms=big), seed=71)
         fa = bandpass(na, F_LO, F_HI)
         fb = bandpass(pair.b, F_LO, F_HI)
         noisy = mi_delay_scan(TracePair(a=fa, b=fb), range_=30e-9)
@@ -283,11 +294,10 @@ class TestApplyChannel:
         def peak(order):
             a = pair.a
             if order == "loss-first":
-                a = apply_loss(a, params.power_transmission, seed=25)
-                a = apply_is_delay(a, params)
+                a = _channel_arm(a, params, seed=25)
             else:
                 a = apply_is_delay(a, params)
-                a = apply_loss(a, params.power_transmission, seed=25)
+                a = _channel_arm(a, _stage(params.power_transmission), seed=25)
             fa = bandpass(a, F_LO, F_HI)
             fb = bandpass(pair.b, F_LO, F_HI)
             return mi_delay_scan(TracePair(a=fa, b=fb), range_=60e-9).peak

@@ -82,7 +82,8 @@ def recorded():
     data = json.loads(DIGESTS.read_text())
     if data["versions"] != VERSIONS:
         pytest.fail(f"{DIGESTS.name} was taken with {data['versions']}, but this run has "
-                    f"{VERSIONS}: rewrite them at these versions from a commit whose outputs are trusted")
+                    f"{VERSIONS}: rewrite it at these versions from a commit whose outputs "
+                    "are trusted")
     return data
 
 

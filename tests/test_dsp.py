@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from twinbeam.dsp import SpectrumEstimate, band_mask, bandpass, difference_spectrum, welch_psd
+from twinbeam.dsp import (SpectrumEstimate, band_mask, bandpass, check_segment_band,
+                          difference_spectrum, welch_psd)
 from twinbeam.errors import InvalidParams
 from twinbeam.source import gen_split_coherent, gen_twin
 from twinbeam.trace import SourceParams, TracePair
@@ -132,6 +133,32 @@ class TestWelchPsd:
     def test_refuses_a_bad_segment(self, seg):
         with pytest.raises(InvalidParams):
             welch_psd(np.ones(1000), 2.0e9, seg)
+
+
+class TestCheckSegmentBand:
+    # a 64-sample segment at 2 GS/s has bins every 31.25 MHz
+    @pytest.mark.parametrize("band", [(31e6, 40e6), (20e6, 32e6), (1e6, 1000e6)])
+    def test_a_bin_in_the_band_passes(self, band):
+        check_segment_band(64, 2e9, *band)
+
+    @pytest.mark.parametrize("band", [(1.5e6, 3.5e6), (31.3e6, 62.4e6), (1001e6, 1100e6)])
+    def test_no_bin_in_the_band_refused(self, band):
+        with pytest.raises(InvalidParams, match="holds no bin of a 64-sample Welch segment"):
+            check_segment_band(64, 2e9, *band)
+
+    def test_agrees_with_the_estimate(self):
+        # the rule passes exactly the bands whose mean the estimate can take
+        x = np.random.default_rng(3).standard_normal(4096)
+        est = difference_spectrum(TracePair(a=make_trace(x), b=make_trace(0.5 * x)),
+                                  TracePair(a=make_trace(x), b=make_trace(-x)), segment_length=64)
+        for band in [(31.25e6, 40e6), (31.3e6, 62.4e6), (1.5e6, 3.5e6), (990e6, 999e6)]:
+            try:
+                check_segment_band(64, 2e9, *band)
+            except InvalidParams:
+                with pytest.raises(InvalidParams, match="band contains no spectral bins"):
+                    est.in_band_mean_db(*band)
+            else:
+                est.in_band_mean_db(*band)
 
 
 class TestDifferenceSpectrum:

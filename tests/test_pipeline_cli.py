@@ -486,6 +486,30 @@ class TestCli:
         assert main([*argv, "--bins", "1"]) == 2
         assert "n_bins must be >= 2, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--segment", "64"], ["--band-mhz", "2000:3000"]],
+                             ids=["segment-64", "band-past-nyquist"])
+    def test_spectrum_band_without_a_segment_bin_exits_2_before_drawing(self, flags, tmp_path,
+                                                                        monkeypatch, capsys):
+        a, b, out = tmp_path / "a.twbm", tmp_path / "b.twbm", tmp_path / "s.csv"
+        assert main(["simulate", "--n-samples", "70000", "--out-a", str(a),
+                     "--out-b", str(b)]) == 0
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["spectrum", "--trace-a", str(a), "--trace-b", str(b), *flags,
+                     "--out", str(out)]) == 2
+        assert "holds no bin of a" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipeline_band_without_a_segment_bin_exits_2_before_drawing(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps({"segment_length": 64, "scenario": "twin",
+                                    "range_ns": 150, "digitizer": {"n_samples": 2 ** 20}}))
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(["pipeline", "--config", str(path), "--outdir", str(out)]) == 2
+        assert ("band [1.5, 3.5] MHz holds no bin of a 64-sample Welch segment: its bins "
+                "are 31.25 MHz apart" in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, d", FLAG_CASES, ids=[f"{a[0]} {a[-2]}" for a, _ in FLAG_CASES])
     def test_flag_equals_json_key(self, argv, d):
         args = cli.build_parser().parse_args(argv)
