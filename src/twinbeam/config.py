@@ -117,7 +117,7 @@ def _load(cls, d, table, where: str):
                 if not (isinstance(d[key], list) and len(d[key]) == len(name)):
                     raise ConfigError(f"{key} must be a list of {len(name)} numbers")
                 kw.update(zip(name, map(into, d[key])))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where} key {key}: {exc}") from exc
     return cls(**kw)
 

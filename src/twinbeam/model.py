@@ -152,9 +152,8 @@ def _quad_panels(t: np.ndarray, tau0: float, sigma: float, sigma0: float,
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     x = mid[:, :, None] + half[:, :, None] * xi[None, None, :]
-    fx = np.exp(-0.5 * ((t[:, None, None] - x) / sigma0) ** 2) \
-        * np.exp(-np.abs(x - tau0) / sigma)
-    return np.einsum("ijk,ij,k->i", fx, half, wi) / (2.0 * sigma)
+    fx = gaussian_g(t[:, None, None] - x, sigma0) * exp_kernel_p(x, tau0, sigma)
+    return np.einsum("ijk,ij,k->i", fx, half, wi)
 
 
 def G_numeric(t, eta: float, tau0: float, sigma: float, sigma0: float):

@@ -10,7 +10,7 @@ periodic: it is the inverse rfft of its spectrum on the record's own grid.
 ``PairRecipe`` is a pair's noise model, built once and drawn per seed: its
 independent noises' PSDs and each arm's weights on them; ``RECIPES`` names
 the recipe of each generator (``twin``, ``split-thermal``, ``split-coherent``).
-``PairRecipe.traces`` synthesizes a seed's records, one irfft per noise
+``PairRecipe.traces`` synthesizes a seed's records, one irfft per arm
 (``gen_*`` return it); ``noise_spectra`` and ``arm_spectra`` give the same
 records' spectra over a slice of bins from the same draws, so a caller that
 filters, delays or differences generated records can do so on the spectrum
@@ -216,16 +216,16 @@ class PairRecipe:
         return np.fft.irfft(_mix([x - y for x, y in zip(wa, wb)], spectra), self.spec.n_samples)
 
     def traces(self, seed: int) -> TracePair:
-        """The records ``seed`` draws, one irfft per noise; see ``twin_recipe`` for the check."""
+        """The records ``seed`` draws, one irfft per arm; see ``twin_recipe`` for the check."""
         for arm, rms in zip(self.arms, self.arm_rms):
             if not holds_mean(rms):
                 raise InvalidParams(f"arm {arm.label} of full-band rms up to {rms:.3g} levels "
                                     f"cannot hold its mean within {DC_TOLERANCE:g} "
                                     "levels in float64: sigma0, excess_noise_db or the power "
                                     "ratio is too large for a full-band record")
-        records = [np.fft.irfft(x, self.spec.n_samples) for x in self.noise_spectra(seed)]
-        a, b = (Trace(samples=_mix(w, records), spec=self.spec, **arm._asdict())
-                for w, arm in zip(self.weights, self.arms))
+        a, b = (Trace(samples=np.fft.irfft(x, self.spec.n_samples), spec=self.spec,
+                      **arm._asdict())
+                for x, arm in zip(self.arm_spectra(self.noise_spectra(seed)), self.arms))
         return TracePair(a=a, b=b)
 
 

@@ -1,8 +1,9 @@
 """Byte identity of the program's outputs, against sha256 digests in digests.json.
 
 A change that moves an output on purpose rewrites the digests in the same
-commit (``python tests/test_digests.py`` rewrites digests.json) and
-says which outputs moved, by how much and why.  numpy does not promise that a
+commit (``python tests/test_digests.py`` rewrites digests.json and prints
+each section/name whose digest changed) and says which outputs moved, by how
+much and why.  numpy does not promise that a
 ``Generator``'s streams stay the same across releases, so the file records
 the numpy and scipy versions the digests were taken with, and a mismatch
 fails with both versions named.
@@ -95,8 +96,13 @@ def test_outputs_are_byte_identical(section, recorded, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(DIGESTS.read_text())
     data = {"versions": VERSIONS}
     for section, digests in SECTIONS.items():
         with tempfile.TemporaryDirectory() as tmp:
             data[section] = digests(Path(tmp))
     DIGESTS.write_text(json.dumps(data, indent=2) + "\n")
+    moved = [f"{section}/{name}" for section in SECTIONS
+             for name in {**old.get(section, {}), **data[section]}
+             if old.get(section, {}).get(name) != data[section].get(name)]
+    print("\n".join(moved) or "unchanged")

@@ -586,6 +586,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["pipeline", "--seed"], "config key seed"),
+        (["pipeline", "--repeats"], "config key repeats"),
+        (["pipeline", "--bins"], "config key bins"),
+        (["simulate", "--out-a", "a.twbm", "--out-b", "b.twbm", "--n-samples"],
+         "digitizer key n_samples"),
+        ({"source": {"sigma0_ns": 10 ** 400}}, "source key sigma0_ns"),
+    ], ids=["seed", "repeats", "bins", "n_samples", "sigma0_ns"])
+    def test_integer_too_large_for_a_float_exits_2(self, argv, key, tmp_path, monkeypatch,
+                                                    capsys):
+        # a 401-digit value is an int that float() cannot hold
+        monkeypatch.chdir(tmp_path)
+        if isinstance(argv, dict):
+            (tmp_path / "c.json").write_text(json.dumps(argv))
+            argv = ["pipeline", "--config", "c.json"]
+        else:
+            argv = [*argv, str(10 ** 400)]
+        monkeypatch.setattr(source, "noise_spectrum", pytest.fail)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: int too large to convert to float" in err and "Traceback" not in err
+        assert not any(tmp_path.glob("*.twbm"))
+
     def test_widest_drawable_sigma0_reaches_the_draws(self, monkeypatch, capsys):
         # past 2767 ns the shared PSD's per-bin scale overflows on 4e6 samples
         _stub_first_draw(monkeypatch)
