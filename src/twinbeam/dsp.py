@@ -41,6 +41,7 @@ __all__ = [
     "check_segment",
     "check_segment_band",
     "squeezing_spectrum",
+    "squeezing_estimate",
     "difference_spectrum",
 ]
 
@@ -207,12 +208,18 @@ def squeezing_spectrum(difference: np.ndarray, reference: np.ndarray, fs: float,
                        segment_length: int) -> SpectrumEstimate:
     """PSD of an intensity-difference record against a reference difference record.
 
-    The squeezing curve is the dB ratio of the two Welch estimates.  The
-    reference is normally the difference of an independent coherent pair at
-    matched powers (the shot-noise level).
+    ``squeezing_estimate`` of the two Welch estimates.  The reference is
+    normally the difference of an independent coherent pair at matched
+    powers (the shot-noise level).
     """
-    freqs, psd = welch_psd(difference, fs, segment_length)
-    _, ref = welch_psd(reference, fs, segment_length)
+    return squeezing_estimate(welch_psd(difference, fs, segment_length),
+                              welch_psd(reference, fs, segment_length))
+
+
+def squeezing_estimate(welch, reference_welch) -> SpectrumEstimate:
+    """The squeezing curve: the dB ratio of two ``welch_psd`` results on one grid."""
+    freqs, psd = welch
+    ref = reference_welch[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         curve = 10.0 * np.log10(np.where(ref > 0, psd / np.where(ref > 0, ref, 1.0), np.nan))
     return SpectrumEstimate(

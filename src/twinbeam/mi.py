@@ -68,6 +68,7 @@ __all__ = [
     "normalize_curve",
     "fwhm",
     "miller_madow_correction",
+    "usable_cores",
 ]
 
 
@@ -357,16 +358,25 @@ def _walk_tables(ib, bp, mm):
 _BLOCK_WORK = 100_000_000
 
 
+def usable_cores() -> int:
+    """Cores this process may run on; 1, so every stage runs serially, without
+    ``os.fork`` or ``os.sched_getaffinity``.
+
+    The one count of the package's parallel stages: the scan's forked shift
+    blocks here and ``source``'s noise draws on threads.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _blocks(n_shifts: int, work: float) -> list[int]:
     """Bounds of contiguous shift blocks, as near equal in size as they go.
 
     One block per usable core, but no more than there are shifts or than
-    ``work`` holds ``_BLOCK_WORK``; a single block on a platform without
-    ``os.fork`` or ``os.sched_getaffinity``.
+    ``work`` holds ``_BLOCK_WORK``.
     """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return [0, n_shifts]
-    k = max(1, min(len(os.sched_getaffinity(0)), n_shifts, int(work // _BLOCK_WORK)))
+    k = max(1, min(usable_cores(), n_shifts, int(work // _BLOCK_WORK)))
     return [n_shifts * i // k for i in range(k + 1)]
 
 

@@ -25,11 +25,11 @@ from .channel import channel_guard, channel_spectrum
 from .config import RunConfig, SCENARIOS
 from .design import matched_transmission
 from .dsp import (FILTER_PAD, band_bins, band_record, check_segment, check_segment_band,
-                  squeezing_spectrum)
+                  squeezing_estimate, welch_psd)
 from .errors import RecordTooShort, TwinbeamError
 from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve, scan_window
 from .model import fit_channel, fit_gaussian
-from .source import RECIPES, shot_noise_reference, twin_recipe
+from .source import RECIPES, shot_noise_recipe, twin_recipe
 from .trace import ChannelParams, MICurve, Trace, TracePair
 
 # The time-domain stages, which run_pipeline replaces by spectra; the
@@ -118,11 +118,14 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     unobstructed curve and, when the scenario has one, the channel curve:
     the channel acts on arm a only, so both curves are scanned against the
     same band-passed arm b.  Each split curve draws its own pair
-    (``source.RECIPES``).  The first seed's twin noises are drawn on every
-    rfft bin, not only the band's: its raw difference record gives the
+    (``source.RECIPES``).  The first seed's raw difference record gives the
     squeezing spectrum, so the spectrum needs no pair of its own beyond the
-    shot-noise reference at the twin arms' shot PSDs.  Every draw but the
-    twin pair's is seeded at its offset in ``_SEED_OFFSETS``.
+    shot-noise reference at the twin arms' shot PSDs: the twin noises that
+    do not cancel in a - b are drawn on every rfft bin, the shared one over
+    the band only, and the reference's noises are drawn on a worker thread
+    while this one forms the twin difference record and its Welch estimate.
+    Every draw but the twin pair's is seeded at its offset in
+    ``_SEED_OFFSETS``.
 
     Generated records are periodic, so no record is made only to be
     filtered: each scanned arm is formed as its spectrum over the band's rfft
@@ -178,14 +181,18 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     runs = {name: [] for name in ("twin-unobstructed", channel_name, *split_names) if name}
     for seed in seeds:
         if seed == seeds[0]:
-            spectra = pair.noise_spectra(seed)
-            difference = pair.difference(spectra)
-            # free the full spectra before the shot-noise reference is drawn
-            spectra = [x[bins].copy() for x in spectra]
-            shots = [arm.shot_psd for arm in pair.arms]
-            est = squeezing_spectrum(difference, shot_noise_reference(
-                config.spec, shots, seed + _SEED_OFFSETS["reference"]), fs, config.segment_length)
-            del difference
+            # a noise that cancels in a - b is drawn over the band only
+            drawn = [bins if x == y else slice(None) for x, y in zip(*pair.weights)]
+            full = pair.noise_spectra(seed, drawn)
+            spectra = [x if b is bins else x[bins].copy() for x, b in zip(full, drawn)]
+            ref = shot_noise_recipe(config.spec, [arm.shot_psd for arm in pair.arms])
+            ref_spectra, twin_welch = ref.noise_spectra_beside(
+                seed + _SEED_OFFSETS["reference"],
+                lambda: welch_psd(pair.difference(full), fs, config.segment_length))
+            del full   # no full spectrum stays while the arms are made
+            est = squeezing_estimate(twin_welch, welch_psd(ref.difference(ref_spectra), fs,
+                                                           config.segment_length))
+            del ref_spectra
         else:
             spectra = pair.noise_spectra(seed, bins)
         a, b = pair.arm_spectra(spectra)

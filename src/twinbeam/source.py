@@ -16,6 +16,13 @@ records' spectra over a slice of bins from the same draws, so a caller that
 filters, delays or differences generated records can do so on the spectrum
 and inverse-transform each result once (``pipeline.run_pipeline`` does).
 
+A recipe draws its noises on one thread per usable core (``_draw``), or on
+one worker thread beside other work (``noise_spectra_beside``).  Each noise
+draws from its own ``Generator``, so no value depends on the thread count.
+The calling thread allocates every buffer a worker fills and keeps every
+FFT; each thread is joined before the call returns, so none is alive when a
+scan forks its shift blocks (``mi``), and one usable core starts none.
+
 Model structure for the twin pair:
 
 * a shared fluctuation s(t) enters both arms identically, so the intensity
@@ -47,15 +54,17 @@ bias floor.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .dsp import rfft_freqs
 from .errors import InvalidParams
+from .mi import usable_cores
 from .trace import DC_TOLERANCE, DigitizerSpec, SourceParams, Trace, TracePair, holds_mean
 
 __all__ = [
@@ -70,6 +79,7 @@ __all__ = [
     "split_thermal_recipe",
     "split_coherent_recipe",
     "RECIPES",
+    "shot_noise_recipe",
     "shot_noise_reference",
     "gen_twin",
     "gen_split_thermal",
@@ -89,6 +99,10 @@ _BAND_GRID = np.linspace(DESIGN_BAND[0], DESIGN_BAND[1], 2001)
 NOTCH_DEPTH = 0.9
 NOTCH_SIGMA_HZ = 0.6e6
 NOTCH_CENTER_HZ = 2.5e6
+# Bins that noise_spectrum draws and scales at a time: a chunk's scratch and
+# temporaries stay in a core's L2 cache, and a draw thread takes the GIL back
+# only a few times per chunk (at 2^13 bins, two threads drew no faster than one).
+_CHUNK = 1 << 15
 # Mean record level of the probe arm (8-bit mid-scale).
 MEAN_LEVEL_A = 128.0
 # Low-pass corner of the thermal-like split-conjugate process.
@@ -138,26 +152,104 @@ def _shared_scale(params: SourceParams, shot_a: float, shot_b: float) -> float:
 
 def noise_spectrum(rng: np.random.Generator, spec: DigitizerSpec,
                    psd: Callable[[np.ndarray], np.ndarray],
-                   bins: slice = slice(None)) -> np.ndarray:
+                   bins: slice = slice(None), out: Optional[np.ndarray] = None,
+                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """rfft bins ``bins`` of zero-mean Gaussian noise of one-sided PSD psd(f) on ``spec``'s record.
 
     Every bin's deviate is drawn whichever bins are returned, so a slice
     equals the same slice of the full spectrum and leaves ``rng`` in the same
-    state.  ``bins`` is a slice with unit step.
+    state.  ``bins`` is a slice with unit step.  The spectrum is written to
+    ``out`` (complex, one element per returned bin) and the normals drawn
+    into ``scratch`` (float64), both made here when not given; the draws and
+    the PSD scaling go ``len(scratch)`` bins at a time, so ``psd`` must act
+    elementwise, and no record-sized temporary is made.
     """
     n = spec.n_samples
     m = n // 2 + 1
     start, stop, _ = bins.indices(m)
-    re, im = rng.standard_normal(m), rng.standard_normal(m)
-    z = np.empty(len(range(start, stop)), dtype=np.complex128)
-    z.real, z.imag = re[bins], im[bins]
+    z = np.empty(len(range(start, stop)), dtype=np.complex128) if out is None else out
+    scratch = np.empty(min(_CHUNK, m)) if scratch is None else scratch
+    step = len(scratch)
+    for part in (z.real, z.imag):
+        for lo in range(0, m, step):
+            x = rng.standard_normal(out=scratch[:min(step, m - lo)])
+            a, b = max(lo, start), min(lo + step, stop)
+            if a < b:
+                part[a - start:b - start] = x[a - lo:b - lo]
     if start == 0:
         z[0] = 0.0  # zero-mean record
     if n % 2 == 0 and stop == m:
         z[-1] = np.sqrt(2.0) * z[-1].real
-    z *= np.sqrt(spec.bin_scale(np.maximum(psd(rfft_freqs(n, spec.sample_rate, bins)), 0.0)))
-    z /= np.sqrt(2.0)
+    for lo in range(start, stop, step):
+        chunk = z[lo - start:min(lo + step, stop) - start]
+        f = rfft_freqs(n, spec.sample_rate, slice(lo, lo + len(chunk)))
+        chunk *= np.sqrt(spec.bin_scale(np.maximum(psd(f), 0.0)))
+        chunk /= np.sqrt(2.0)
     return z
+
+
+def _draw(spec: DigitizerSpec, draws: list[tuple], lanes: int,
+          work: Optional[Callable[[], object]] = None):
+    """``noise_spectrum`` on ``spec`` of each (SeedSequence, psd, bins) of ``draws``, in
+    order, and what ``work()`` returned.
+
+    The draws are dealt round robin to ``lanes`` lanes.  This thread
+    allocates every spectrum and one scratch chunk per lane; a lane on
+    another thread, started and joined here (``_beside``), only fills those
+    buffers, so no record-sized allocation lands in a worker thread's malloc
+    arena.  Without ``work`` this thread runs lane 0; with it, every lane
+    runs on a thread of its own while this one runs ``work``.
+    ``noise_spectrum`` is looked up at each call.
+    """
+    m = spec.n_samples // 2 + 1
+    spectra = [np.empty(len(range(*bins.indices(m))), dtype=np.complex128)
+               for _, _, bins in draws]
+
+    def lane(i: int, scratch: np.ndarray) -> None:
+        for j in range(i, len(draws), lanes):
+            ss, psd, bins = draws[j]
+            spectra[j] = noise_spectrum(np.random.default_rng(ss), spec, psd, bins,
+                                        spectra[j], scratch)
+
+    tasks = [partial(lane, i, np.empty(min(_CHUNK, m))) for i in range(lanes)]
+    result = _beside(tasks, tasks.pop(0) if work is None else work)
+    return spectra, result
+
+
+def _beside(tasks: list[Callable[[], None]], main: Callable[[], object]):
+    """``main()`` on this thread while each of ``tasks`` runs on a thread of its own.
+
+    Every thread is joined before this returns or raises, so none is alive
+    at a later fork (``mi``'s shift blocks); none is kept for a later call.
+    An error of ``main``, else the first task's, is raised here as it was
+    raised.  With one usable core no thread starts: ``main`` runs, then
+    each task.
+    """
+    if usable_cores() == 1:
+        result = main()
+        for task in tasks:
+            task()
+        return result
+    errors = []
+
+    def run(task):
+        try:
+            task()
+        except BaseException as exc:   # raised again in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for task in tasks:
+            threads.append(threading.Thread(target=run, args=(task,)))
+            threads[-1].start()
+        result = main()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return result
 
 
 def _white(level: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -198,22 +290,50 @@ class PairRecipe:
         if NOISE_BANDWIDTH_HZ > 0.5 * self.spec.sample_rate:
             raise InvalidParams("noise bandwidth exceeds Nyquist")
 
-    def noise_spectra(self, seed: int, bins: slice = slice(None)) -> list[np.ndarray]:
-        """Each noise's rfft over ``bins`` at ``seed``: every normal of the pair drawn once."""
-        return [noise_spectrum(np.random.default_rng(ss), self.spec, psd, bins) for ss, psd
-                in zip(np.random.SeedSequence(seed).spawn(len(self.noises)), self.noises)]
+    def noise_spectra(self, seed: int, bins=slice(None)) -> list[np.ndarray]:
+        """Each noise's rfft at ``seed``: every normal of the pair drawn once, on ``_draw``'s threads.
+
+        Over ``bins``, or for a sequence of slices over ``bins[i]`` for noise i.
+        """
+        return _draw(self.spec, self._draws(seed, bins),
+                     min(usable_cores(), len(self.noises)))[0]
+
+    def noise_spectra_beside(self, seed: int, work: Callable[[], object]):
+        """``noise_spectra(seed)`` drawn on one worker thread while ``work()`` runs on this one.
+
+        Returns the spectra and what ``work`` returned; see ``_draw``.
+        """
+        return _draw(self.spec, self._draws(seed, slice(None)), 1, work)
+
+    def _draws(self, seed: int, bins) -> list[tuple]:
+        """Each noise's (SeedSequence, psd, bins), as ``_draw`` takes them."""
+        per_noise = [bins] * len(self.noises) if isinstance(bins, slice) else bins
+        return list(zip(np.random.SeedSequence(seed).spawn(len(self.noises)), self.noises,
+                        per_noise))
 
     def arm_spectra(self, spectra: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Arms a and b as spectra, from ``noise_spectra`` over any bins."""
         return _mix(self.weights[0], spectra), _mix(self.weights[1], spectra)
 
     def difference(self, spectra: list[np.ndarray]) -> np.ndarray:
-        """The record a - b from the full ``noise_spectra()``: one irfft.
+        """The record a - b from ``noise_spectra``: one irfft, over the spectra's own memory.
 
-        A noise both arms carry with equal weight cancels exactly.
+        A noise both arms carry with equal weight cancels exactly, so it may
+        be drawn over any bins; every other noise is drawn over all of them.
+        Consumes ``spectra``: the mix is summed in place into the first noise
+        it takes (the same sums, in the same order, as ``arm_spectra``), and
+        the record is written over the memory of another.
         """
         wa, wb = self.weights
-        return np.fft.irfft(_mix([x - y for x, y in zip(wa, wb)], spectra), self.spec.n_samples)
+        terms = [(x - y, z) for x, y, z in zip(wa, wb, spectra) if x != y]
+        for w, z in terms:
+            if w != 1.0:
+                np.multiply(w, z, out=z)
+        acc, *rest = [z for _, z in terms]
+        for z in rest:
+            np.add(acc, z, out=acc)
+        out = rest[-1].view(np.float64)[:self.spec.n_samples] if rest else None
+        return np.fft.irfft(acc, self.spec.n_samples, out=out)
 
     def traces(self, seed: int) -> TracePair:
         """The records ``seed`` draws, one irfft per arm; see ``twin_recipe`` for the check."""
@@ -303,13 +423,17 @@ RECIPES = {"twin": twin_recipe, "split-thermal": split_thermal_recipe,
            "split-coherent": split_coherent_recipe}
 
 
-def shot_noise_reference(spec: DigitizerSpec, shot_psds, seed: int) -> np.ndarray:
-    """A pair's shot-noise level: the a - b record of a coherent pair at its arms' shot PSDs.
+def shot_noise_recipe(spec: DigitizerSpec, shot_psds) -> PairRecipe:
+    """A pair's shot-noise reference: a coherent pair at its arms' shot PSDs.
 
-    ``split_coherent_recipe``'s two white noises at ``shot_psds``, drawn from
-    ``seed``, with one irfft of their difference.
+    ``split_coherent_recipe``'s two white noises at ``shot_psds``.
     """
-    ref = _coherent_pair(spec, *(Arm("shot-noise reference", 0.0, shot) for shot in shot_psds))
+    return _coherent_pair(spec, *(Arm("shot-noise reference", 0.0, shot) for shot in shot_psds))
+
+
+def shot_noise_reference(spec: DigitizerSpec, shot_psds, seed: int) -> np.ndarray:
+    """A pair's shot-noise level: the a - b record of ``shot_noise_recipe`` drawn from ``seed``."""
+    ref = shot_noise_recipe(spec, shot_psds)
     return ref.difference(ref.noise_spectra(seed))
 
 

@@ -345,6 +345,17 @@ class TestDelayScan:
         _split_every_scan(monkeypatch, 1)
         assert np.array_equal(mi_delay_scan(pair, range_=2e-9).mi, tiny.mi)
 
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_block_without_fork_or_affinity(self, missing, monkeypatch):
+        # usable_cores, which the scan's blocks and source's draw threads
+        # read, is 1 where either call is missing
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert mi.usable_cores() == 3
+        assert mi._blocks(1201, 1e12) == [0, 400, 800, 1201]
+        monkeypatch.delattr(os, missing)
+        assert mi.usable_cores() == 1
+        assert mi._blocks(1201, 1e12) == [0, 1201]
+
 
 def _scan_records(record, n):
     """x and y of the pairs the delay-scan tests walk, before any sentinel.

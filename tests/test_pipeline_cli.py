@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import twinbeam
 import twinbeam.cli as cli
+import twinbeam.mi as mi
 import twinbeam.pipeline as pipeline
 import twinbeam.source as source
 from twinbeam.channel import apply_channel, delay_taps
@@ -19,7 +21,7 @@ from twinbeam.config import SCENARIOS, RunConfig
 from twinbeam.errors import ConfigError, RecordTooShort
 from twinbeam.io import load_trace, save_curve
 from twinbeam.pipeline import default_channel, run_pipeline, scatterer_only_channel
-from twinbeam.dsp import FILTER_PAD, bandpass
+from twinbeam.dsp import FILTER_PAD, band_bins, bandpass
 from twinbeam.mi import mi_delay_scan
 from twinbeam.source import gen_split_coherent, gen_split_thermal, gen_twin
 from twinbeam.trace import ChannelParams, DigitizerSpec, MICurve, SourceParams, Trace, TracePair
@@ -885,13 +887,15 @@ class TestPerSeedDataflow:
                      spec=DigitizerSpec(n_samples=2 ** 21)),
     ], ids=["scatterer-only", "all"])
     def test_one_generation_per_seed_and_one_filter_per_record(self, monkeypatch, cfg):
-        draws, records = [], []
+        draws, records, covered = [], [], {}
         real_draw, real_record = source.noise_spectrum, pipeline.band_record
+        m = cfg.spec.n_samples // 2 + 1
 
-        def counting_draw(rng, *args, **kwargs):
+        def counting_draw(rng, spec, psd, bins, *args):
             ss = rng.bit_generator.seed_seq
             draws.append((ss.entropy, ss.spawn_key))
-            return real_draw(rng, *args, **kwargs)
+            covered[draws[-1]] = len(range(*bins.indices(m)))
+            return real_draw(rng, spec, psd, bins, *args)
 
         def counting_record(*args):
             out = real_record(*args)
@@ -926,6 +930,18 @@ class TestPerSeedDataflow:
                      for name, k in (("split-thermal", 3), ("split-coherent", 2))
                      for i in range(k)]
             assert [draws.count(d) for d in split] == [1] * len(split)
+        # The first seed's a - b needs every rfft bin of the twin noises whose
+        # difference weight is nonzero (each arm's own), and the band of the
+        # shared one, which cancels; its shot-noise reference needs every bin
+        # of both noises.  Every other draw covers the band only.
+        band = len(range(*band_bins(cfg.spec.n_samples, cfg.spec.sample_rate,
+                                    cfg.f_lo, cfg.f_hi)[0].indices(m)))
+        ref = seeds[0] + pipeline._SEED_OFFSETS["reference"]
+        first = {(seeds[0], (0,)): band, (seeds[0], (1,)): m, (seeds[0], (2,)): m,
+                 (ref, (0,)): m, (ref, (1,)): m}
+        assert band < m
+        assert {d: covered[d] for d in first} == first
+        assert {covered[d] for d in covered if d not in first} == {band}
         arms = {_digest(arm.samples) for pair in scanned for arm in (pair.a, pair.b)}
         assert len(set(records)) == len(records)
         assert arms == set(records)
@@ -959,6 +975,48 @@ class TestPerSeedDataflow:
         assert np.abs(got.mi - want.mi).max() < 5e-5
         assert report["scenarios"]["twin-channel"]["peak_bits"] == pytest.approx(
             want.peak, abs=5e-5)
+
+
+class TestThreads:
+    """Noise draws run on threads that their stage starts and joins: no thread
+    is alive when a scan forks its shift blocks, and one usable core starts
+    none.  The outputs do not depend on the core count."""
+
+    def _outputs(self, tmp_path, monkeypatch, cores):
+        # one shift block per core, however little work a scan holds
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(mi, "_BLOCK_WORK", 1)
+        started, forks = [], []
+        start, fork = threading.Thread.start, os.fork
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def checked_fork():
+            assert threading.active_count() == 1
+            forks.append(cores)
+            return fork()
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(os, "fork", checked_fork)
+        cfg = small_config(scenario="all", repeats=2, delay_range=150e-9,
+                           spec=DigitizerSpec(n_samples=2 ** 20))
+        report = run_pipeline(cfg)
+        report.pop("timing")
+        a, b = tmp_path / f"a{cores}.twbm", tmp_path / f"b{cores}.twbm"
+        assert main(["simulate", "--scenario", "twin", "--n-samples", str(2 ** 17),
+                     "--out-a", str(a), "--out-b", str(b)]) == 0
+        assert threading.active_count() == 1
+        return report, a.read_bytes() + b.read_bytes(), len(started), len(forks)
+
+    def test_no_thread_alive_at_a_fork_and_none_on_one_core(self, tmp_path, monkeypatch):
+        two = self._outputs(tmp_path, monkeypatch, 2)
+        one = self._outputs(tmp_path, monkeypatch, 1)
+        assert two[2] > 0 and two[3] > 0     # threads drew and scans forked
+        assert one[2:] == (0, 0)
+        assert json.dumps(two[0]) == json.dumps(one[0])
+        assert two[1] == one[1]
 
 
 def _load_spans():

@@ -1,14 +1,18 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 import twinbeam.source as source
-from twinbeam.dsp import bandpass, welch_psd
+from twinbeam.dsp import bandpass, rfft_freqs, welch_psd
 from twinbeam.errors import InvalidParams
 from twinbeam.io import save_trace
 from twinbeam.mi import mi_delay_scan
 from twinbeam.source import (
     NOISE_BANDWIDTH_HZ,
+    RECIPES,
     SHOT_RMS_LEVELS,
     gen_split_coherent,
     gen_split_thermal,
@@ -62,6 +66,39 @@ class TestSpectra:
                 part = noise_spectrum(np.random.default_rng(3), spec, psd, bins)
                 assert np.array_equal(part, full[bins])
 
+    def test_chunked_draw_equals_the_whole_record_draw(self):
+        # the one-shot draw, kept as the reference: every normal at once, then
+        # the PSD scaling over the whole slice; a chunk of any size, into a
+        # given buffer or not, gives the same bits and leaves rng in the same state
+        def whole(rng, spec, psd, bins):
+            n, m = spec.n_samples, spec.n_samples // 2 + 1
+            start, stop, _ = bins.indices(m)
+            re, im = rng.standard_normal(m), rng.standard_normal(m)
+            z = np.empty(stop - start, dtype=np.complex128)
+            z.real, z.imag = re[bins], im[bins]
+            if start == 0:
+                z[0] = 0.0
+            if n % 2 == 0 and stop == m:
+                z[-1] = np.sqrt(2.0) * z[-1].real
+            z *= np.sqrt(spec.bin_scale(np.maximum(psd(rfft_freqs(n, spec.sample_rate, bins)),
+                                                   0.0)))
+            z /= np.sqrt(2.0)
+            return z
+
+        for n in (1000, 1001):
+            spec = DigitizerSpec(sample_rate=2e9, n_samples=n)
+            for psd in twin_recipe(SourceParams(), spec).noises[:2]:
+                for bins in (slice(None), slice(0, 7), slice(40, 90), slice(490, None)):
+                    want_rng = np.random.default_rng(3)
+                    want = whole(want_rng, spec, psd, bins)
+                    for chunk in (1, 7, 64, 501, 4096):
+                        rng = np.random.default_rng(3)
+                        out = np.empty_like(want) if chunk == 64 else None
+                        got = noise_spectrum(rng, spec, psd, bins, out, np.empty(chunk))
+                        assert out is None or got is out
+                        assert np.array_equal(got, want)
+                        assert rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_arm_spectra_and_difference_match_the_records(self, small_spec):
         recipe = twin_recipe(SourceParams(), small_spec)
         pair = recipe.traces(10)
@@ -89,6 +126,91 @@ class TestSpectra:
         assert pair.a.shot_psd == pytest.approx(SHOT_RMS_LEVELS ** 2 / NOISE_BANDWIDTH_HZ)
         assert np.array_equal(split_coherent_recipe(quiet, small_spec).traces(1).b.samples,
                               pair.b.samples)
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestThreadedDraws:
+    """A recipe's noises are drawn on one thread per usable core (``source._draw``)."""
+
+    def _draws(self, spec):
+        m = spec.n_samples // 2 + 1
+        noises = twin_recipe(SourceParams(), spec).noises * 2
+        bins = (slice(None), slice(40, 900), slice(m // 3, None), slice(0, 7), slice(5, 6))
+        return list(zip(np.random.SeedSequence(5).spawn(len(bins)), noises, bins))
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_results_come_back_in_call_order(self, lanes, monkeypatch):
+        _cores(monkeypatch, 2)
+        spec = DigitizerSpec(n_samples=50_001)
+        draws = self._draws(spec)
+        want = [noise_spectrum(np.random.default_rng(ss), spec, psd, bins)
+                for ss, psd, bins in draws]
+        got, _ = source._draw(spec, draws, lanes)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("name", list(RECIPES))
+    def test_one_lane_and_two_draw_the_same_spectra(self, name, small_spec, monkeypatch):
+        recipe = RECIPES[name](SourceParams(), small_spec)
+        start = threading.Thread.start
+        started = []
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        spectra = []
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            spectra.append(recipe.noise_spectra(9))
+            assert len(started) == cores - 1
+        assert all(np.array_equal(x, y) for x, y in zip(*spectra))
+        _cores(monkeypatch, 2)
+        with_work = recipe.noise_spectra_beside(9, lambda: "done")
+        assert with_work[1] == "done" and len(started) == 2
+        assert all(np.array_equal(x, y) for x, y in zip(spectra[0], with_work[0]))
+
+    @pytest.mark.parametrize("beside", [False, True])
+    def test_worker_error_is_raised_here_with_no_thread_left(self, beside, small_spec,
+                                                             monkeypatch):
+        _cores(monkeypatch, 2)
+
+        class Boom(Exception):
+            pass
+
+        real, raised_on = source.noise_spectrum, []
+
+        def draw(rng, *args):
+            if rng.bit_generator.seed_seq.spawn_key == (1,):
+                raised_on.append(threading.current_thread())
+                raise Boom("noise 1")
+            return real(rng, *args)
+
+        monkeypatch.setattr(source, "noise_spectrum", draw)
+        recipe = twin_recipe(SourceParams(), small_spec)
+        with pytest.raises(Boom, match="noise 1") as info:
+            if beside:
+                recipe.noise_spectra_beside(3, lambda: None)
+            else:
+                recipe.noise_spectra(3)
+        assert info.type is Boom
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == 1
+
+    def test_work_error_wins_after_the_draws_are_joined(self, small_spec, monkeypatch):
+        _cores(monkeypatch, 2)
+
+        def work():
+            raise InvalidParams("work")
+
+        with pytest.raises(InvalidParams, match="work"):
+            twin_recipe(SourceParams(), small_spec).noise_spectra_beside(3, work)
+        assert threading.active_count() == 1
 
 
 class TestTwinStatistics:
