@@ -9,12 +9,14 @@ with marginals taken from the joint histogram, which guarantees I >= 0 and
 finiteness (0 log 0 = 0).  ``mi_delay_scan`` is the hot path: each trace is
 binned once, straight into the histogram's cell type (the narrowest unsigned
 type that holds a flat cell index), and one joint histogram is updated
-exactly as b's window slides one sample at a time, or rebuilt densely at a
-shift where that update would cost more than a rebuild.  Each sample where
-b's bin index changes moves one count, nearly always to the next bin up or
-down, so a slide's moves are tallied in one ``bincount`` keyed by leaving
-cell and direction, with the rare farther jumps from a side table.  Each
-shift's MI comes from the identity I = H(A) + H(B) - H(A,B) in counts,
+exactly as b's window slides one sample at a time, or rebuilt at every shift
+where that update would cost more.  With every bin move split into unit
+steps of one bin, a slide moves one count at each of b's unit steps in the
+window, and those moves change from one start to the next only where a unit
+step of b coincides with one of a's: the update counts the coincidences of a
+tile of consecutive starts in one ``bincount`` and recovers the histogram at
+each start by two running sums.  Each shift's MI comes from the identity
+I = H(A) + H(B) - H(A,B) in counts,
 
     I = log2 N + (sum g(cell) - sum g(row) - sum g(column)) / N,
 
@@ -209,39 +211,58 @@ def miller_madow_correction(h: JointHistogram) -> float:
 # delay scan kernel
 # ---------------------------------------------------------------------------
 
-def _scan_kernel(ia, ib, b_starts, n_win, m):
+def _scan_kernel(ia_m, ib, b_starts, n_win, m):
     """MI per shift from one joint histogram, updated exactly or rebuilt.
 
-    Shift ``s`` pairs ``ia[i]`` (a's fixed window) with
-    ``ib[b_starts[s] + i]`` for ``i < n_win``; ``b_starts`` must be
-    non-increasing.  Both index arrays hold the cell type of ``m`` x ``m``
-    cells: less memory traffic than a wider type makes a walk step about a
-    third faster and a rebuild a fifth.  Returns MI in bits per shift.
+    Shift ``s`` pairs a's fixed window, whose bin indices come multiplied by
+    ``m`` (each row's first cell) as ``ia_m``, with ``ib[b_starts[s] + i]``
+    for ``i < n_win``; ``b_starts`` must fall in even steps.  Both index
+    arrays hold the cell type of ``m`` x ``m`` cells: less memory traffic
+    than a wider type.  Returns MI in bits per shift.
 
-    Moving b's window start from ``b`` to ``b - 1`` re-pairs a sample of a
-    with a different bin only where b's bin index changes, i.e. at the
-    breakpoints ``j in [b, b + n_win)`` with ``ib[j] != ib[j - 1]``: each
-    moves one count from cell ``(ia[j - b], ib[j])`` to
-    ``(ia[j - b], ib[j - 1])``.  On a band-passed record b's bin moves by
-    one at every breakpoint (all 312 821 of seed 7's paper-size arm), so
-    each breakpoint is coded once by its leaving cell and block: up one
-    bin, down one bin, or farther (``_walk_tables``).  A step gathers a's
-    rows at its breakpoints, through a zero-padded view of ``ia * m`` that
-    needs no index arithmetic, and makes one ``bincount`` of row plus
-    code: it subtracts all three blocks and adds block 0 one cell up and
-    block 1 one cell down; a farther jump's entering cell comes from a side
-    table, in one more ``bincount`` only on a step whose window holds one.
+    The scan either rebuilds the histogram at every shift or walks every
+    start from the first to the last in tiles, by a second-order update.
+    Each bin move of a and of b is split into unit steps of one bin at the
+    same sample (``_unit_breaks``), so a far jump needs nothing of its own.
+    Moving b's window start from ``b`` to ``b - 1`` moves one count at each
+    of b's unit steps in the window, between the step's two bins, in the row
+    of a paired with it: that first-order move D is the histogram at
+    ``b - 1`` less the one at ``b``.  From one start to the next D changes
+    only where a step of b enters or leaves the window, and where the row
+    paired with one of b's unit steps changes, i.e. where it coincides with
+    one of a's (``_coincidences``): each coincidence adds +-1 at the
+    corners of a 2 x 2 stencil of two rows and two bins.
 
-    Before each shift the kernel counts the breakpoints the steps to it
-    would walk and rebuilds the histogram densely instead when they exceed
-    0.4 ``n_win``.  That rule, and the work count below, price a walked
-    breakpoint at 2.5 rebuilt samples; on 4e6-sample records (2-core VM)
-    it costs about 1.5 (1.4 ms a step at 286 000 breakpoints against 12 ms
-    a rebuild), so a step walks only where it wins by a wide margin.
-    ``_BLOCK_WORK`` is calibrated in the same units: re-pricing one means
-    re-deriving the other.  Long bin runs (band-passed traces) at small
-    steps walk; white noise or coarse steps rebuild at every shift and
-    build no walk table.
+    A tile of T consecutive starts lists its coincidences with two gathers
+    of ``cb`` (the count of b's unit steps before each sample) at a's unit
+    steps, shifted by the tile's first and last start, and one ragged
+    expansion; it counts them in one ``bincount`` keyed by start, sign and
+    corner over (T + 1) x 3 x m * m cells.  The stencil makes each start's
+    change of D, the steps entering or leaving the window are added apart,
+    and two running sums, as row adds, give D and then the histogram at
+    every start (``np.cumsum(axis=0)`` took 2.95 ms on a (64, 10 000) int64
+    tile against 0.51 ms for row adds).  MI is evaluated at the grid's
+    starts only, so a step of several samples walks the starts between.  T
+    is as large as ``_TILE_CELLS`` and ``_TILE_MET`` allow (33 at 100
+    bins on paper-size records).  On seed 7's paper-size arms (299 000 and
+    313 000 unit steps, 32.5 M coincidences over 1201 shifts) a tiled scan
+    took 0.73-0.9 s on one core against 1.7-1.95 s for the first-order walk
+    it replaced, with the same curve bit for bit (2-core VM).
+
+    Tiles or rebuilds are chosen once per scan, by price in rebuilt
+    samples: ``n_win`` a shift for the rebuilds; for the tiles
+    ``_COINCIDENCE_PRICE`` per coincidence and per unit step of a in each
+    tile, and ``_CELL_PRICE`` per cell at each walked start.  The
+    coincidences are counted exactly, and only until they alone would cost
+    more than the rebuilds, so on white noise, whose unit steps are dense,
+    the count stops after one chunk and the scan builds no unit steps and
+    no ``cb``.  ``_BLOCK_WORK`` is priced in the same units: re-pricing one
+    means re-deriving the other.  Every rebuild counts ``max(_BIN_BLOCK,
+    m * m)`` samples at a time, so it makes no record-sized temporary: at a
+    tiled block's start the tables and a dense rebuild's 40 MB never stack,
+    and on unfiltered 2^20-sample scans, which rebuild at every shift, a
+    chunked scan was faster than a dense one (about 2.5 s against 3.1 s for
+    1201 shifts on one core).
 
     Each shift's MI is log2 N + (sum g(cell) - sum g(row) - sum g(col)) / N
     over the ``n_win`` = N pairs, with g(x) = x log2 x gathered from a table
@@ -256,70 +277,159 @@ def _scan_kernel(ia, ib, b_starts, n_win, m):
 
     The shifts are cut into contiguous blocks, one per usable core but no
     more than the scan's work pays for (``_blocks``).  Each block starts
-    with a dense rebuild and then walks or rebuilds as above; the first runs
-    in this process and the others in forked workers (``_run_blocks``).
-    Counts stay exact integers at every shift, walked or rebuilt, and each
-    MI value is a fixed function of its counts, so the curve is the same bit
-    for bit whatever the block count.
+    with a rebuild and then tiles or rebuilds as above; the first runs in
+    this process and the others in forked workers (``_run_blocks``), which
+    inherit ``cb`` and the unit steps.  Counts stay exact integers at every
+    shift, tiled or rebuilt, and each MI value is a fixed function of its
+    counts, so the curve is the same bit for bit whatever the block count
+    or the tile length.  The integers are exact at any size a scan can
+    take: histogram cells and D are int64 counts of at most ``n_win``;
+    ``cb`` takes the narrowest type that holds b's unit-step total, an exact
+    int64; and tiles run only where one tile's cells fit ``_TILE_CELLS``
+    (2^20, so m <= 418), which bounds every int64 key by 2^21 times the
+    record length, with headroom for any record under 2^42 samples.
     """
     mm = m * m
-    # a's rows behind a pad as long as the latest start, so that
-    # ia_pad[pad - start + j] is the row paired with ib[j] at that start
-    pad = int(b_starts[0])
-    ia_pad = np.zeros(pad + n_win, dtype=ia.dtype)
-    ia_m = ia_pad[pad:]
-    np.multiply(ia, m, out=ia_m)
-    bp = np.flatnonzero(ib[1:] != ib[:-1]) + 1
-    # breakpoints in the window at every start the scan steps from
-    b_last = int(b_starts[-1])
-    starts = np.arange(b_last + 1, pad + 1)
-    k0 = np.searchsorted(bp, starts)
-    k1 = np.searchsorted(bp, starts + n_win)
-    walked = np.concatenate(([0], np.cumsum(k1 - k0)))
-    steps = walked[b_starts[:-1] - b_last] - walked[b_starts[1:] - b_last]
-    walks = np.concatenate(([False], steps <= 0.4 * n_win))
-    if walks.any():
-        code, fpos, fenter = _walk_tables(ib, bp, mm)
-        f0 = np.searchsorted(fpos, starts)
-        f1 = np.searchsorted(fpos, starts + n_win)
+    n_shifts = len(b_starts)
+    b_first, b_last = int(b_starts[0]), int(b_starts[-1])
+    step = b_first - int(b_starts[1])
+    moves = b_first - b_last
+    chunk = max(_BIN_BLOCK, mm)
     log2_n = math.log2(n_win)
+    # the scan's cost each way, in rebuilt samples
+    rebuilt = n_shifts * n_win
+    walked = _CELL_PRICE * moves * mm
+    tiles = _tile_length(mm, 0) >= 1 and walked < rebuilt
+    if tiles:
+        met, a_steps = _coincidences(ia_m // m, ib, b_first, b_last, m,
+                                     (rebuilt - walked) / _COINCIDENCE_PRICE)
+        tile = _tile_length(mm, met / moves)
+        # each tile also passes once over a's unit steps
+        walked += _COINCIDENCE_PRICE * (met + a_steps * -(-moves // tile))
+        tiles = walked < rebuilt
+    if tiles:
+        # a coincidence of a's unit step at q with b's at p, in a tile from
+        # start b, is keyed a_key + b_key + 3 mm b: its slot b + q - p (slot
+        # t + 1 changes the move from start b - t) times 3 mm, plus its kind,
+        # the number of the two steps that fall (1 counts -1, 0 and 2 count
+        # +1), times mm, plus a's lower row times m and b's lower bin
+        qa, low, falls = _unit_breaks(ia_m // m)
+        a_key = qa * (3 * mm) + falls * mm + low * m
+        pb, low, falls = _unit_breaks(ib)
+        # cb[x]: b's unit steps before sample x, in a type that holds them all
+        cb = np.repeat(np.arange(len(pb) + 1, dtype=np.min_scalar_type(len(pb))),
+                       np.diff(pb, prepend=-1, append=len(ib)))
+        b_key = low + falls * mm - pb * (3 * mm)
+        del low, falls, pb
+
+    def b_steps(u0, u1):
+        """Samples of b's unit steps u0 to u1, and their lower bins, plus mm where b falls."""
+        p, cell = np.divmod(b_key[u0:u1], 3 * mm)
+        return -p, cell
+
+    def first_move(b):
+        """The histogram at start b - 1 less the one at b."""
+        p, cell = b_steps(cb[b], cb[b + n_win])
+        k = np.bincount(ia_m[p - b] + cell, minlength=2 * mm)
+        move = k[:mm] - k[mm:]
+        move[1:] -= move[:-1]
+        return move
+
+    def tile_hists(b, t_len, hist, move, upper):
+        """Histograms at starts b - 1 down to b - t_len from ``hist`` at b and its ``move``.
+
+        ``upper`` is ``cb`` at a's unit steps shifted by b.  Also returns the
+        move at b - t_len and ``cb`` at a's unit steps shifted by b - t_len,
+        the next tile's ``upper``.
+        """
+        # b's unit steps in [b - t_len + q, b + q) meet a's at q: list them.
+        # Each temporary is freed once used: the tile's peak is the scan's.
+        lower = cb[b - t_len:][qa]
+        meets = upper - lower
+        ends = np.cumsum(meets, dtype=np.int64)
+        u = np.repeat(lower - (ends - meets), meets)
+        u += np.arange(len(u))
+        keys = b_key[u]
+        del u
+        keys += np.repeat(a_key + b * 3 * mm, meets)
+        x = np.bincount(keys, minlength=(t_len + 1) * 3 * mm).reshape(t_len + 1, 3, mm)
+        del keys
+        corner = (x[:, 0] - x[:, 1]).ravel()
+        corner += x[:, 2].ravel()
+        del x
+        # A coincidence carries b's step from a's lower row to the row above,
+        # and a step entering at start b - t - 1 or leaving pairs with a's
+        # first or last row: ``steps`` is the change of b's steps per row and
+        # lower bin, and less itself one bin on, the change of the move.
+        # Neither a's top row nor b's top bin is ever a lower one, so the
+        # flat shifts by a row and by a bin never carry across a start.
+        steps = np.negative(corner)
+        steps[m:] += corner[:-m]
+        del corner
+        for u0, u1, row, at, sign in ((cb[b - t_len], cb[b], ia_m[0], b, 1),
+                                      (cb[b - t_len + n_win], cb[b + n_win], ia_m[-1],
+                                       b + n_win, -1)):
+            p, cell = b_steps(u0, u1)
+            np.add.at(steps, (at - p) * mm + row + cell % mm,
+                      np.where(cell < mm, sign, -sign))
+        q = np.empty((t_len + 1, mm), dtype=np.int64)
+        q.flat[0] = steps[0]
+        np.subtract(steps[1:], steps[:-1], out=q.reshape(-1)[1:])
+        del steps
+        q[0] += move
+        for t in range(1, t_len + 1):
+            q[t] += q[t - 1]
+        move = q[t_len]
+        q[0] += hist
+        for t in range(1, t_len):
+            q[t] += q[t - 1]
+        return q[:t_len], move, lower
+
+    def rebuild(b):
+        """The histogram at start b, counted ``chunk`` samples at a time."""
+        win = ib[b : b + n_win]
+        hist = np.zeros(mm, dtype=np.int64)
+        for i in range(0, n_win, chunk):
+            hist += np.bincount(ia_m[i : i + chunk] + win[i : i + chunk], minlength=mm)
+        return hist
 
     def block(lo, hi):
         out = np.empty(hi - lo, dtype=np.float64)
-        for s in range(lo, hi):
-            b = int(b_starts[s])
-            if s == lo or not walks[s]:
-                flat = np.bincount(ia_m + ib[b : b + n_win], minlength=mm)
-            else:
-                for i in range(int(b_starts[s - 1]) - b_last - 1, b - b_last - 1, -1):
-                    rows_at = ia_pad[pad - int(starts[i]):]   # a's row paired with ib[j]
-                    j0, j1 = k0[i], k1[i]
-                    moved = rows_at[bp[j0:j1]] + code[j0:j1]
-                    cnt = np.bincount(moved, minlength=3 * mm)
-                    flat -= cnt.reshape(3, mm).sum(axis=0)
-                    flat[1:] += cnt[: mm - 1]           # up one bin
-                    flat[:-1] += cnt[mm + 1 : 2 * mm]   # down one bin
-                    if f1[i] > f0[i]:
-                        entered = rows_at[fpos[f0[i] : f1[i]]]
-                        entered += fenter[f0[i] : f1[i]]
-                        flat += np.bincount(entered, minlength=mm)
-            counts = flat.reshape(m, m)
-            col = counts.sum(axis=0)
-            if s == lo:
-                # a cell never exceeds its row, a column gains at most one
-                # count per sample b's window slides in this block
-                row = counts.sum(axis=1)
-                slide = int(b_starts[lo] - b_starts[hi - 1])
-                g = _xlog2x(max(int(row.max()), int(col.max()) + slide) + 1)
-                g_row = g[row].sum()
-            g_sum = float(g[flat].sum() - g_row - g[col].sum())
-            out[s - lo] = max(0.0, log2_n + g_sum / n_win)
+        b0 = int(b_starts[lo])
+        hist = rebuild(b0)
+        counts = hist.reshape(m, m)
+        # a cell never exceeds its row, a column gains at most one count per
+        # sample b's window slides in this block
+        row = counts.sum(axis=1)
+        slide = b0 - int(b_starts[hi - 1])
+        g = _xlog2x(max(int(row.max()), int(counts.sum(axis=0).max()) + slide) + 1)
+        g_row = g[row].sum()
+
+        def mi_of(hists):
+            col = hists.reshape(len(hists), m, m).sum(axis=1)
+            g_sum = g[hists].sum(axis=1) - g_row - g[col].sum(axis=1)
+            return np.maximum(0.0, log2_n + g_sum / n_win)
+
+        out[0] = mi_of(hist[None])[0]
+        if tiles:
+            move, upper = first_move(b0), cb[b0:][qa]
+            b, end = b0, b0 - slide
+            while b > end:
+                t_len = min(tile, b - end)
+                hists, move, upper = tile_hists(b, t_len, hist, move, upper)
+                r0 = (b - 1 - b0) % step      # first grid start in the tile
+                vals = mi_of(hists[r0::step])
+                k0 = (b0 - b + 1 + r0) // step
+                out[k0 : k0 + len(vals)] = vals
+                hist = hists[-1]
+                b -= t_len
+        else:
+            for s in range(lo + 1, hi):
+                out[s - lo] = mi_of(rebuild(int(b_starts[s]))[None])[0]
         return out
 
-    # samples the scan touches: n_win per rebuild, 2.5 per walked breakpoint
-    # (the rule's price above), and m * m cells per shift for its MI
-    work = n_win + np.minimum(2.5 * steps, n_win).sum() + len(b_starts) * mm
-    return _run_blocks(block, _blocks(len(b_starts), work))
+    work = (walked if tiles else rebuilt) + n_shifts * mm
+    return _run_blocks(block, _blocks(n_shifts, work))
 
 
 def _xlog2x(size: int) -> np.ndarray:
@@ -330,32 +440,85 @@ def _xlog2x(size: int) -> np.ndarray:
     return g
 
 
-def _walk_tables(ib, bp, mm):
-    """Walk codes of b's breakpoints ``bp``, and the farther jumps' side table.
+def _moves(v):
+    """Samples ``j >= 1`` where ``v[j] != v[j - 1]``, with ``v[j - 1]`` and ``v[j]`` as int64."""
+    at = np.flatnonzero(v[1:] != v[:-1]) + 1
+    return at, v[at - 1].astype(np.int64), v[at].astype(np.int64)
 
-    A breakpoint ``j`` leaves cell ``ib[j]`` of its row for ``ib[j - 1]``.
-    Its code, in the narrowest type that holds ``3 * mm - 1``, is that
-    leaving cell plus ``mm`` times its block: 0 for a move up one bin, 1 for
-    a move down one bin, 2 for any farther jump.  The farther jumps'
-    positions and entering cells are returned apart, since their move is
-    not a fixed offset.
+
+def _unit_breaks(v):
+    """Every bin move of ``v`` split into moves of one bin at the same sample.
+
+    A move from bin ``v[j - 1]`` to ``v[j]`` by ``d`` bins becomes ``|d|``
+    unit steps at ``j``, one between bins ``L`` and ``L + 1`` for each ``L``
+    from the lower of the two up to the higher less one.  Returns each unit
+    step's sample, its lower bin ``L`` (both int64), and whether ``v``
+    falls there.
     """
-    leave, enter = ib[bp], ib[bp - 1]
-    code = leave.astype(np.min_scalar_type(3 * mm - 1))
-    down = leave == enter + 1
-    far = (enter != leave + 1) & ~down
-    code[down] += mm
-    code[far] += 2 * mm
-    return code, bp[far], enter[far]
+    at, before, after = _moves(v)
+    width = np.abs(after - before)
+    low = np.repeat(np.minimum(before, after) - (np.cumsum(width) - width), width)
+    low += np.arange(len(low))
+    return np.repeat(at, width), low, np.repeat(after < before, width)
 
 
-# Scan work, in samples and cells as _scan_kernel counts them, that each
-# block must carry for its forked worker to pay.  Forking and reaping a
-# worker, with the copy-on-write faults both processes then take on the
-# scan's record-sized temporaries, cost 10-50 ms on 2^16- to 2^20-sample
-# windows and up to 0.26 s on 4e6-sample ones (2-core VM); 1e8 samples of
-# work take about 0.45 s, so a split pays even there.
-_BLOCK_WORK = 100_000_000
+def _coincidences(ia, ib, b_first, b_last, m, limit):
+    """Coincident unit steps of a and b over a scan's moves, and a's unit steps.
+
+    Moving b's window start from ``b`` to ``b - 1`` re-pairs b's sample
+    ``b - 1 + q`` from a's sample ``q - 1`` to ``q``: a unit step of a at
+    ``q`` meets every unit step of b at ``b - 1 + q``, so over the moves from
+    ``b_first`` down to ``b_last`` it meets b's unit steps in
+    ``[b_last + q, b_first + q)``.  Both are counted exactly over a's
+    window, a chunk at a time, until the coincidences pass ``limit``.
+    """
+    # a step of a moves at most m - 1 bins and meets at most (m - 1) per
+    # sample of b's span, so a chunk this long keeps its int64 sum exact
+    size = max(1, min(_BIN_BLOCK, (1 << 63) // (m * m * (b_first - b_last))))
+    met = steps = 0
+    for lo in range(1, len(ia), size):
+        hi = min(lo + size, len(ia))
+        qa, before, after = _moves(ia[lo - 1 : hi])
+        qa += lo - 1
+        wa = np.abs(after - before)
+        base = b_last + lo - 1
+        pb, before, after = _moves(ib[base : b_first + hi - 1])
+        pb += base
+        b_before = np.concatenate(([0], np.cumsum(np.abs(after - before))))
+        met += int(wa @ (b_before[np.searchsorted(pb, qa + b_first)]
+                         - b_before[np.searchsorted(pb, qa + b_last)]))
+        steps += int(wa.sum())
+        if met > limit:
+            break
+    return met, steps
+
+
+# Cells of one tile's corner counts, (T + 1) x 3 x m * m int64 for T starts:
+# 8 MB, 33 starts at 100 bins.  At twice that a paper-size scan ran 13 %
+# faster on one core, but the paper run's peak RSS rose by 30-36 MB.
+_TILE_CELLS = 1 << 20
+# Coincidences one tile may list: its keys and indices then take 32 MB at most
+_TILE_MET = 1 << 21
+# Prices in rebuilt samples (2.4 ns each, chunked, on a 2-core VM at 4e6
+# samples): a coincidence, with its share of a tile's passes over a's unit
+# steps, took about 15 ns; a cell at a walked start about 13 ns (the
+# stencil, the two running sums and the MI gathers).
+_COINCIDENCE_PRICE = 6
+_CELL_PRICE = 5
+
+
+def _tile_length(mm: int, met_per_move: float) -> int:
+    """Starts per tile at ``mm`` cells: as many as ``_TILE_CELLS`` and ``_TILE_MET`` allow."""
+    return min(_TILE_CELLS // (3 * mm) - 1, max(1, int(_TILE_MET // max(met_per_move, 1.0))))
+
+
+# Scan work, in rebuilt samples as _scan_kernel prices it, that each block
+# must carry for its forked worker to pay.  A fork, its reap and the
+# copy-on-write faults that follow took 0.02-0.04 s of CPU on 2^20-sample
+# band-passed scans, which ran in 0.27-0.31 s in one block and 0.16-0.19 s
+# in two, and no more on 4e6-sample ones, where no rebuild makes a
+# record-sized temporary (2-core VM); 5e7 samples of work take about 0.13 s.
+_BLOCK_WORK = 50_000_000
 
 
 def usable_cores() -> int:
@@ -509,7 +672,7 @@ def mi_delay_scan(
     record shifted by the delay.  Both guard-stripped records are binned
     once, straight into the kernel's cell type; one histogram is updated
     exactly from shift to shift where that is cheaper than a rebuild, and
-    rebuilt densely elsewhere, and each shift's MI is evaluated from a table
+    rebuilt at every shift elsewhere, and each shift's MI is evaluated from a table
     of c log2 c (``_scan_kernel``), within 1e-12 bits of ``mi_from_hist``.
     A scan whose work pays for it splits its shifts across the usable cores
     in forked workers, all reaped before it returns, with the same curve bit
@@ -519,6 +682,7 @@ def mi_delay_scan(
     window, shifts = scan_window(a.spec, step, range_, n_bins, a.guard, b.guard)
     cell = np.min_scalar_type(n_bins * n_bins - 1)
     ia, _ = _bin_indices(a.valid(), n_bins, cell)
+    ia *= n_bins   # a's bin index as the row's first cell
     ib, _ = _bin_indices(b.valid(), n_bins, cell)
     # positive delay d: a retarded, so pair a[i] with b[i - d].
     b_starts = (window.start - b.guard) - shifts

@@ -176,9 +176,9 @@ def noise_spectrum(rng: np.random.Generator, spec: DigitizerSpec,
             a, b = max(lo, start), min(lo + step, stop)
             if a < b:
                 part[a - start:b - start] = x[a - lo:b - lo]
-    if start == 0:
+    if start == 0 < stop:
         z[0] = 0.0  # zero-mean record
-    if n % 2 == 0 and stop == m:
+    if n % 2 == 0 and start < stop == m:
         z[-1] = np.sqrt(2.0) * z[-1].real
     for lo in range(start, stop, step):
         chunk = z[lo - start:min(lo + step, stop) - start]

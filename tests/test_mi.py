@@ -207,36 +207,48 @@ class TestDelayScan:
         ref = mi_from_hist(histogram2d(x[4:-4], y[4:-4], 100, 100))
         assert curve.mi[i0] == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("record, step, n_bins, cores", [
-        pytest.param("lowpassed", 0.5e-9, 100, None, id="True-5e-10"),
-        pytest.param("lowpassed", 1.0e-9, 100, None, id="True-1e-09"),
-        pytest.param("lowpassed", 5e-9, 100, None, id="True-5e-09"),
-        pytest.param("white", 0.5e-9, 100, None, id="False-5e-10"),
+    @pytest.mark.parametrize("record, step, n_bins, cores, tile", [
+        pytest.param("lowpassed", 0.5e-9, 100, None, None, id="True-5e-10"),
+        pytest.param("lowpassed", 1.0e-9, 100, None, None, id="True-1e-09"),
+        pytest.param("lowpassed", 5e-9, 100, None, None, id="True-5e-09"),
+        pytest.param("white", 0.5e-9, 100, None, None, id="False-5e-10"),
         # the kernel's cell type is uint8 up to 16 bins, uint32 past 256
-        pytest.param("lowpassed", 0.5e-9, 10, None, id="True-5e-10-10bins"),
-        pytest.param("lowpassed", 0.5e-9, 300, None, id="True-5e-10-300bins"),
-        pytest.param("white", 0.5e-9, 300, None, id="False-5e-10-300bins"),
+        pytest.param("lowpassed", 0.5e-9, 10, None, None, id="True-5e-10-10bins"),
+        pytest.param("lowpassed", 0.5e-9, 300, None, None, id="True-5e-10-300bins"),
+        pytest.param("white", 0.5e-9, 300, None, None, id="False-5e-10-300bins"),
         # b's bin moves farther than one bin at 3 % of the breakpoints at 100
-        # bins and 47 % at 300, so the walk's far side table is exercised
-        pytest.param("stepped", 0.5e-9, 100, None, id="stepped-5e-10"),
-        pytest.param("stepped", 0.5e-9, 300, 2, id="stepped-5e-10-300bins-2cores"),
-        # shift blocks forced to one per core: walked and rebuilt scans, and
-        # more cores than the 9 shifts of a 5 ns step
-        pytest.param("lowpassed", 0.5e-9, 100, 1, id="True-5e-10-1core"),
-        pytest.param("lowpassed", 0.5e-9, 100, 2, id="True-5e-10-2cores"),
-        pytest.param("lowpassed", 0.5e-9, 100, 3, id="True-5e-10-3cores"),
-        pytest.param("white", 0.5e-9, 100, 2, id="False-5e-10-2cores"),
-        pytest.param("white", 0.5e-9, 100, 3, id="False-5e-10-3cores"),
-        pytest.param("lowpassed", 5e-9, 100, 16, id="True-5e-09-16cores"),
+        # bins and 47 % at 300
+        pytest.param("stepped", 0.5e-9, 100, None, None, id="stepped-5e-10"),
+        pytest.param("stepped", 0.5e-9, 300, 2, None, id="stepped-5e-10-300bins-2cores"),
+        # shift blocks forced to one per core, and more cores than the 9
+        # shifts of a 5 ns step
+        pytest.param("lowpassed", 0.5e-9, 100, 1, None, id="True-5e-10-1core"),
+        pytest.param("lowpassed", 0.5e-9, 100, 2, None, id="True-5e-10-2cores"),
+        pytest.param("lowpassed", 0.5e-9, 100, 3, None, id="True-5e-10-3cores"),
+        pytest.param("white", 0.5e-9, 100, 2, None, id="False-5e-10-2cores"),
+        pytest.param("white", 0.5e-9, 100, 3, None, id="False-5e-10-3cores"),
+        pytest.param("lowpassed", 5e-9, 100, 16, None, id="True-5e-09-16cores"),
+        # tiles forced on, of 1, 3 and the default number of starts, at 1-
+        # and 2-sample steps; stepped records move farther than one bin
+        *(pytest.param(record, step, 100, None, tile,
+                       id=f"{record}-{step:g}-tile{tile or 'default'}")
+          for record in ("lowpassed", "stepped") for step in (0.5e-9, 1.0e-9)
+          for tile in (1, 3, 0)),
+        # tiles across shift blocks, and at 300 bins
+        pytest.param("lowpassed", 0.5e-9, 100, 3, 3, id="lowpassed-5e-10-tile3-3cores"),
+        pytest.param("stepped", 1.0e-9, 100, 2, 0, id="stepped-1e-09-tiledefault-2cores"),
+        pytest.param("stepped", 0.5e-9, 300, 2, 0, id="stepped-5e-10-300bins-tiledefault-2cores"),
     ])
-    def test_every_shift_matches_public_estimator(self, record, step, n_bins, cores,
+    def test_every_shift_matches_public_estimator(self, record, step, n_bins, cores, tile,
                                                   monkeypatch):
-        # at 1- and 2-sample steps the scan updates its histogram on the
-        # low-passed and stepped pairs; at a 10-sample step, or on white
-        # noise, it rebuilds
+        # records this short rebuild at every shift unless tiles are forced
+        # (tile 0 keeps the default tile length); forced tiles also count the
+        # rebuilds, the coincidences and the bins 4 096 samples at a time
         forks = _count_forks(monkeypatch)
         if cores is not None:
             _split_every_scan(monkeypatch, cores)
+        if tile is not None:
+            _tile_every_scan(monkeypatch, tile)
         n, guard = 2 ** 15, 64
         x, y = _scan_records(record, n)
         # sentinels inside every window pin whole-trace and window bin edges
@@ -256,11 +268,12 @@ class TestDelayScan:
             assert got == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("record", ["lowpassed", "white"])
-    def test_one_bincount_per_walked_step(self, record, monkeypatch):
-        # a walked step counts its breakpoints in one bincount, plus one for
-        # the entering cells of farther jumps only where its window holds
-        # one; a rebuilt shift makes one call, and a scan that never walks
-        # builds no walk table
+    def test_one_bincount_per_tile(self, record, monkeypatch):
+        # a tiled scan makes one bincount per tile, plus two at its block's
+        # start: the rebuild and the first move; far jumps are unit steps like
+        # any other.  On white noise the coincidences alone outprice the
+        # rebuilds, so the scan rebuilds at every shift and builds no unit
+        # steps, so no table of them.
         n, guard = 2 ** 15, 64
         x, y = _scan_records(record, n)
         y[guard + 30] = 3 * np.abs(y).max()   # far jumps at b's samples 30 and 31
@@ -271,21 +284,29 @@ class TestDelayScan:
             calls.append(1)
             return bincount(*args, **kwargs)
 
-        monkeypatch.setattr(mi.np, "bincount", counting_bincount)
         if record == "white":
-            monkeypatch.setattr(mi, "_walk_tables",
-                                lambda *args: pytest.fail("built a walk table"))
+            monkeypatch.setattr(mi, "_CELL_PRICE", 0)
+            monkeypatch.setattr(mi, "_unit_breaks",
+                                lambda *args: pytest.fail("built unit steps"))
+        else:
+            rebuilt = mi_delay_scan(pair, step=0.5e-9, range_=20e-9)
+            _tile_every_scan(monkeypatch, 3, chunk=None)
+        monkeypatch.setattr(mi.np, "bincount", counting_bincount)
         curve = mi_delay_scan(pair, step=0.5e-9, range_=20e-9)
-        ib = mi._bin_indices(pair.b.valid(), 100, np.uint16)[0]
-        far = np.flatnonzero(np.abs(np.diff(ib.astype(np.int64))) > 1) + 1
-        # b's window starts at 80 - s at shift s and holds n - 2 * 104 samples
-        n_win, starts = n - 2 * 104, 80 - np.arange(len(curve.mi) - 1)
-        far_steps = sum(bool(np.any((far >= s) & (far < s + n_win))) for s in starts)
         if record == "white":
             assert len(calls) == len(curve.mi)
         else:
-            assert 0 < far_steps < len(starts)
-            assert len(calls) == len(curve.mi) + far_steps
+            assert len(calls) == 2 + -(-(len(curve.mi) - 1) // 3)
+            assert np.array_equal(curve.mi, rebuilt.mi)
+
+    def test_unit_breaks_split_a_far_jump(self):
+        # 0 -> 99 is 99 unit steps at sample 1, one per lower bin 0 to 98
+        v = np.array([0, 99, 99, 98, 100], dtype=np.uint8)
+        at, low, falls = mi._unit_breaks(v)
+        assert np.array_equal(at, [1] * 99 + [3, 4, 4])
+        assert np.array_equal(low, [*range(99), 98, 98, 99])
+        assert np.array_equal(falls, [False] * 99 + [True, False, False])
+        assert at.dtype == low.dtype == np.int64
 
     @pytest.mark.parametrize("record", ["concentrated", "independent"])
     def test_table_mi_matches_public_estimator(self, record):
@@ -358,7 +379,7 @@ class TestDelayScan:
 
 
 def _scan_records(record, n):
-    """x and y of the pairs the delay-scan tests walk, before any sentinel.
+    """x and y of the pairs the delay-scan tests scan, before any sentinel.
 
     "lowpassed" holds each of 100 bins for about 13 samples, as band-passed
     records do; "stepped" holds the low-passed record for 8 samples at a
@@ -414,6 +435,20 @@ def _count_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+def _tile_every_scan(monkeypatch, tile, chunk=4096):
+    """Tile every scan, ``tile`` starts at a time (0: the default length).
+
+    With ``chunk``, rebuilds, the coincidence count and the binning go
+    ``chunk`` samples at a time.
+    """
+    monkeypatch.setattr(mi, "_CELL_PRICE", 0)
+    monkeypatch.setattr(mi, "_COINCIDENCE_PRICE", 1e-9)
+    if tile:
+        monkeypatch.setattr(mi, "_tile_length", lambda mm, met_per_move: tile)
+    if chunk:
+        monkeypatch.setattr(mi, "_BIN_BLOCK", chunk)
 
 
 def _split_every_scan(monkeypatch, cores):

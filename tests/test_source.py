@@ -66,6 +66,19 @@ class TestSpectra:
                 part = noise_spectrum(np.random.default_rng(3), spec, psd, bins)
                 assert np.array_equal(part, full[bins])
 
+    @pytest.mark.parametrize("n, bins", [(1000, slice(600, 600)), (1000, slice(501, 501)),
+                                         (1000, slice(0, 0)), (1001, slice(0, 0)),
+                                         (1000, slice(40, 40))])
+    def test_empty_slice_is_an_empty_spectrum(self, n, bins):
+        # the DC and Nyquist fix-ups skip an empty slice; rng ends where a
+        # full draw leaves it
+        spec = DigitizerSpec(sample_rate=2e9, n_samples=n)
+        rng, full_rng = np.random.default_rng(3), np.random.default_rng(3)
+        part = noise_spectrum(rng, spec, lambda f: 1.0 + 0.0 * f, bins)
+        noise_spectrum(full_rng, spec, lambda f: 1.0 + 0.0 * f)
+        assert part.shape == (0,) and part.dtype == np.complex128
+        assert rng.standard_normal() == full_rng.standard_normal()
+
     def test_chunked_draw_equals_the_whole_record_draw(self):
         # the one-shot draw, kept as the reference: every normal at once, then
         # the PSD scaling over the whole slice; a chunk of any size, into a
