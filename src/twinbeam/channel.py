@@ -25,7 +25,6 @@ from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import InvalidParams
 from .source import NOISE_BANDWIDTH_HZ, noise_spectrum, _white
@@ -124,6 +123,8 @@ def kernel_response(params: ChannelParams, sample_rate: float, n: int,
     Horner's rule costs one pass over the bins per tap, one rfft of the
     placed taps about n log2 n; whichever is cheaper runs.
     """
+    from scipy import fft as sfft
+
     taps, k_min, _ = delay_taps(params, sample_rate, n)
     k = np.arange(*bins.indices(n // 2 + 1))
     if len(taps) * len(k) > n * np.log2(n):
@@ -144,6 +145,8 @@ def apply_is_delay(trace: Trace, params: ChannelParams) -> Trace:
     convolution wraps round the record's ends.  A kernel narrower than one
     sample degenerates to a pure integer delay, done exactly by a roll.
     """
+    from scipy import fft as sfft
+
     n, fs = len(trace.samples), trace.spec.sample_rate
     taps, k_min, guard_extra = delay_taps(params, fs, n)
     if guard_extra == 0:
@@ -186,6 +189,8 @@ def apply_channel(pair: TracePair, params: ChannelParams, seed) -> TracePair:
     Arm a's mean level and shot PSD scale by the transmission, and its guard
     grows by the delay's.  A channel that does nothing returns ``pair``.
     """
+    from scipy import fft as sfft
+
     a = pair.a
     x = sfft.rfft(a.samples)
     y = channel_spectrum(a.spec, a.shot_psd, x, slice(None), params, seed)

@@ -11,7 +11,6 @@ peak ratio is the analytic channel model's for a forward-scattering efficiency.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import _electronic_psd, _loss_psd, delay_taps, kernel_response
 from .dsp import band_bins, rfft_freqs
@@ -86,6 +85,8 @@ def matched_transmission(source: SourceParams, chan: ChannelParams, spec: Digiti
     that reproduces the model's peak, decoupling eta (an MI-amplitude
     parameter) from the measured optical throughput.  It is sought on [0.001, 1].
     """
+    from scipy.optimize import brentq
+
     target = peak_value(chan.eta, source.sigma0, chan.sigma)
     m = InBandModel(source, chan, spec, f_lo, f_hi)
     if m.peak_ratio(1.0) < target:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import InvalidParams
 from .trace import Trace, TracePair
@@ -92,6 +91,8 @@ def bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     a guard of FILTER_PAD, covering the filter transient at both ends, so the
     record must be longer than twice that.
     """
+    from scipy import fft as sfft
+
     x = trace.samples
     n_fft = sfft.next_fast_len(len(x) + 2 * FILTER_PAD, real=True)
     bins, mask = band_bins(n_fft, trace.spec.sample_rate, f_lo, f_hi)
@@ -116,6 +117,8 @@ def band_bins(n: int, fs: float, f_lo: float, f_hi: float) -> tuple[slice, np.nd
 
 def band_record(spectrum: np.ndarray, bins: slice, n: int) -> np.ndarray:
     """The n-sample record whose rfft is ``spectrum`` on ``bins`` and zero elsewhere."""
+    from scipy import fft as sfft
+
     full = np.zeros(n // 2 + 1, dtype=np.complex128)
     full[bins] = spectrum
     return sfft.irfft(full, n, overwrite_x=True)
@@ -159,6 +162,8 @@ def welch_psd(x: np.ndarray, fs: float, segment_length: int):
     DC and, for an even segment, Nyquist.  Raises InvalidParams unless the
     segment is a power of two no longer than ``x`` (``check_segment``).
     """
+    from scipy import fft as sfft
+
     check_segment(segment_length, len(x))
     seg = segment_length
     segments = np.lib.stride_tricks.sliding_window_view(
@@ -177,7 +182,7 @@ def welch_psd(x: np.ndarray, fs: float, segment_length: int):
         power += (z.real ** 2 + z.imag ** 2).sum(axis=0)
     psd = power / len(segments)
     psd[1 : None if seg % 2 else -1] *= 2.0
-    return sfft.rfftfreq(seg, d=1.0 / fs), psd
+    return rfft_freqs(seg, fs, slice(None)), psd
 
 
 def check_segment(segment_length: int, n_samples: int) -> None:
@@ -194,7 +199,7 @@ def check_segment_band(segment_length: int, fs: float, f_lo: float, f_hi: float)
     The bins are the multiples of fs / segment_length up to Nyquist, which
     ``SpectrumEstimate.in_band_mean_db`` averages over the band.
     """
-    if not np.any(_in_band(sfft.rfftfreq(segment_length, d=1.0 / fs), f_lo, f_hi)):
+    if not np.any(_in_band(rfft_freqs(segment_length, fs, slice(None)), f_lo, f_hi)):
         raise InvalidParams(f"band [{f_lo / 1e6:g}, {f_hi / 1e6:g}] MHz holds no bin of a "
                             f"{segment_length}-sample Welch segment: its bins are "
                             f"{fs / segment_length / 1e6:g} MHz apart, up to {fs / 2e6:g} MHz")

@@ -129,6 +129,14 @@ def _load_twbm(path, sample_rate: Optional[float]) -> Trace:
         return Trace(samples=values, mean_level=mean_level, **kw)
 
 
+def _existing(path) -> Path:
+    """``path`` as a Path; a missing file is a DataError naming it."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path}: no such file")
+    return path
+
+
 def _csv_numbers(path, refusal: str, skiprows: int = 0) -> np.ndarray:
     """The rows of numbers in a CSV file; a file holding none, or anything else, is a DataError."""
     with warnings.catch_warnings():
@@ -173,9 +181,7 @@ def load_trace(path, sample_rate: Optional[float] = None) -> Trace:
     A given ``sample_rate`` must agree, within 1e-6 relative, with a TWBM
     header's rate or a CSV time column; it is the rate of a one-column CSV.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
+    path = _existing(path)
     with open(path, "rb") as fh:
         twbm = fh.read(4) == TWBM_MAGIC
     return (_load_twbm if twbm else _load_csv_trace)(path, sample_rate)
@@ -192,6 +198,7 @@ def save_curve(curve: MICurve, path) -> None:
 
 def load_curve(path) -> MICurve:
     """Read an MI curve CSV written by save_curve (or compatible)."""
+    path = _existing(path)
     data = _csv_numbers(path, "not a curve CSV of numbers", skiprows=1)
     if data.shape[1] < 2:
         raise DataError(f"{path}: curve CSV needs delay_ns and mi columns")

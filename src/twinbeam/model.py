@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
-from scipy.special import erfcx
 
 from .errors import FitError, InvalidParams, TwinbeamError
 from .mi import _half_level_width, _interior_peak
@@ -66,6 +64,8 @@ def _half_term(u: np.ndarray, r: float) -> np.ndarray:
     erfc(x) = 2 - erfc(-x) gives a bounded remainder whose exponent
     r (r/2 - u) < 0 is formed as a single product.
     """
+    from scipy.special import erfcx
+
     x = (r - u) / np.sqrt(2.0)
     out = np.empty_like(u)
     pos = x >= 0
@@ -108,6 +108,8 @@ def peak_value(eta: float, sigma0: float, sigma: float) -> float:
     Stable form of (eta sigma0 sqrt(2 pi) / 2 sigma) exp(sigma0^2/2 sigma^2)
     * erfc(sigma0 / (sqrt(2) sigma)).
     """
+    from scipy.special import erfcx
+
     if not (sigma > 0 and sigma0 > 0):
         raise InvalidParams("sigma and sigma0 must be > 0")
     r = sigma0 / sigma
@@ -188,6 +190,8 @@ def model_fwhm(sigma0: float, sigma: float) -> float:
     Strictly increasing in sigma at fixed sigma0, with the sigma -> 0 floor
     GAUSSIAN_FWHM_FACTOR * sigma0.
     """
+    from scipy.optimize import brentq
+
     g0 = peak_value(1.0, sigma0, sigma)
 
     def f(T):
@@ -219,6 +223,8 @@ class GaussianFit:
 
 def fit_gaussian(curve: MICurve) -> GaussianFit:
     """Least-squares fit of amplitude * g(t - center) to a delay curve."""
+    from scipy.optimize import least_squares
+
     d, m = curve.delays, curve.mi
     i_pk = _interior_peak(m)
     # Width guess from the half-maximum crossing nearest the peak.
@@ -274,6 +280,8 @@ def fit_channel(curve: MICurve, sigma0: float) -> FitResult:
     The curve must be normalized so the unobstructed reference peaks at 1;
     one whose refined peak exceeds 1 is refused before any fitting.
     """
+    from scipy.optimize import brentq
+
     if not sigma0 > 0:
         raise InvalidParams("sigma0 must be > 0")
     tau0_hat, peak_hat = _refined_peak(curve)

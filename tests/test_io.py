@@ -235,6 +235,17 @@ class TestCurveCsv:
         assert np.allclose(back.mi, mi, rtol=1e-8)
         assert np.allclose(back.spread, spread, rtol=1e-8)
 
+    def test_missing_file_is_a_data_error_as_a_missing_trace_is(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(DataError, match="no such file"):
+            load_curve(path)
+        assert main(["fit", "--curve", str(path)]) == 3
+        assert capsys.readouterr().err == f"data error: {path}: no such file\n"
+        trace = tmp_path / "missing.twbm"
+        assert main(["analyze", "--trace-a", str(trace), "--trace-b", str(trace),
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        assert capsys.readouterr().err == f"data error: {trace}: no such file\n"
+
     def test_spectrum_csv_written(self, tmp_path, small_spec):
         pair = gen_twin(SourceParams(), small_spec, seed=6)
         ref = gen_split_coherent(SourceParams(), small_spec, seed=7)

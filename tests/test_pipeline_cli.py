@@ -291,6 +291,43 @@ FLAG_CASES = [
 ]
 
 
+def _env_of_this_package() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(twinbeam.__file__).parents[1])}
+
+
+# cli.main on the arguments in a fresh interpreter; the last line it prints is
+# the exit code and the scipy modules loaded by then
+_COLD_MAIN = """
+import json, sys
+from twinbeam.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def _cold_main(argv: list, cwd: Path) -> list:
+    out = subprocess.run([sys.executable, "-c", _COLD_MAIN, *argv], cwd=cwd,
+                         env=_env_of_this_package(), capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def cold_dir(tmp_path_factory):
+    """A directory holding a short u8 pair and the cold-start configs."""
+    path = tmp_path_factory.mktemp("cold")
+    assert main(["simulate", "--encoding", "u8", "--n-samples", "140000",
+                 "--out-a", str(path / "pair_a.twbm"), "--out-b", str(path / "pair_b.twbm")]) == 0
+    (path / "short.json").write_text(json.dumps({"digitizer": {"n_samples": 2 ** 19}}))
+    (path / "segment.json").write_text(json.dumps({"digitizer": {"n_samples": 140_000},
+                                                   "segment_length": 16}))
+    return path
+
+
 class TestCli:
     def test_simulate_analyze_fit(self, tmp_path):
         a, b = tmp_path / "a.twbm", tmp_path / "b.twbm"
@@ -670,6 +707,33 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "[]"
+
+    def test_import_loads_numpy_alone(self):
+        code = ("import sys, twinbeam, twinbeam.cli, twinbeam.config; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=_env_of_this_package(), check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["simulate", "--encoding", "u8", "--n-samples", "140000", "--out-a", "a.twbm",
+          "--out-b", "b.twbm"], 0),
+        (["analyze", "--trace-a", "pair_a.twbm", "--trace-b", "pair_b.twbm", "--range-ns", "20",
+          "--out", "c.csv"], 0),
+        # refused by check_segment_band, the last of the pipeline's checks before a draw
+        (["pipeline", "--config", "segment.json"], 2),
+    ], ids=["help", "simulate-u8", "analyze-unfiltered", "refused-config"])
+    def test_short_command_loads_no_scipy(self, argv, code, cold_dir):
+        assert _cold_main(argv, cold_dir) == [code, []]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--trace-a", "pair_a.twbm", "--trace-b", "pair_b.twbm", "--range-ns", "20",
+         "--band-mhz", "1.5:3.5", "--out", "c.csv"],
+        ["pipeline", "--config", "short.json", "--repeats", "1", "--range-ns", "100"],
+    ], ids=["analyze-band-passed", "pipeline"])
+    def test_command_loading_scipy_runs_cold(self, argv, cold_dir):
+        assert _cold_main(argv, cold_dir)[0] == 0
 
     @pytest.mark.parametrize("command", ["matched-transmission", "pipeline"])
     def test_band_past_nyquist_exits_2_before_drawing(self, command, monkeypatch, capsys):

@@ -63,6 +63,27 @@ def test_numpy_fft_is_read_only_in_source():
     assert [name for name, lines in uses.items() if lines] == ["source.py"]
 
 
+def _import_time_modules(node: ast.AST):
+    """(line, module) of each import a module runs when it is imported: those outside functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((child.lineno, alias.name) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.lineno, child.module
+        yield from _import_time_modules(child)
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # importing the package, the CLI included, loads numpy alone; scipy loads
+    # in the first function that calls it
+    found = [f"{path.name}:{line}" for path in MODULES
+             for line, module in _import_time_modules(ast.parse(path.read_text()))
+             if module.partition(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_every_export_resolves():
     # a deleted function leaves no name behind in an __all__
     modules = [importlib.import_module("twinbeam" if path.stem == "__init__" else
