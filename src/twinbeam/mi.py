@@ -28,9 +28,12 @@ core: the first runs in the calling process and each other one in a worker
 forked from it, which inherits the binned records and sends back only its
 MI values.  Counts are exact integers however a block reaches them, and
 each MI value is a fixed function of its counts, so the curve does not
-depend on the block count.  ``scan_window`` is the one rule for a scan's
-grid and a's window; ``run_pipeline`` and ``analyze`` ask it first, with the
-guards their records will carry.
+depend on the block count.  ``run_lanes`` deals whole jobs, such as a
+seed's curves, to lanes forked the same way (``_run_blocks``, the one fork
+of the package), and inside a lane ``usable_cores`` counts only the lane's
+share of the cores.  ``scan_window`` is the one rule for a scan's grid and
+a's window; ``run_pipeline`` and ``analyze`` ask it first, with the guards
+their records will carry.
 
 Scan conventions:
 
@@ -53,7 +56,8 @@ import pickle
 import signal
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import partial
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -70,6 +74,7 @@ __all__ = [
     "normalize_curve",
     "fwhm",
     "miller_madow_correction",
+    "run_lanes",
     "usable_cores",
 ]
 
@@ -429,7 +434,9 @@ def _scan_kernel(ia_m, ib, b_starts, n_win, m):
         return out
 
     work = (walked if tiles else rebuilt) + n_shifts * mm
-    return _run_blocks(block, _blocks(n_shifts, work))
+    bounds = _blocks(n_shifts, work)
+    return np.concatenate(_run_blocks([partial(block, lo, hi)
+                                       for lo, hi in zip(bounds, bounds[1:])]))
 
 
 def _xlog2x(size: int) -> np.ndarray:
@@ -521,16 +528,22 @@ def _tile_length(mm: int, met_per_move: float) -> int:
 _BLOCK_WORK = 50_000_000
 
 
-def usable_cores() -> int:
-    """Cores this process may run on; 1, so every stage runs serially, without
-    ``os.fork`` or ``os.sched_getaffinity``.
+# Lanes that ``run_lanes`` deals the usable cores to while its jobs run; 1 elsewhere.
+_lanes = 1
 
-    The one count of the package's parallel stages: the scan's forked shift
-    blocks here and ``source``'s noise draws on threads.
+
+def usable_cores() -> int:
+    """Cores this process may use: those it may run on, or inside a lane of
+    ``run_lanes`` that lane's share of them, usable // lanes and at least 1.
+
+    1, so every stage runs serially, without ``os.fork`` or
+    ``os.sched_getaffinity``.  The one count of the package's parallel
+    stages: ``run_lanes``' lanes and the scan's forked shift blocks here, and
+    ``source``'s noise draws on threads.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    return max(1, len(os.sched_getaffinity(0)) // _lanes)
 
 
 def _blocks(n_shifts: int, work: float) -> list[int]:
@@ -543,24 +556,62 @@ def _blocks(n_shifts: int, work: float) -> list[int]:
     return [n_shifts * i // k for i in range(k + 1)]
 
 
-def _run_blocks(block, bounds: list[int]) -> np.ndarray:
-    """``block(lo, hi)`` over consecutive ``bounds``, concatenated in order.
+def run_lanes(jobs: list[Callable[[], np.ndarray]]) -> list[np.ndarray]:
+    """Each job's float64 values, in order, with the jobs dealt round robin to
+    one lane per usable core, but no more lanes than jobs.
+
+    Lane 0 runs in this process and each other lane in one worker forked
+    from it (``_run_blocks``), which inherits what its jobs read and sends
+    back only their values.  Inside a lane ``usable_cores`` is the lane's
+    share, so where the lanes take every core a lane's draws start no thread
+    and its scans fork no block; one lane keeps every core.  The jobs of one
+    call return values of one length.  Empties ``jobs``, and a lane drops
+    each job once it has run, so this process keeps no job, nor what a job
+    holds, that its own lane does not still have to run.
+    """
+    global _lanes
+    n = len(jobs)
+    k = min(usable_cores(), n)
+    lanes = [partial(_lane, jobs[i::k]) for i in range(k)]
+    jobs.clear()
+    outer, _lanes = _lanes, _lanes * k
+    try:
+        parts = _run_blocks(lanes)
+    finally:
+        _lanes = outer
+    rows = [part.reshape(len(range(i, n, k)), -1) for i, part in enumerate(parts)]
+    return [rows[j % k][j // k] for j in range(n)]
+
+
+def _lane(jobs: list[Callable[[], np.ndarray]]) -> np.ndarray:
+    """The values of each of ``jobs`` in turn, concatenated; each job is dropped once run."""
+    values = []
+    while jobs:
+        values.append(jobs.pop(0)())
+    return np.concatenate(values)
+
+
+def _run_blocks(blocks: list[Callable[[], np.ndarray]]) -> list[np.ndarray]:
+    """The float64 values of each of ``blocks``, in order: the package's one fork.
 
     The first block runs in this process, each other one in a worker forked
     from it, which inherits every array the block reads and sends back only
-    its float64 values through a pipe.  Every worker is reaped before this
-    returns, so its CPU time counts in RUSAGE_CHILDREN; a worker's error is
-    raised here with its type and message, and an error or interrupt in this
-    process kills and reaps the workers still running.
+    its float64 values through a pipe.  A block is a scan's run of shifts
+    (``_scan_kernel``) or one of ``run_lanes``' lanes.  Empties ``blocks``:
+    this process drops each other block once it is forked, and the first
+    once it has run.  Every worker is reaped before this returns, so its CPU
+    time counts in RUSAGE_CHILDREN; a worker's error is raised here with its
+    type and message, and an error or interrupt in this process kills and
+    reaps the workers still running.
     """
-    if len(bounds) == 2:
-        return block(bounds[0], bounds[1])
-    workers = {}   # pid -> read end of its pipe, in shift order
+    if len(blocks) == 1:
+        return [blocks.pop()()]
+    workers = {}   # pid -> read end of its pipe, in block order
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid, pipe = _fork_block(block, lo, hi)
+        while len(blocks) > 1:
+            pid, pipe = _fork_block(blocks.pop(1))
             workers[pid] = pipe
-        parts = [block(bounds[0], bounds[1])]
+        parts = [blocks.pop()()]
         for pid, pipe in list(workers.items()):
             with pipe:
                 payload = pipe.read()
@@ -574,11 +625,11 @@ def _run_blocks(block, bounds: list[int]) -> np.ndarray:
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    return np.concatenate(parts)
+    return parts
 
 
-def _fork_block(block, lo: int, hi: int):
-    """Fork a worker that computes ``block(lo, hi)``; returns its pid and pipe.
+def _fork_block(block: Callable[[], np.ndarray]):
+    """Fork a worker that computes ``block()``; returns its pid and pipe.
 
     The worker only reads arrays it inherited and writes to its pipe: a zero
     byte and its float64 values, or a one byte and the pickled (type,
@@ -597,7 +648,7 @@ def _fork_block(block, lo: int, hi: int):
         try:
             os.close(r)
             try:
-                payload = b"\0" + block(lo, hi).tobytes()
+                payload = b"\0" + block().tobytes()
             except BaseException as exc:   # reported to the parent, which raises it
                 payload = b"\1" + pickle.dumps((type(exc), str(exc)))
             with open(w, "wb") as pipe:
@@ -616,7 +667,7 @@ def _block_result(pid: int, payload: bytes, status: int) -> np.ndarray:
     if payload[:1] == b"\1":
         exc_type, message = pickle.loads(payload[1:])
         raise exc_type(message)
-    raise ChildProcessError(f"scan worker {pid} ended with exit code "
+    raise ChildProcessError(f"forked worker {pid} ended with exit code "
                             f"{os.waitstatus_to_exitcode(status)} and no result")
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +28,8 @@ from .design import matched_transmission
 from .dsp import (FILTER_PAD, band_bins, band_record, check_segment, check_segment_band,
                   squeezing_estimate, welch_psd)
 from .errors import RecordTooShort, TwinbeamError
-from .mi import average_curves, fwhm, mi_delay_scan, normalize_curve, scan_window
+from .mi import (average_curves, fwhm, mi_delay_scan, normalize_curve, run_lanes,
+                 scan_window)
 from .model import fit_channel, fit_gaussian
 from .source import RECIPES, shot_noise_recipe, twin_recipe
 from .trace import ChannelParams, MICurve, Trace, TracePair
@@ -92,9 +94,28 @@ def _record(config: RunConfig, band: tuple[slice, np.ndarray], spectrum: np.ndar
     return Trace(samples=samples, spec=config.spec, guard=guard)
 
 
-def _scan(config: RunConfig, a: Trace, b: Trace) -> MICurve:
+def _scan(config: RunConfig, a: Trace, b: Trace) -> np.ndarray:
+    """The MI values of a's scan against b."""
     return mi_delay_scan(TracePair(a=a, b=b), step=config.delay_step,
-                         range_=config.delay_range, n_bins=config.n_bins)
+                         range_=config.delay_range, n_bins=config.n_bins).mi
+
+
+def _twin_job(config: RunConfig, band, a: np.ndarray, fb: Trace) -> np.ndarray:
+    """The unobstructed curve's values: arm a, given over the band, against arm b's record."""
+    return _scan(config, _record(config, band, a), fb)
+
+
+def _channel_job(config: RunConfig, band, shot_psd: float, a: np.ndarray, fb: Trace,
+                 channel: ChannelParams, guard: int, seed: int) -> np.ndarray:
+    """The channel curve's values: the channel acts on arm a only, seeded at ``seed``."""
+    arm = channel_spectrum(config.spec, shot_psd, a, band[0], channel, seed)
+    return _scan(config, _record(config, band, arm, guard), fb)
+
+
+def _split_job(config: RunConfig, band, split, seed: int) -> np.ndarray:
+    """A split curve's values, from its pair drawn at ``seed`` over the band."""
+    arms = split.arm_spectra(split.noise_spectra(seed, band[0]))
+    return _scan(config, *(_record(config, band, x) for x in arms))
 
 
 def _curve_stats(curve: MICurve, peak_bits: float) -> dict:
@@ -117,8 +138,17 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     lists are averaged in report order.  A seed's twin pair gives the
     unobstructed curve and, when the scenario has one, the channel curve:
     the channel acts on arm a only, so both curves are scanned against the
-    same band-passed arm b.  Each split curve draws its own pair
-    (``source.RECIPES``).  The first seed's raw difference record gives the
+    same band-passed arm b, inverse-transformed once.  Each split curve
+    draws its own pair (``source.RECIPES``).  Once a seed's twin noises are
+    drawn, each curve is one job that makes its own arms and scans them
+    (the channel job runs ``channel_spectrum``, a split job draws its pair),
+    and ``mi.run_lanes`` deals the jobs to one lane per usable core: lane 0
+    runs here, each other lane in a worker forked for the seed, which sends
+    back only its MI values.  A lane's draws and scans use its share of the
+    cores, so one curve alone (scenario ``twin``) keeps the scan's shift
+    blocks, and no output depends on the core count.  Only the jobs hold
+    the twin arms, so this process frees each once its own lane has no job
+    left that needs it.  The first seed's raw difference record gives the
     squeezing spectrum, so the spectrum needs no pair of its own beyond the
     shot-noise reference at the twin arms' shot PSDs: the twin noises that
     do not cancel in a - b are drawn on every rfft bin, the shared one over
@@ -158,12 +188,13 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
     # arm a's guard: the band-pass's or, on a channel arm, the kernel's if larger
     guard_a = max(FILTER_PAD, channel_guard(channel, config.spec) if channel else 0)
     try:
-        scan_window(config.spec, config.delay_step, config.delay_range, config.n_bins,
-                    guard_a, FILTER_PAD)
+        _, shifts = scan_window(config.spec, config.delay_step, config.delay_range,
+                                config.n_bins, guard_a, FILTER_PAD)
     except RecordTooShort as exc:
         raise RecordTooShort(f"digitizer.n_samples {n} is too short: the arms' guards, "
                              f"delay range and bins need at least {exc.least}",
                              exc.least) from exc
+    delays = shifts / fs
     outdir = outdir or config.outdir
     out = Path(outdir) if outdir else None
     if out is not None:
@@ -196,16 +227,18 @@ def run_pipeline(config: RunConfig, outdir: Optional[str] = None) -> dict:
         else:
             spectra = pair.noise_spectra(seed, bins)
         a, b = pair.arm_spectra(spectra)
+        del spectra
+        # arm b is scanned by two curves: one irfft, before the lanes fork
         fb = _record(config, band, b)
-        runs["twin-unobstructed"].append(_scan(config, _record(config, band, a), fb))
+        jobs = [partial(_twin_job, config, band, a, fb)]   # in the order of runs
         if channel is not None:
-            arm = channel_spectrum(config.spec, pair.arms[0].shot_psd, a, bins, channel,
-                                   seed + _SEED_OFFSETS["channel"])
-            runs[channel_name].append(_scan(config, _record(config, band, arm, guard_a), fb))
-        del fb   # no scanned arm stays while the next pair's arms are made
-        for name, split in splits.items():
-            arms = split.arm_spectra(split.noise_spectra(seed + _SEED_OFFSETS[name], bins))
-            runs[name].append(_scan(config, *(_record(config, band, x) for x in arms)))
+            jobs.append(partial(_channel_job, config, band, pair.arms[0].shot_psd, a, fb,
+                                channel, guard_a, seed + _SEED_OFFSETS["channel"]))
+        jobs += [partial(_split_job, config, band, split, seed + _SEED_OFFSETS[name])
+                 for name, split in splits.items()]
+        del a, b, fb   # only the jobs hold them, so each lane frees them with its last job
+        for run, values in zip(runs.values(), run_lanes(jobs)):
+            run.append(MICurve(delays=delays, mi=values))
 
     curves = {name: average_curves(run) for name, run in runs.items()}
     ref_peak = curves["twin-unobstructed"].peak

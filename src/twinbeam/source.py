@@ -20,8 +20,9 @@ A recipe draws its noises on one thread per usable core (``_draw``), or on
 one worker thread beside other work (``noise_spectra_beside``).  Each noise
 draws from its own ``Generator``, so no value depends on the thread count.
 The calling thread allocates every buffer a worker fills and keeps every
-FFT; each thread is joined before the call returns, so none is alive when a
-scan forks its shift blocks (``mi``), and one usable core starts none.
+FFT; each thread is joined before the call returns, so none is alive when
+``mi`` forks a scan's shift blocks or a pipeline's lanes, and one usable
+core, or a lane's share of one, starts none.
 
 Model structure for the twin pair:
 
@@ -220,10 +221,10 @@ def _beside(tasks: list[Callable[[], None]], main: Callable[[], object]):
     """``main()`` on this thread while each of ``tasks`` runs on a thread of its own.
 
     Every thread is joined before this returns or raises, so none is alive
-    at a later fork (``mi``'s shift blocks); none is kept for a later call.
-    An error of ``main``, else the first task's, is raised here as it was
-    raised.  With one usable core no thread starts: ``main`` runs, then
-    each task.
+    at a later fork (``mi``'s shift blocks and lanes); none is kept for a
+    later call.  An error of ``main``, else the first task's, is raised here
+    as it was raised.  With one usable core (``mi.usable_cores``, a lane's
+    share inside a lane) no thread starts: ``main`` runs, then each task.
     """
     if usable_cores() == 1:
         result = main()

@@ -1,4 +1,5 @@
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -342,16 +343,16 @@ class TestDelayScan:
         _split_every_scan(monkeypatch, 3)
         run_blocks = mi._run_blocks
 
-        def run_failing(block, bounds):
-            def maybe_fail(lo, hi):
-                if (lo > 0) == (failing == "worker"):
-                    raise DataError(f"block from shift {lo}")
-                return block(lo, hi)
-            return run_blocks(maybe_fail, bounds)
+        def run_failing(blocks):
+            def maybe_fail(i, block):
+                if (i > 0) == (failing == "worker"):
+                    raise DataError(f"block {i} of the scan")
+                return block()
+            return run_blocks([partial(maybe_fail, i, block) for i, block in enumerate(blocks)])
 
         monkeypatch.setattr(mi, "_run_blocks", run_failing)
         x, y = gaussian_pair(0.5, 2 ** 14, seed=14)
-        with pytest.raises(DataError, match="block from shift") as info:
+        with pytest.raises(DataError, match="block [0-9] of the scan") as info:
             mi_delay_scan(_scan_pair(x, y), range_=20e-9)
         assert info.type is DataError
         with pytest.raises(ChildProcessError):
@@ -365,6 +366,29 @@ class TestDelayScan:
         tiny = mi_delay_scan(pair, range_=2e-9)   # 9 shifts: far below _BLOCK_WORK
         _split_every_scan(monkeypatch, 1)
         assert np.array_equal(mi_delay_scan(pair, range_=2e-9).mi, tiny.mi)
+
+    @pytest.mark.parametrize("cores, n_jobs, share", [(1, 3, 1), (2, 3, 1), (4, 2, 2),
+                                                       (5, 2, 2), (4, 5, 1)])
+    def test_lanes_deal_jobs_in_order_and_share_the_cores(self, cores, n_jobs, share,
+                                                          monkeypatch):
+        # job j runs in lane j % lanes; lane 0 in this process, each other lane
+        # in one forked worker; inside a lane usable_cores is the lane's share
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        forks = _count_forks(monkeypatch)
+        parent = os.getpid()
+
+        def job(j):
+            return np.array([j, mi.usable_cores(), os.getpid() == parent], dtype=np.float64)
+
+        jobs = [partial(job, j) for j in range(n_jobs)]
+        values = mi.run_lanes(jobs)
+        lanes = min(cores, n_jobs)
+        assert jobs == [] and len(forks) == lanes - 1
+        assert [v.tolist() for v in values] == [[j, share, j % lanes == 0]
+                                                for j in range(n_jobs)]
+        assert mi.usable_cores() == cores
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_block_without_fork_or_affinity(self, missing, monkeypatch):

@@ -2,9 +2,11 @@ import hashlib
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import twinbeam.source as source
 from twinbeam.channel import apply_channel, delay_taps
 from twinbeam.cli import main
 from twinbeam.config import SCENARIOS, RunConfig
-from twinbeam.errors import ConfigError, RecordTooShort
+from twinbeam.errors import ConfigError, DataError, RecordTooShort
 from twinbeam.io import load_trace, save_curve
 from twinbeam.pipeline import default_channel, run_pipeline, scatterer_only_channel
 from twinbeam.dsp import FILTER_PAD, band_bins, bandpass
@@ -915,6 +917,8 @@ class TestSpectralArms:
         small_config(scenario="split-coherent"),
     ], ids=lambda cfg: cfg.scenario)
     def test_arms_match_explicit_chain(self, monkeypatch, cfg):
+        # one usable core, one lane: every scan runs where the recording sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         scanned = _scanned_pairs(monkeypatch)
         run_pipeline(cfg)
 
@@ -951,6 +955,9 @@ class TestPerSeedDataflow:
                      spec=DigitizerSpec(n_samples=2 ** 21)),
     ], ids=["scatterer-only", "all"])
     def test_one_generation_per_seed_and_one_filter_per_record(self, monkeypatch, cfg):
+        # one usable core, one lane: every draw and record is made where the
+        # recording sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         draws, records, covered = [], [], {}
         real_draw, real_record = source.noise_spectrum, pipeline.band_record
         m = cfg.spec.n_samples // 2 + 1
@@ -1043,14 +1050,15 @@ class TestPerSeedDataflow:
 
 class TestThreads:
     """Noise draws run on threads that their stage starts and joins: no thread
-    is alive when a scan forks its shift blocks, and one usable core starts
-    none.  The outputs do not depend on the core count."""
+    is alive when a scan forks its shift blocks or run_pipeline its lanes,
+    and one usable core starts none.  The outputs do not depend on the core
+    count."""
 
     def _outputs(self, tmp_path, monkeypatch, cores):
-        # one shift block per core, however little work a scan holds
+        # one shift block per core of a lane, however little work a scan holds
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setattr(mi, "_BLOCK_WORK", 1)
-        started, forks = [], []
+        started, forks, parent = [], [], os.getpid()
         start, fork = threading.Thread.start, os.fork
 
         def counting_start(thread):
@@ -1059,6 +1067,8 @@ class TestThreads:
 
         def checked_fork():
             assert threading.active_count() == 1
+            # a forked lane forks nothing; its error crosses back to the test
+            assert os.getpid() == parent, "forked inside a lane"
             forks.append(cores)
             return fork()
 
@@ -1066,21 +1076,62 @@ class TestThreads:
         monkeypatch.setattr(os, "fork", checked_fork)
         cfg = small_config(scenario="all", repeats=2, delay_range=150e-9,
                            spec=DigitizerSpec(n_samples=2 ** 20))
-        report = run_pipeline(cfg)
+        out = tmp_path / f"out{cores}"
+        report = run_pipeline(cfg, outdir=out)
         report.pop("timing")
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
         a, b = tmp_path / f"a{cores}.twbm", tmp_path / f"b{cores}.twbm"
         assert main(["simulate", "--scenario", "twin", "--n-samples", str(2 ** 17),
                      "--out-a", str(a), "--out-b", str(b)]) == 0
         assert threading.active_count() == 1
-        return report, a.read_bytes() + b.read_bytes(), len(started), len(forks)
+        return report, a.read_bytes() + b.read_bytes(), len(started), len(forks), csvs
 
     def test_no_thread_alive_at_a_fork_and_none_on_one_core(self, tmp_path, monkeypatch):
-        two = self._outputs(tmp_path, monkeypatch, 2)
-        one = self._outputs(tmp_path, monkeypatch, 1)
-        assert two[2] > 0 and two[3] > 0     # threads drew and scans forked
-        assert one[2:] == (0, 0)
-        assert json.dumps(two[0]) == json.dumps(one[0])
-        assert two[1] == one[1]
+        # each seed's four curves go to min(cores, 4) lanes: one worker forked
+        # per seed for each lane past the first, and none inside a lane, whose
+        # share of the cores is one; at 1, 2 and a faked 4 cores the report and
+        # every CSV are byte-equal
+        runs = {cores: self._outputs(tmp_path, monkeypatch, cores) for cores in (1, 2, 4)}
+        one, two = runs[1], runs[2]
+        assert two[2] > 0 and two[3] > 0     # threads drew and lanes forked
+        assert one[2:4] == (0, 0)
+        assert len(one[4]) == 5
+        for cores, run in runs.items():
+            assert run[3] == 2 * (min(cores, 4) - 1)
+            assert json.dumps(run[0], indent=2) == json.dumps(one[0], indent=2)
+            assert run[1] == one[1] and run[4] == one[4]
+
+    @pytest.mark.parametrize("failing", ["lane 0", "lane 1"])
+    def test_lane_error_is_raised_with_no_child_left(self, failing, monkeypatch):
+        # a job's error in the forked lane crosses its pipe with its type and
+        # message; an error in this process's lane kills the forked one, which
+        # would otherwise sleep for a minute; either way every worker is reaped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, kills = os.getpid(), []
+        real_scan, real_kill = pipeline.mi_delay_scan, os.kill
+
+        def failing_scan(pair, **kwargs):
+            lane = "lane 0" if os.getpid() == parent else "lane 1"
+            if lane == failing:
+                raise DataError(f"scan in {lane}")
+            if lane == "lane 1":
+                time.sleep(60)
+            return real_scan(pair, **kwargs)
+
+        def recording_kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(pipeline, "mi_delay_scan", failing_scan)
+        monkeypatch.setattr(os, "kill", recording_kill)
+        t0 = time.monotonic()
+        with pytest.raises(DataError, match=f"^scan in {failing}$") as info:
+            run_pipeline(small_config(scenario="scatterer-only"))
+        assert info.type is DataError
+        assert kills == ([signal.SIGKILL] if failing == "lane 0" else [])
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _load_spans():
